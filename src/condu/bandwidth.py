@@ -5,11 +5,10 @@ via max(n, 16) so it stays positive and monotone for small n; the theory is
 asymptotic and silent there.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
-
-import numpy as np
 
 from .errors import (
     BandwidthOutOfRange,
@@ -64,6 +63,17 @@ def lower_bandwidth(regime, n):
     return regime.c * (ratio ** (1.0 - 2.0 / regime.p)) ** (1.0 / regime.m)
 
 
+def dyadic_bandwidths(a, m, limit):
+    """h_0 = a, then h_j = (2^j a^m)^{1/m} while h_j <= limit; callers check
+    the anchor against their own cap."""
+    yield a
+    for j in itertools.count(1):
+        hj = (2.0 ** j * a ** m) ** (1.0 / m)
+        if hj > limit:
+            return
+        yield hj
+
+
 def dyadic_grid(regime, ell):
     """Dyadic block boundaries h_j with h_j^m = 2^j a^m, up to 2*b0."""
     if ell < 2:
@@ -75,15 +85,8 @@ def dyadic_grid(regime, ell):
             f"anchor {a0:.6g} exceeds b0={regime.b0}; n={n_ell} too small for "
             f"c={regime.c}"
         )
-    anchors = [a0]
-    j = 1
-    while True:
-        hj = (2.0 ** j * a0 ** regime.m) ** (1.0 / regime.m)
-        if hj > 2.0 * regime.b0:
-            break
-        anchors.append(hj)
-        j += 1
-    return DyadicGrid(ell=ell, n_ell=n_ell, anchors=tuple(anchors), L=len(anchors) - 1)
+    anchors = tuple(dyadic_bandwidths(a0, regime.m, 2.0 * regime.b0))
+    return DyadicGrid(ell=ell, n_ell=n_ell, anchors=anchors, L=len(anchors) - 1)
 
 
 def gamma_threshold(ell, epsilon, p):
@@ -122,9 +125,9 @@ def truncate_split(gbar, ftilde, threshold):
         raise ValueError("threshold must be positive")
 
     def truncated(xs, ys):
-        return gbar(xs, ys) if ftilde(ys) <= threshold else 0.0
+        return gbar(xs, ys) * (ftilde(ys) <= threshold)
 
     def remainder(xs, ys):
-        return gbar(xs, ys) if ftilde(ys) > threshold else 0.0
+        return gbar(xs, ys) * (ftilde(ys) > threshold)
 
     return TruncationSplit(threshold=threshold, truncated=truncated, remainder=remainder)

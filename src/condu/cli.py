@@ -18,6 +18,7 @@ from .harness import (
     atomic_write,
     bandwidths,
     child_seed,
+    format_float,
     make_t_grid,
     rate_experiment,
     simulate,
@@ -37,10 +38,6 @@ def _load(args):
     if seed is not None:
         cfg = dataclasses.replace(cfg, seed=seed)
     return cfg
-
-
-def _fmt(x):
-    return "%.17g" % x
 
 
 def cmd_simulate(args):
@@ -67,11 +64,12 @@ def cmd_estimate(args):
         for t in tgrid:
             for phi in cfg.fc.members:
                 cell = estimate(phi, h, t, s, cfg.kernel)
-                ts = ",".join(_fmt(v) for v in t)
-                mh = _fmt(cell.mhat) if cell.mhat is not None else "nan"
+                ts = ",".join(format_float(v) for v in t)
+                mh = format_float(cell.mhat) if cell.mhat is not None else "nan"
                 lines.append(
-                    f"{cfg.m},{_fmt(h)},{ts},{phi.id},{_fmt(cell.numerator)},"
-                    f"{_fmt(cell.denominator)},{mh},{cell.status}"
+                    f"{cfg.m},{format_float(h)},{ts},{phi.id},"
+                    f"{format_float(cell.numerator)},"
+                    f"{format_float(cell.denominator)},{mh},{cell.status}"
                 )
     atomic_write(args.out, "\n".join(lines) + "\n")
     print(f"wrote {len(lines) - 1} cells to {args.out}")

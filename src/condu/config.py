@@ -7,7 +7,6 @@ directory can echo exactly what was run.
 
 import json
 from dataclasses import dataclass, field
-from typing import Optional
 
 from .bandwidth import RateRegime
 from .errors import SchemaError
@@ -113,8 +112,12 @@ def parse_config(doc):
 
     e = doc["experiment"]
     n_list = tuple(int(v) for v in _require(e, "n_list", "experiment"))
-    if list(n_list) != sorted(n_list):
-        raise SchemaError("experiment.n_list must be ascending")
+    if any(b <= a for a, b in zip(n_list, n_list[1:])):
+        raise SchemaError("experiment.n_list must be strictly ascending")
+    for section, key in (("experiment", "reps"), ("grids", "points_per_axis"),
+                         ("grids", "quad_order")):
+        if int(doc[section].get(key, 1)) < 1:
+            raise SchemaError(f"{section}.{key} must be >= 1")
 
     return ExperimentConfig(
         dgp=dgp,

@@ -30,6 +30,14 @@ class BudgetExceedsPopulation(ConduError, ValueError):
     pass
 
 
+class PopulationTooLarge(ConduError, ValueError):
+    """The tuple population is too large to rank with 64-bit integers."""
+
+
+class UnsupportedOrder(ConduError, ValueError):
+    """No evaluation path handles this U-statistic order."""
+
+
 class MeasureTooLarge(ConduError, RuntimeError):
     pass
 
@@ -61,7 +69,3 @@ class BoundedClassHasNoRemainder(ConduError, ValueError):
 class SchemaError(ConduError, ValueError):
     """Malformed input file or config; message carries the offending row
     or field."""
-
-
-class IoError(ConduError, OSError):
-    pass

@@ -10,18 +10,12 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 from scipy.special import ndtr
 
-from .errors import (
-    DegenerateSample,
-    NoClosedFormConditional,
-    SchemaError,
-    ZeroDensityWindow,
-)
-from .function_class import FunctionSpec, builtin_member
-from .kernels import Kernel1D
-from .ucore import Sample, UKernelSpec, u_stat_windowed
+from .errors import NoClosedFormConditional, SchemaError, ZeroDensityWindow
+from .function_class import builtin_member
+from .kernels import composite_integral, composite_rule
+from .ucore import UKernelSpec, u_stat_windowed
 
 
 @dataclass(frozen=True)
@@ -115,12 +109,7 @@ def make_dgp(dgp_id, noise_kind="none", noise_param=0.0):
 
 def _validate_density(dgp, tol=1e-8):
     lo, hi = dgp.support
-    nodes, weights = leggauss(64)
-    edges = np.linspace(lo, hi, 33)
-    total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        total += half * float(np.dot(weights, dgp.fx(mid + half * nodes)))
+    total = composite_integral(dgp.fx, np.linspace(lo, hi, 33), 64)
     if abs(total - 1.0) > tol:
         raise SchemaError(
             f"dgp {dgp.id!r}: density integrates to {total:.12g} over support"
@@ -138,25 +127,28 @@ class EstimateCell:
     status: str  # "ok" | "empty_window" | "nonpositive_denominator"
 
 
+def ratio_status(den):
+    """Status of the ratio num / den: "ok" only for a positive denominator,
+    "empty_window" for an exact zero, else "nonpositive_denominator"."""
+    if den > 0.0:
+        return "ok"
+    if den == 0.0:
+        return "empty_window"
+    return "nonpositive_denominator"
+
+
 def estimate(phi, h, t, s, kernel):
     """Stute's estimator m^(t, h) = U_n(phi, h, t) / U_n(1, h, t).
 
     A vanishing window or a signed-kernel denominator is a cell status, not
     an exception: small-h cells are legitimately empty at finite n.
     """
-    m = phi.m
-    if m > s.n:
-        raise DegenerateSample(f"m={m} exceeds n={s.n}")
-    one = builtin_member("one", m)
+    one = builtin_member("one", phi.m)
     num = u_stat_windowed(UKernelSpec(phi, h, tuple(t), kernel), s).value
     den = u_stat_windowed(UKernelSpec(one, h, tuple(t), kernel), s).value
-    if den == 0.0:
-        return EstimateCell(tuple(t), h, phi.id, num, den, None, "empty_window")
-    if den < 0.0:
-        return EstimateCell(
-            tuple(t), h, phi.id, num, den, None, "nonpositive_denominator"
-        )
-    return EstimateCell(tuple(t), h, phi.id, num, den, num / den, "ok")
+    status = ratio_status(den)
+    mhat = num / den if status == "ok" else None
+    return EstimateCell(tuple(t), h, phi.id, num, den, mhat, status)
 
 
 def product_density(dgp, t):
@@ -176,17 +168,15 @@ def _max_uniform_expectation(centers, a):
     hi = float(np.max(centers) + a)
     cuts = np.unique(np.concatenate([centers - a, centers + a, [lo, hi]]))
     cuts = cuts[(cuts >= lo) & (cuts <= hi)]
-    nodes, weights = leggauss(centers.size + 2)
-    total = 0.0
-    for s0, s1 in zip(cuts[:-1], cuts[1:]):
-        mid, half = 0.5 * (s0 + s1), 0.5 * (s1 - s0)
-        v = mid + half * nodes
+
+    def survival(v):
         cdf = np.prod(
             np.clip((v[:, None] - centers[None, :] + a) / (2.0 * a), 0.0, 1.0),
             axis=1,
         )
-        total += half * float(np.dot(weights, 1.0 - cdf))
-    return lo + total
+        return 1.0 - cdf
+
+    return lo + composite_integral(survival, cuts, centers.size + 2)
 
 
 def true_regression(dgp, phi, t):
@@ -272,25 +262,6 @@ def conditional_mean_fixed(dgp, phi, xs_free, slot, y):
     raise NoClosedFormConditional(f"no closed-form conditional mean for {pid!r}")
 
 
-def _axis_rule(kernel, h, zj, quad_order, breakpoints):
-    """Gauss-Legendre nodes/weights on [-1/2, 1/2], segmented where the
-    mapped point z - h*u crosses a density breakpoint."""
-    cuts = [-0.5, 0.5]
-    if breakpoints:
-        for b in breakpoints:
-            u = (zj - b) / h
-            if -0.5 < u < 0.5:
-                cuts.append(u)
-    cuts = sorted(set(cuts))
-    base_nodes, base_weights = leggauss(quad_order)
-    nodes, weights = [], []
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        nodes.append(mid + half * base_nodes)
-        weights.append(half * base_weights)
-    return np.concatenate(nodes), np.concatenate(weights)
-
-
 def convolve(phi, kernel, h, z, quad_order=64, breakpoints=None):
     """(phi * K~_h)(z) = h^{-d} integral of phi(x) prod_j K((z_j - x_j)/h) dx.
 
@@ -300,7 +271,12 @@ def convolve(phi, kernel, h, z, quad_order=64, breakpoints=None):
     """
     z = np.asarray(z, dtype=float).ravel()
     d = z.size
-    rules = [_axis_rule(kernel, h, z[j], quad_order, breakpoints) for j in range(d)]
+    # per axis, panels split where the mapped point z_j - h*u crosses a
+    # density breakpoint b, i.e. at u = (z_j - b) / h
+    rules = [
+        composite_rule(-0.5, 0.5, quad_order, [(zj - b) / h for b in breakpoints or ()])
+        for zj in z
+    ]
     mesh = np.meshgrid(*[r[0] for r in rules], indexing="ij")
     U = np.stack([m.ravel() for m in mesh], axis=-1)  # (N, d)
     pts = z[None, :] - h * U

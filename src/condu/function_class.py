@@ -7,8 +7,7 @@ return arrays of shape (...).
 """
 
 import itertools
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np

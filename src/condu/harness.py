@@ -16,11 +16,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bandwidth import gamma_threshold, lower_bandwidth, normalizer
-from .errors import BoundedClassHasNoRemainder, EmptyBandwidthRange
-from .estimator import expected_u, expected_u_one, true_regression
-from .errors import NoClosedFormConditional
+from .bandwidth import (
+    dyadic_bandwidths,
+    gamma_threshold,
+    lower_bandwidth,
+    normalizer,
+    truncate_split,
+)
+from .errors import (
+    BoundedClassHasNoRemainder,
+    EmptyBandwidthRange,
+    NoClosedFormConditional,
+)
+from .estimator import expected_u, expected_u_one, ratio_status, true_regression
 from .function_class import Bounded, FunctionSpec, builtin_member, envelope_tilde
+from .kernels import eval_scaled
 from .ucore import Sample, UKernelSpec, u_stat_windowed
 
 
@@ -60,22 +70,14 @@ def bandwidth_cap(cfg, n):
 def bandwidths(cfg, n):
     """Dyadic sweep grid anchored at the rate lower bound for this n:
     h_j^m = 2^j a_n^m while h_j stays below the cap."""
-    m = cfg.m
     a = lower_bandwidth(cfg.regime, n)
     cap = bandwidth_cap(cfg, n)
-    if a > cap * (1.0 + 1e-12):
+    limit = cap * (1.0 + 1e-12)
+    if a > limit:
         raise EmptyBandwidthRange(
             f"rate anchor {a:.6g} exceeds the bandwidth cap {cap:.6g} at n={n}"
         )
-    hs = [a]
-    j = 1
-    while True:
-        hj = (2.0 ** j * a ** m) ** (1.0 / m)
-        if hj > cap * (1.0 + 1e-12):
-            break
-        hs.append(hj)
-        j += 1
-    return tuple(hs)
+    return tuple(dyadic_bandwidths(a, cfg.m, limit))
 
 
 @dataclass(frozen=True)
@@ -142,12 +144,7 @@ def sweep_cells(cfg, s, n, rep, hs, tgrid, cache):
             rows.append(
                 DeviationRow("process", n, rep, h, t, "one", raw1, norm * raw1, "ok")
             )
-            if den > 0.0:
-                status = "ok"
-            elif den == 0.0:
-                status = "empty_window"
-            else:
-                status = "nonpositive_denominator"
+            status = ratio_status(den)
             for phi in cfg.fc.members:
                 num = u_stat_windowed(UKernelSpec(phi, h, t, cfg.kernel), s).value
                 eu = cache[("EU", phi.id, h, t)]
@@ -212,35 +209,19 @@ def bias_from_cache(cfg, hs, tgrid, cache):
 def bias_at_cap(cfg, n, tgrid):
     """|centering - truth| maximized over members and grid at the cap
     bandwidth b_n itself, where the bias over [a_n, b_n] peaks."""
-    cap = bandwidth_cap(cfg, n)
-    worst = 0.0
-    for phi in cfg.fc.members:
-        eu1 = {
-            t: expected_u_one(cfg.dgp, cfg.m, cfg.kernel, cap, t, cfg.quad_order)
-            for t in tgrid
-        }
-        for t in tgrid:
-            try:
-                truth = float(true_regression(cfg.dgp, phi, np.asarray(t)))
-            except NoClosedFormConditional:
-                continue
-            if eu1[t] <= 1e-14:
-                continue
-            eu = expected_u(cfg.dgp, phi, cfg.kernel, cap, t, cfg.quad_order)
-            worst = max(worst, abs(eu / eu1[t] - truth))
-    return worst
+    hs = (bandwidth_cap(cfg, n),)
+    return bias_from_cache(cfg, hs, tgrid, expectation_cache(cfg, n, hs, tgrid))
 
 
 def remainder_member(phi, fc, kappa, threshold):
     """phi gated to the region where the symmetrized envelope exceeds the
     truncation level; its U-statistic is the remainder term of the split."""
-
-    def _eval(y, _phi=phi, _fc=fc, _k=kappa, _thr=threshold):
-        base = np.asarray(_phi.eval(y), dtype=float)
-        ft = np.asarray(envelope_tilde(_fc, _k, y), dtype=float)
-        return base * (ft > _thr)
-
-    return FunctionSpec(f"{phi.id}|remainder", _eval, phi.m)
+    split = truncate_split(
+        lambda xs, ys: np.asarray(phi.eval(ys), dtype=float),
+        lambda ys: np.asarray(envelope_tilde(fc, kappa, ys), dtype=float),
+        threshold,
+    )
+    return FunctionSpec(f"{phi.id}|remainder", lambda y: split.remainder(None, y), phi.m)
 
 
 def remainder_diagnostic(cfg, ell, rep=0, mc_draws=50_000, p=None):
@@ -294,9 +275,7 @@ def remainder_diagnostic(cfg, ell, rep=0, mc_draws=50_000, p=None):
         for t in tgrid:
             w = np.ones(mc_draws)
             for j in range(m):
-                z = t[j] - xs[:, j]
-                inside = np.abs(z) <= h / 2.0
-                w *= np.where(inside, cfg.kernel.eval(z / h) / h, 0.0)
+                w *= eval_scaled(cfg.kernel, h, t[j] - xs[:, j])
             for g in members:
                 u = u_stat_windowed(UKernelSpec(g, h, t, cfg.kernel), s).value
                 samples = gated[g.id] * w
@@ -390,9 +369,8 @@ def rate_experiment(cfg, out_dir=None, threads=1, include_remainder=False):
     return report
 
 
-def _fmt(x):
-    if isinstance(x, float) and math.isnan(x):
-        return "nan"
+def format_float(x):
+    """17 significant digits: enough to round-trip any float64."""
     return "%.17g" % x
 
 
@@ -414,10 +392,10 @@ def deviations_csv_text(report, m):
     tcols = ",".join(f"t_{j + 1}" for j in range(m))
     lines = [f"stat,n,rep,h,{tcols},phi,raw_dev,normalized_dev,status"]
     for r in report.rows:
-        ts = ",".join(_fmt(v) for v in r.t)
+        ts = ",".join(format_float(v) for v in r.t)
         lines.append(
-            f"{r.stat},{r.n},{r.rep},{_fmt(r.h)},{ts},{r.phi},"
-            f"{_fmt(r.raw)},{_fmt(r.normalized)},{r.status}"
+            f"{r.stat},{r.n},{r.rep},{format_float(r.h)},{ts},{r.phi},"
+            f"{format_float(r.raw)},{format_float(r.normalized)},{r.status}"
         )
     return "\n".join(lines) + "\n"
 

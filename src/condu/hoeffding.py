@@ -11,10 +11,10 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import InvalidProjectionOrder, MeasureTooLarge, SchemaError
 from .estimator import conditional_mean_fixed
+from .kernels import composite_rule, read_csv_columns
 from .ucore import Sample, u_stat_brute
 
 _EXPANSION_BUDGET = 10 ** 7
@@ -50,25 +50,7 @@ def empirical_measure(s):
 
 def read_measure_csv(path):
     """Load a reference measure from CSV with header ``x,y,w``."""
-    ax, ay, w = [], [], []
-    with open(path) as fh:
-        header = fh.readline().strip().replace(" ", "")
-        if header != "x,y,w":
-            raise SchemaError(f"measure CSV must have header 'x,y,w', got {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise SchemaError(f"measure CSV row {lineno}: expected three fields")
-            try:
-                ax.append(float(parts[0]))
-                ay.append(float(parts[1]))
-                w.append(float(parts[2]))
-            except ValueError:
-                raise SchemaError(f"measure CSV row {lineno}: non-numeric entry") from None
-    return ReferenceMeasure(np.array(ax), np.array(ay), np.array(w))
+    return ReferenceMeasure(*read_csv_columns(path, "x,y,w", "measure"))
 
 
 def _integrate(L, m, fixed, Q):
@@ -207,22 +189,6 @@ def projection_variance_check(L, m, k, Q):
     return lhs, math.fsum(mid_terms), math.fsum(rhs_terms)
 
 
-def _axis_rule_window(center, h, support, quad_order):
-    lo, hi = center - h / 2.0, center + h / 2.0
-    cuts = [lo, hi]
-    for b in support:
-        if lo < b < hi:
-            cuts.append(b)
-    cuts = sorted(set(cuts))
-    base_nodes, base_weights = leggauss(quad_order)
-    nodes, weights = [], []
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        nodes.append(mid + half * base_nodes)
-        weights.append(half * base_weights)
-    return np.concatenate(nodes), np.concatenate(weights)
-
-
 def eval_linear_kernel(spec, dgp, x, y, quad_order=64):
     """Linear-term kernel S(x, y) = m h^m E[Gbar | (X_1, Y_1) = (x, y)].
 
@@ -243,7 +209,8 @@ def eval_linear_kernel(spec, dgp, x, y, quad_order=64):
             continue
         free_ts = [t[i] for i in range(m) if i != j]
         rules = [
-            _axis_rule_window(ti, h, dgp.support, quad_order) for ti in free_ts
+            composite_rule(ti - h / 2.0, ti + h / 2.0, quad_order, dgp.support)
+            for ti in free_ts
         ]
         mesh = np.meshgrid(*[r[0] for r in rules], indexing="ij")
         pts = np.stack([mm.ravel() for mm in mesh], axis=-1)  # (N, m-1)

@@ -1,4 +1,5 @@
-"""Scalar smoothing kernels with compact support and their scaled products.
+"""Scalar smoothing kernels with compact support, their scaled weights, and
+the package's shared composite Gauss-Legendre rule and numeric CSV reader.
 
 All built-in kernels live on [-1/2, 1/2], integrate to one and are bounded.
 The support boundary is closed: K(+-1/2) counts as inside the window, so the
@@ -6,13 +7,13 @@ binary-search windows used by the U-statistic code agree with the kernel's
 own support test.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import DimensionMismatch, InvalidBandwidth, SchemaError
+from .errors import InvalidBandwidth, SchemaError
 
 SUPPORT_HALFWIDTH = 0.5
 
@@ -28,14 +29,6 @@ class Kernel1D:
 
     def __call__(self, u):
         return self.eval(np.asarray(u, dtype=float))
-
-
-@dataclass(frozen=True)
-class ProductKernelEval:
-    """Product kernel of order m built from a single scalar kernel."""
-
-    base: Kernel1D
-    m: int
 
 
 @dataclass(frozen=True)
@@ -106,38 +99,65 @@ def table_kernel(u_nodes, k_values, kappa=None, kernel_id="user-table"):
     return Kernel1D(kernel_id, _eval, kappa=float(kappa))
 
 
+def read_csv_columns(path, header, what):
+    """Numeric columns of a CSV file with the given header line (spaces and
+    blank lines ignored); every entry must be a finite number."""
+    width = header.count(",") + 1
+    rows = []
+    with open(path) as fh:
+        got = fh.readline().strip()
+        if got.replace(" ", "") != header:
+            raise SchemaError(f"{what} CSV must have header {header!r}, got {got!r}")
+        for lineno, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            try:
+                row = [float(v) for v in line.split(",")]
+            except ValueError:
+                row = []
+            if len(row) != width or not np.all(np.isfinite(row)):
+                raise SchemaError(
+                    f"{what} CSV row {lineno}: expected {width} finite numbers, "
+                    f"got {line.strip()!r}"
+                )
+            rows.append(row)
+    if not rows:
+        raise SchemaError(f"{what} CSV has no data rows")
+    return [np.array(col) for col in zip(*rows)]
+
+
 def load_table_kernel(path, kappa=None):
     """Load a user kernel from CSV with header ``u,k``."""
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header.replace(" ", "") != "u,k":
-            raise SchemaError(f"kernel CSV must have header 'u,k', got {header!r}")
-        us, ks = [], []
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise SchemaError(f"kernel CSV row {lineno}: expected two fields")
-            try:
-                us.append(float(parts[0]))
-                ks.append(float(parts[1]))
-            except ValueError:
-                raise SchemaError(
-                    f"kernel CSV row {lineno}: non-numeric entry"
-                ) from None
+    us, ks = read_csv_columns(path, "u,k", "kernel")
     return table_kernel(us, ks, kappa=kappa)
 
 
-def _composite_gauss_legendre(f, a, b, order, panels=8):
+def gauss_legendre_panels(cuts, order):
+    """Per panel between consecutive cuts: the order-point Gauss-Legendre
+    nodes mapped into it, its half-width and the weights on [-1, 1]."""
     nodes, weights = leggauss(order)
-    edges = np.linspace(a, b, panels + 1)
-    total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        total += half * float(np.dot(weights, f(mid + half * nodes)))
+        yield mid + half * nodes, half, weights
+
+
+def composite_integral(f, cuts, order):
+    """Integral of a vectorized f over [cuts[0], cuts[-1]], panel by panel."""
+    total = 0.0
+    for x, half, weights in gauss_legendre_panels(cuts, order):
+        total += half * float(np.dot(weights, f(x)))
     return total
+
+
+def composite_rule(lo, hi, order, breaks):
+    """Flat (nodes, weights) of the composite rule on [lo, hi], with panels
+    split at the breakpoints that fall strictly inside."""
+    cuts = sorted({lo, hi, *(b for b in breaks if lo < b < hi)})
+    panels = list(gauss_legendre_panels(cuts, order))
+    return (
+        np.concatenate([x for x, _, _ in panels]),
+        np.concatenate([half * weights for _, half, weights in panels]),
+    )
 
 
 def validate_kernel(k, probe_points=1001, quad_order=64):
@@ -165,7 +185,7 @@ def validate_kernel(k, probe_points=1001, quad_order=64):
         if v != 0.0 and abs(u) > 0.5
     ]
     sup_abs = float(np.max(np.abs(vals_in)))
-    integral = _composite_gauss_legendre(k, -0.5, 0.5, quad_order)
+    integral = composite_integral(k, np.linspace(-0.5, 0.5, 9), quad_order)
     signed = bool(np.any(vals_in < 0.0))
 
     passed = (
@@ -190,18 +210,3 @@ def eval_scaled(k, h, z):
     out = np.where(np.abs(z) <= h / 2.0, k(z / h) / h, 0.0)
     return float(out) if out.ndim == 0 else out
 
-
-def eval_product(pk, h, t, x):
-    """Product kernel h^{-m} prod_j K((t_j - x_j)/h)."""
-    if h <= 0:
-        raise InvalidBandwidth(f"bandwidth must be positive, got {h}")
-    t = np.asarray(t, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if t.shape[-1] != pk.m or x.shape[-1] != pk.m:
-        raise DimensionMismatch(
-            f"expected length-{pk.m} vectors, got {t.shape} and {x.shape}"
-        )
-    z = t - x
-    vals = np.where(np.abs(z) <= h / 2.0, pk.base(z / h) / h, 0.0)
-    out = np.prod(vals, axis=-1)
-    return float(out) if np.ndim(out) == 0 else out

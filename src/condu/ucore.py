@@ -10,7 +10,6 @@ that the brute and windowed paths must agree bit for bit.
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -18,10 +17,13 @@ from .errors import (
     BruteForceBudgetExceeded,
     BudgetExceedsPopulation,
     DegenerateSample,
+    InvalidBandwidth,
+    PopulationTooLarge,
     SchemaError,
+    UnsupportedOrder,
 )
 from .function_class import FunctionSpec
-from .kernels import Kernel1D
+from .kernels import Kernel1D, eval_scaled, read_csv_columns
 
 BRUTE_TUPLE_BUDGET = 10 ** 8
 # below this window-tuple count the pruned path uses exact summation and is
@@ -66,7 +68,10 @@ class Sample:
 
 @dataclass(frozen=True)
 class UKernelSpec:
-    """The U-kernel g(y) * prod_j h^{-1} K((t_j - x_j)/h)."""
+    """The U-kernel g(y) * prod_j h^{-1} K((t_j - x_j)/h).
+
+    h must be positive and finite and t finite; h >= 1 is allowed.
+    """
 
     g: FunctionSpec
     h: float
@@ -75,6 +80,9 @@ class UKernelSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "t", tuple(float(v) for v in self.t))
+        finite = math.isfinite(self.h) and all(map(math.isfinite, self.t))
+        if not (finite and self.h > 0):
+            raise InvalidBandwidth(f"need finite h > 0 and t, got h={self.h}, t={self.t}")
         if len(self.t) != self.g.m:
             raise SchemaError(
                 f"t has length {len(self.t)} but g takes {self.g.m} arguments"
@@ -163,18 +171,12 @@ def _windows(spec, s):
     return out
 
 
-def _weights(spec, s, idx, j):
-    z = spec.t[j] - s.x[idx]
-    w = np.where(np.abs(z) <= spec.h / 2.0, spec.kernel.eval(z / spec.h) / spec.h, 0.0)
-    return w
-
-
 def _pairs_eval(g, y1, y2):
     a, b = np.broadcast_arrays(y1[:, None], y2[None, :])
     return g.eval(np.stack([a, b], axis=-1))
 
 
-def u_stat_windowed(spec, s, sorted_index=None):
+def u_stat_windowed(spec, s):
     """Locality-pruned complete U-statistic, equal to u_stat_brute.
 
     Only tuples whose every coordinate lies inside the closed kernel window
@@ -204,7 +206,9 @@ def u_stat_windowed(spec, s, sorted_index=None):
         value = math.fsum(terms) / total
         return UStatResult(value, evaluated, total, "windowed")
 
-    weights = [_weights(spec, s, wins[j], j) for j in range(m)]
+    weights = [
+        eval_scaled(spec.kernel, spec.h, spec.t[j] - s.x[wins[j]]) for j in range(m)
+    ]
     y = s.y
     if m == 1:
         acc = float(np.dot(spec.g.eval(y[wins[0]][:, None]), weights[0]))
@@ -240,7 +244,7 @@ def u_stat_windowed(spec, s, sorted_index=None):
             )
             evaluated += int(np.sum(mask))
     else:
-        raise BruteForceBudgetExceeded(
+        raise UnsupportedOrder(
             f"windowed vectorized path supports m <= 3; window has "
             f"{window_tuples} tuples for m={m}"
         )
@@ -302,6 +306,10 @@ def incomplete_u(spec, s, budget, seed):
         raise BudgetExceedsPopulation(
             f"budget {budget} exceeds population {total}"
         )
+    if total > np.iinfo(np.int64).max:
+        raise PopulationTooLarge(
+            f"population {total} of ordered {m}-tuples exceeds int64 ranks"
+        )
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     ranks = rng.choice(total, size=budget, replace=False)
     idx = _unrank_tuples(ranks, n, m)
@@ -310,38 +318,14 @@ def incomplete_u(spec, s, budget, seed):
     gvals = np.asarray(spec.g.eval(ys), dtype=float)
     w = np.ones(budget)
     for j in range(m):
-        w *= _weights(spec, s, idx[:, j], j)
+        w *= eval_scaled(spec.kernel, spec.h, spec.t[j] - s.x[idx[:, j]])
     value = float(np.mean(gvals * w))
     return UStatResult(value, budget, total, "incomplete")
 
 
 def read_sample_csv(path):
     """Read a sample from CSV with header ``x,y``; row-numbered errors."""
-    xs, ys = [], []
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header.replace(" ", "") != "x,y":
-            raise SchemaError(f"sample CSV must have header 'x,y', got {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 2 or not parts[0] or not parts[1]:
-                raise SchemaError(f"sample CSV row {lineno}: missing value")
-            try:
-                xv, yv = float(parts[0]), float(parts[1])
-            except ValueError:
-                raise SchemaError(
-                    f"sample CSV row {lineno}: non-numeric entry"
-                ) from None
-            if not (math.isfinite(xv) and math.isfinite(yv)):
-                raise SchemaError(f"sample CSV row {lineno}: non-finite entry")
-            xs.append(xv)
-            ys.append(yv)
-    if not xs:
-        raise SchemaError("sample CSV has no data rows")
-    return Sample(np.array(xs), np.array(ys))
+    return Sample(*read_csv_columns(path, "x,y", "sample"))
 
 
 def write_sample_csv(path, s):

@@ -4,7 +4,6 @@ Each check is deterministic given the seed and returns a pass/fail record
 with a numeric detail, so a run can be audited without re-deriving anything.
 """
 
-import itertools
 import math
 
 import numpy as np

@@ -42,6 +42,27 @@ class TestConfigErrors:
         assert err["error"] == "SchemaError"
         assert "regime" in err["message"]
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("experiment", "reps", 0),
+            ("grids", "points_per_axis", 0),
+            ("grids", "quad_order", 0),
+            ("experiment", "n_list", [128, 128]),
+        ],
+    )
+    def test_out_of_range_field_exits_one(self, tmp_path, capsys, section, key, value):
+        doc = copy.deepcopy(BASE_DOC)
+        doc[section][key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        rc = main(["rates", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "SchemaError"
+        assert key in err["message"]
+        assert not (tmp_path / "out").exists()
+
     def test_invalid_json_exits_one(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{not json")

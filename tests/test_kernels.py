@@ -5,18 +5,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from condu.errors import DimensionMismatch, InvalidBandwidth, SchemaError
+from condu.errors import InvalidBandwidth, SchemaError
+from condu.function_class import builtin_member
+from condu.hoeffding import read_measure_csv
 from condu.kernels import (
     Kernel1D,
-    ProductKernelEval,
     builtin_kernel_ids,
-    eval_product,
     eval_scaled,
     get_kernel,
     load_table_kernel,
     table_kernel,
     validate_kernel,
 )
+from condu.ucore import UKernelSpec, read_sample_csv, ukernel_scalar
+
+
+def product_kernel(kernel_id, h, t, x):
+    """prod_j h^{-1} K((t_j - x_j)/h): the exact-path U-kernel with g = 1."""
+    spec = UKernelSpec(builtin_member("one", len(t)), h, t, get_kernel(kernel_id))
+    return ukernel_scalar(spec)(tuple(x), (0.0,) * len(t))
 
 
 class TestBuiltinCatalog:
@@ -101,24 +108,23 @@ class TestScaledEvaluation:
             eval_scaled(get_kernel("uniform"), 0.0, 0.1)
 
     def test_product_two_dim_inside_window(self):
-        pk = ProductKernelEval(get_kernel("uniform"), 2)
-        assert eval_product(pk, 1.0, (0.0, 0.0), (0.1, -0.2)) == 1.0
+        assert product_kernel("uniform", 1.0, (0.0, 0.0), (0.1, -0.2)) == 1.0
 
     def test_product_zero_when_any_coordinate_outside(self):
-        pk = ProductKernelEval(get_kernel("uniform"), 2)
-        assert eval_product(pk, 1.0, (0.0, 0.0), (0.6, 0.0)) == 0.0
+        assert product_kernel("uniform", 1.0, (0.0, 0.0), (0.6, 0.0)) == 0.0
 
     def test_product_m1_reduces_to_scaled_exactly(self):
-        pk = ProductKernelEval(get_kernel("uniform"), 1)
-        assert eval_product(pk, 0.5, (0.0,), (0.1,)) == eval_scaled(
+        assert product_kernel("uniform", 0.5, (0.0,), (0.1,)) == eval_scaled(
             get_kernel("uniform"), 0.5, -0.1
         )
-        assert eval_product(pk, 0.5, (0.0,), (0.1,)) == 2.0
+        assert product_kernel("uniform", 0.5, (0.0,), (0.1,)) == 2.0
 
     def test_dimension_mismatch_raises(self):
-        pk = ProductKernelEval(get_kernel("uniform"), 2)
-        with pytest.raises(DimensionMismatch):
-            eval_product(pk, 1.0, (0.0, 0.0, 0.0), (0.1, 0.2, 0.3))
+        # t has three coordinates but the function takes two arguments
+        with pytest.raises(SchemaError):
+            UKernelSpec(
+                builtin_member("one", 2), 1.0, (0.0, 0.0, 0.0), get_kernel("uniform")
+            )
 
     @given(
         h=st.floats(0.05, 2.0),
@@ -129,9 +135,8 @@ class TestScaledEvaluation:
     )
     @settings(max_examples=50, deadline=None)
     def test_product_symmetric_in_t_and_x_for_even_kernels(self, h, t1, t2, x1, x2):
-        pk = ProductKernelEval(get_kernel("epanechnikov-rescaled"), 2)
-        a = eval_product(pk, h, (t1, t2), (x1, x2))
-        b = eval_product(pk, h, (x1, x2), (t1, t2))
+        a = product_kernel("epanechnikov-rescaled", h, (t1, t2), (x1, x2))
+        b = product_kernel("epanechnikov-rescaled", h, (x1, x2), (t1, t2))
         assert a == pytest.approx(b, abs=1e-12)
         assert a >= 0.0
 
@@ -156,3 +161,37 @@ class TestTableKernels:
         path.write_text("a,b\n0,1\n")
         with pytest.raises(SchemaError):
             load_table_kernel(str(path))
+
+
+class TestCsvRows:
+    """The one numeric row reader behind the kernel, sample and measure CSVs."""
+
+    LOADERS = [
+        (load_table_kernel, "u,k", "-0.5,1\n0.5,1"),
+        (read_sample_csv, "x,y", "0.1,1.0\n0.2,2.0"),
+        (read_measure_csv, "x,y,w", "0.1,1.0,0.5\n0.2,2.0,0.5"),
+    ]
+
+    BAD_ROWS = {
+        "missing": lambda w: ",".join([""] + ["1"] * (w - 1)),
+        "non-numeric": lambda w: ",".join(["abc"] + ["1"] * (w - 1)),
+        "non-finite": lambda w: ",".join(["inf"] + ["1"] * (w - 1)),
+        "too-few": lambda w: ",".join(["1"] * (w - 1)),
+        "too-many": lambda w: ",".join(["1"] * (w + 1)),
+    }
+
+    @pytest.mark.parametrize("loader, header, good", LOADERS)
+    @pytest.mark.parametrize("kind", sorted(BAD_ROWS))
+    def test_bad_row_names_its_line(self, tmp_path, loader, header, good, kind):
+        width = header.count(",") + 1
+        path = tmp_path / "f.csv"
+        path.write_text(f"{header}\n{good}\n{self.BAD_ROWS[kind](width)}\n")
+        with pytest.raises(SchemaError, match=f"row 4: expected {width} finite"):
+            loader(str(path))
+
+    @pytest.mark.parametrize("loader, header, good", LOADERS)
+    def test_header_only_file_is_rejected(self, tmp_path, loader, header, good):
+        path = tmp_path / "f.csv"
+        path.write_text(f"{header}\n\n")
+        with pytest.raises(SchemaError, match="no data rows"):
+            loader(str(path))

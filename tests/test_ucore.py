@@ -2,20 +2,25 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from condu.errors import (
     BruteForceBudgetExceeded,
     BudgetExceedsPopulation,
     DegenerateSample,
+    InvalidBandwidth,
+    PopulationTooLarge,
     SchemaError,
+    UnsupportedOrder,
 )
 from condu.function_class import FunctionSpec, builtin_member
-from condu.kernels import get_kernel
+from condu.kernels import get_kernel, table_kernel
 from condu.ucore import (
+    EXACT_PATH_MAX,
     Sample,
     UKernelSpec,
+    _windows,
     count_indices,
     incomplete_u,
     read_sample_csv,
@@ -121,6 +126,14 @@ class TestWindowed:
         assert res.tuples_evaluated > 400
         assert abs(res.value - brute) <= 1e-12 * (1.0 + abs(brute))
 
+    def test_vectorized_path_rejects_orders_above_three(self):
+        s = Sample(np.linspace(0.3, 0.7, 10), np.ones(10))
+        spec = UKernelSpec(
+            builtin_member("sum", 4), 0.9, (0.5,) * 4, get_kernel("uniform")
+        )
+        with pytest.raises(UnsupportedOrder):
+            u_stat_windowed(spec, s)
+
     def test_nadaraya_watson_numerator_reduction_m1(self):
         # m=1 reduces to (1/n) sum phi(y_i) K_h(t - x_i)
         rng = make_rng(9)
@@ -149,6 +162,74 @@ class TestWindowed:
         u2 = u_stat_windowed(UKernelSpec(f2, h, t, k), s).value
         uc = u_stat_windowed(UKernelSpec(combo, h, t, k), s).value
         assert uc == pytest.approx(a * u1 + b * u2, abs=1e-12 * (1 + abs(uc)))
+
+
+class TestUKernelSpecValidation:
+    @pytest.mark.parametrize("h", [0.0, -0.1, math.nan, math.inf])
+    def test_bad_bandwidth_is_a_typed_error(self, h):
+        with pytest.raises(InvalidBandwidth):
+            UKernelSpec(builtin_member("one", 1), h, (0.5,), get_kernel("uniform"))
+
+    def test_non_finite_evaluation_point_is_a_typed_error(self):
+        with pytest.raises(InvalidBandwidth):
+            UKernelSpec(
+                builtin_member("one", 2), 0.3, (0.5, math.nan), get_kernel("uniform")
+            )
+
+
+# piecewise-linear table kernel that turns negative near the support edges
+SIGNED_TABLE = table_kernel(
+    [-0.5, -0.25, 0.0, 0.25, 0.5], [-0.5, 1.0, 2.0, 1.0, -0.5], kernel_id="signed"
+)
+ORACLE_KERNELS = [get_kernel("uniform"), get_kernel("epanechnikov-rescaled"), SIGNED_TABLE]
+ORACLE_MEMBERS = ["sum", "product", "max", "indicator_leq:0.5", "identity_j:1"]
+
+
+@st.composite
+def oracle_case(draw, m, n_lo, n_hi):
+    """A sample around t with points exactly on t_j -+ h/2 and tied x values."""
+    h = draw(st.sampled_from([0.05, 0.3, 0.5, 0.999]))
+    t = tuple(draw(st.floats(0.0, 1.0)) for _ in range(m))
+    n = draw(st.integers(n_lo, n_hi))
+    rng = make_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    u = rng.uniform(-0.55, 0.55, n)
+    x = np.array([t[i % m] for i in range(n)]) + h * u
+    edges = [tj + sign * h / 2.0 for tj in t for sign in (-1.0, 1.0)]
+    n_edges = draw(st.integers(0, min(n, len(edges))))
+    x[:n_edges] = edges[:n_edges]
+    ties = draw(st.integers(0, n // 2))
+    x[n - ties:] = x[:ties]
+    y = np.round(rng.normal(0.5, 1.0, n), 1)  # rounded so indicator ties occur
+    phi = builtin_member(draw(st.sampled_from(ORACLE_MEMBERS)), m)
+    spec = UKernelSpec(phi, h, t, draw(st.sampled_from(ORACLE_KERNELS)))
+    return spec, Sample(x, y)
+
+
+def window_tuples(spec, s):
+    return math.prod(w.size for w in _windows(spec, s))
+
+
+class TestWindowedOracleProperties:
+    """u_stat_windowed against the brute enumerator on both of its paths."""
+
+    @pytest.mark.parametrize("m, n_hi", [(1, 30), (2, 14)])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_exact_path_is_bitwise_brute(self, m, n_hi, data):
+        spec, s = data.draw(oracle_case(m, m, n_hi))
+        assert window_tuples(spec, s) <= EXACT_PATH_MAX
+        brute = u_stat_brute(ukernel_scalar(spec), s, m).value
+        assert u_stat_windowed(spec, s).value == brute
+
+    @pytest.mark.parametrize("m, n_lo, n_hi", [(1, 600, 700), (2, 50, 60)])
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_vectorized_path_matches_brute(self, m, n_lo, n_hi, data):
+        spec, s = data.draw(oracle_case(m, n_lo, n_hi))
+        assume(window_tuples(spec, s) > EXACT_PATH_MAX)
+        brute = u_stat_brute(ukernel_scalar(spec), s, m).value
+        fast = u_stat_windowed(spec, s).value
+        assert abs(fast - brute) <= 1e-12 * (1.0 + abs(brute))
 
 
 class TestSymmetrize:
@@ -213,6 +294,15 @@ class TestIncompleteU:
             incomplete_u(spec, s, 500, seed=1).value
             == incomplete_u(spec, s, 500, seed=1).value
         )
+
+    def test_population_beyond_int64_is_a_typed_error(self):
+        n = 3_000_000  # n (n-1) (n-2) ~ 2.7e19 ordered triples
+        s = Sample(np.zeros(n), np.zeros(n))
+        spec = UKernelSpec(
+            builtin_member("sum", 3), 0.3, (0.5, 0.5, 0.5), get_kernel("uniform")
+        )
+        with pytest.raises(PopulationTooLarge):
+            incomplete_u(spec, s, 10, seed=0)
 
     def test_budget_above_population_rejected(self):
         s = Sample(np.array([0.0, 0.1]), np.array([1.0, 2.0]))
