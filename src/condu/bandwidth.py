@@ -15,6 +15,7 @@ from .errors import (
     EmptyBandwidthRange,
     InvalidBandwidth,
     SampleTooSmall,
+    SchemaError,
 )
 
 
@@ -28,13 +29,13 @@ class RateRegime:
 
     def __post_init__(self):
         if self.kind not in ("bounded", "unbounded"):
-            raise ValueError(f"unknown regime kind {self.kind!r}")
+            raise SchemaError(f"unknown regime kind {self.kind!r}")
         if self.kind == "unbounded" and (self.p is None or self.p <= 2):
-            raise ValueError("unbounded regime requires p > 2")
+            raise SchemaError("unbounded regime requires p > 2")
         if not 0 < self.b0 < 1:
-            raise ValueError("b0 must lie in (0, 1)")
+            raise SchemaError("b0 must lie in (0, 1)")
         if self.c <= 0:
-            raise ValueError("c must be positive")
+            raise SchemaError("c must be positive")
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ import sys
 
 from .config import load_config
 from .errors import ConduError
-from .estimator import estimate
+from .estimator import estimate_members
 from .harness import (
     atomic_write,
     bandwidths,
@@ -62,12 +62,11 @@ def cmd_estimate(args):
     lines = [f"m,h,{tcols},phi,numerator,denominator,mhat,status"]
     for h in hs:
         for t in tgrid:
-            for phi in cfg.fc.members:
-                cell = estimate(phi, h, t, s, cfg.kernel)
-                ts = ",".join(format_float(v) for v in t)
+            ts = ",".join(format_float(v) for v in t)
+            for cell in estimate_members(cfg.fc.members, h, t, s, cfg.kernel):
                 mh = format_float(cell.mhat) if cell.mhat is not None else "nan"
                 lines.append(
-                    f"{cfg.m},{format_float(h)},{ts},{phi.id},"
+                    f"{cfg.m},{format_float(h)},{ts},{cell.phi},"
                     f"{format_float(cell.numerator)},"
                     f"{format_float(cell.denominator)},{mh},{cell.status}"
                 )

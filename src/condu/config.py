@@ -49,6 +49,38 @@ def _require(section, key, where):
     return section[key]
 
 
+_REQUIRED = object()
+
+
+def _field(section, key, where, conv=float, default=_REQUIRED):
+    """conv(section[key]), the default standing in for an absent key unless
+    the field is required; a value conv rejects is a SchemaError."""
+    if default is _REQUIRED:
+        value = _require(section, key, where)
+    else:
+        value = section.get(key, default)
+    try:
+        return conv(value)
+    except (TypeError, ValueError, OverflowError):
+        raise SchemaError(f"config field {where}.{key} cannot hold {value!r}") from None
+
+
+def _count(section, key, where, default):
+    """section[key] (default when absent) as an int of at least 1."""
+    value = _field(section, key, where, int, default)
+    if value < 1:
+        raise SchemaError(f"{where}.{key} must be >= 1")
+    return value
+
+
+def _floats(values):
+    return tuple(float(v) for v in values)
+
+
+def _ints(values):
+    return tuple(int(v) for v in values)
+
+
 def parse_config(doc):
     """Build an ExperimentConfig from a config dict (already JSON-decoded)."""
     if not isinstance(doc, dict):
@@ -61,17 +93,18 @@ def parse_config(doc):
     dgp = make_dgp(
         _require(d, "id", "dgp"),
         noise_kind=d.get("noise", "none"),
-        noise_param=float(d.get("noise_param", 0.0)),
+        noise_param=_field(d, "noise_param", "dgp", default=0.0),
     )
 
     k = doc["kernel"]
     if "table" in k:
-        kernel = load_table_kernel(k["table"], kappa=k.get("kappa"))
+        kappa = None if k.get("kappa") is None else _field(k, "kappa", "kernel")
+        kernel = load_table_kernel(k["table"], kappa=kappa)
     else:
         kernel = get_kernel(_require(k, "id", "kernel"))
 
     f = doc["function_class"]
-    m = int(_require(f, "m", "function_class"))
+    m = _field(f, "m", "function_class", int)
     members = []
     for spec in _require(f, "members", "function_class"):
         if isinstance(spec, str):
@@ -83,11 +116,12 @@ def parse_config(doc):
     rg = _require(f, "regime", "function_class")
     kind = _require(rg, "kind", "function_class.regime")
     if kind == "bounded":
-        regime_fc = Bounded(M=float(_require(rg, "M", "function_class.regime")))
+        regime_fc = Bounded(M=_field(rg, "M", "function_class.regime"))
     elif kind == "unbounded":
         regime_fc = Unbounded(
-            p=float(_require(rg, "p", "function_class.regime")),
-            mu_p=rg.get("mu_p"),
+            p=_field(rg, "p", "function_class.regime"),
+            mu_p=None if rg.get("mu_p") is None
+            else _field(rg, "mu_p", "function_class.regime"),
         )
     else:
         raise SchemaError(f"unknown regime kind {kind!r}")
@@ -96,14 +130,14 @@ def parse_config(doc):
     r = doc["regime"]
     rate = RateRegime(
         kind=kind,
-        c=float(_require(r, "c", "regime")),
+        c=_field(r, "c", "regime"),
         m=m,
-        b0=float(_require(r, "b0", "regime")),
+        b0=_field(r, "b0", "regime"),
         p=regime_fc.p if kind == "unbounded" else None,
     )
 
     g = doc["grids"]
-    interval = tuple(float(v) for v in _require(g, "interval", "grids"))
+    interval = _field(g, "interval", "grids", _floats)
     if len(interval) != 2 or interval[0] >= interval[1]:
         raise SchemaError("grids.interval must be [c, d] with c < d")
     bn_rule = g.get("bn_rule", "fixed")
@@ -111,13 +145,12 @@ def parse_config(doc):
         raise SchemaError(f"unknown bn_rule {bn_rule!r}")
 
     e = doc["experiment"]
-    n_list = tuple(int(v) for v in _require(e, "n_list", "experiment"))
-    if any(b <= a for a, b in zip(n_list, n_list[1:])):
-        raise SchemaError("experiment.n_list must be strictly ascending")
-    for section, key in (("experiment", "reps"), ("grids", "points_per_axis"),
-                         ("grids", "quad_order")):
-        if int(doc[section].get(key, 1)) < 1:
-            raise SchemaError(f"{section}.{key} must be >= 1")
+    n_list = _field(e, "n_list", "experiment", _ints)
+    if not n_list or any(b <= a for a, b in zip(n_list, n_list[1:])):
+        raise SchemaError("experiment.n_list must be nonempty and strictly ascending")
+    epsilon = _field(e, "epsilon", "experiment", default=1.0)
+    if not epsilon > 0:
+        raise SchemaError("experiment.epsilon must be > 0")
 
     return ExperimentConfig(
         dgp=dgp,
@@ -125,13 +158,13 @@ def parse_config(doc):
         kernel=kernel,
         regime=rate,
         n_list=n_list,
-        reps=int(e.get("reps", 1)),
+        reps=_count(e, "reps", "experiment", 1),
         t_interval=interval,
-        t_points=int(g.get("points_per_axis", 21)),
+        t_points=_count(g, "points_per_axis", "grids", 21),
         bn_rule=bn_rule,
-        seed=int(e.get("seed", 0)),
-        epsilon=float(e.get("epsilon", 1.0)),
-        quad_order=int(g.get("quad_order", 64)),
+        seed=_field(e, "seed", "experiment", int, 0),
+        epsilon=epsilon,
+        quad_order=_count(g, "quad_order", "grids", 64),
         raw=doc,
     )
 

@@ -137,18 +137,28 @@ def ratio_status(den):
     return "nonpositive_denominator"
 
 
-def estimate(phi, h, t, s, kernel):
-    """Stute's estimator m^(t, h) = U_n(phi, h, t) / U_n(1, h, t).
+def estimate_members(members, h, t, s, kernel):
+    """Stute's estimator m^(t, h) = U_n(phi, h, t) / U_n(1, h, t) for each of
+    the (nonempty) members, one EstimateCell each, sharing one denominator.
 
     A vanishing window or a signed-kernel denominator is a cell status, not
     an exception: small-h cells are legitimately empty at finite n.
     """
-    one = builtin_member("one", phi.m)
-    num = u_stat_windowed(UKernelSpec(phi, h, tuple(t), kernel), s).value
-    den = u_stat_windowed(UKernelSpec(one, h, tuple(t), kernel), s).value
+    t = tuple(t)
+    one = builtin_member("one", members[0].m)
+    den = u_stat_windowed(UKernelSpec(one, h, t, kernel), s).value
     status = ratio_status(den)
-    mhat = num / den if status == "ok" else None
-    return EstimateCell(tuple(t), h, phi.id, num, den, mhat, status)
+    cells = []
+    for phi in members:
+        num = u_stat_windowed(UKernelSpec(phi, h, t, kernel), s).value
+        mhat = num / den if status == "ok" else None
+        cells.append(EstimateCell(t, h, phi.id, num, den, mhat, status))
+    return cells
+
+
+def estimate(phi, h, t, s, kernel):
+    """Stute's estimator for one member; see estimate_members."""
+    return estimate_members((phi,), h, t, s, kernel)[0]
 
 
 def product_density(dgp, t):

@@ -43,10 +43,18 @@ class Unbounded:
 
     def __post_init__(self):
         if self.p <= 2:
-            raise ValueError("unbounded regime requires p > 2")
+            raise SchemaError("unbounded regime requires p > 2")
 
 
 Regime = Union[Bounded, Unbounded]
+
+
+def _member_param(spec_id, conv):
+    """The number after the colon of a parametrized member id."""
+    try:
+        return conv(spec_id.split(":", 1)[1])
+    except ValueError:
+        raise SchemaError(f"member id {spec_id!r} needs a number after the colon") from None
 
 
 def builtin_member(spec_id, m):
@@ -65,20 +73,20 @@ def builtin_member(spec_id, m):
     if spec_id == "one":
         return FunctionSpec("one", lambda y: np.ones(y.shape[:-1]), m)
     if spec_id.startswith("const:"):
-        c = float(spec_id.split(":", 1)[1])
+        c = _member_param(spec_id, float)
         return FunctionSpec(spec_id, lambda y: np.full(y.shape[:-1], c), m)
     if spec_id.startswith("identity_j:"):
-        j = int(spec_id.split(":", 1)[1])
+        j = _member_param(spec_id, int)
         if not 1 <= j <= m:
             raise SchemaError(f"identity_j index {j} out of range 1..{m}")
         return FunctionSpec(spec_id, lambda y: y[..., j - 1], m)
     if spec_id.startswith("indicator_leq:"):
-        c = float(spec_id.split(":", 1)[1])
+        c = _member_param(spec_id, float)
         return FunctionSpec(
             spec_id, lambda y: np.prod((y <= c).astype(float), axis=-1), m
         )
     if spec_id.startswith("sum_clipped:"):
-        M = float(spec_id.split(":", 1)[1])
+        M = _member_param(spec_id, float)
         return FunctionSpec(
             spec_id, lambda y: np.clip(np.sum(y, axis=-1), -M, M), m
         )
@@ -116,7 +124,7 @@ class FunctionClass:
 
     def __post_init__(self):
         if not self.members:
-            raise ValueError("function class must have at least one member")
+            raise SchemaError("function class must have at least one member")
         ms = {f.m for f in self.members}
         if len(ms) != 1:
             raise DimensionMismatch(f"members disagree on arity: {sorted(ms)}")

@@ -8,6 +8,7 @@ own support test.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -132,10 +133,19 @@ def load_table_kernel(path, kappa=None):
     return table_kernel(us, ks, kappa=kappa)
 
 
+@lru_cache(maxsize=None)
+def _leggauss(order):
+    """Read-only order-point Gauss-Legendre nodes and weights on [-1, 1]."""
+    nodes, weights = leggauss(order)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
+
+
 def gauss_legendre_panels(cuts, order):
     """Per panel between consecutive cuts: the order-point Gauss-Legendre
     nodes mapped into it, its half-width and the weights on [-1, 1]."""
-    nodes, weights = leggauss(order)
+    nodes, weights = _leggauss(order)
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
         yield mid + half * nodes, half, weights

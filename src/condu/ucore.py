@@ -35,11 +35,13 @@ _CHUNK_ELEMENTS = 4_000_000
 
 @dataclass(frozen=True)
 class Sample:
-    """Paired observations (x_i, y_i), immutable, with a cached stable sort."""
+    """Paired observations (x_i, y_i), immutable, with a cached stable sort
+    and the x values in that order."""
 
     x: np.ndarray
     y: np.ndarray
     _sort_index: np.ndarray = field(init=False, repr=False, compare=False)
+    _x_sorted: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=float)
@@ -55,7 +57,12 @@ class Sample:
         y.setflags(write=False)
         # ties broken by original index: stable sort keeps enumeration
         # reproducible
-        object.__setattr__(self, "_sort_index", np.argsort(x, kind="stable"))
+        order = np.argsort(x, kind="stable")
+        x_sorted = x[order]
+        order.setflags(write=False)
+        x_sorted.setflags(write=False)
+        object.__setattr__(self, "_sort_index", order)
+        object.__setattr__(self, "_x_sorted", x_sorted)
 
     @property
     def n(self):
@@ -64,6 +71,10 @@ class Sample:
     @property
     def sort_index(self):
         return self._sort_index
+
+    @property
+    def x_sorted(self):
+        return self._x_sorted
 
 
 @dataclass(frozen=True)
@@ -150,14 +161,14 @@ def u_stat_brute(H, s, k):
 
 
 def _windows(spec, s):
-    """Per-coordinate original-index windows |t_j - x_i| <= h/2.
+    """Per-coordinate windows |t_j - x_i| <= h/2, as half-open ranges
+    (lo, hi) of positions in the sample's stable x-sort.
 
     Bounds are widened by a few ulps so no tuple that evaluates nonzero can
     be missed to floating rounding; extra boundary points contribute exact
     zeros.
     """
-    order = s.sort_index
-    xs = s.x[order]
+    xs = s.x_sorted
     half = spec.h / 2.0
     out = []
     for tj in spec.t:
@@ -165,15 +176,33 @@ def _windows(spec, s):
         for _ in range(4):
             lo_val = np.nextafter(lo_val, -np.inf)
             hi_val = np.nextafter(hi_val, np.inf)
-        lo = np.searchsorted(xs, lo_val, side="left")
-        hi = np.searchsorted(xs, hi_val, side="right")
-        out.append(order[lo:hi])
+        lo = int(np.searchsorted(xs, lo_val, side="left"))
+        hi = int(np.searchsorted(xs, hi_val, side="right"))
+        out.append((lo, hi))
     return out
 
 
-def _pairs_eval(g, y1, y2):
-    a, b = np.broadcast_arrays(y1[:, None], y2[None, :])
-    return g.eval(np.stack([a, b], axis=-1))
+def _tuples_eval(g, *coords):
+    """g over the outer grid of the coordinate vectors: entry [i, j, ...] is
+    g(coords[0][i], coords[1][j], ...).
+
+    Each coordinate fills one contiguous plane, and g sees the planes as a
+    trailing axis (a view), so its sums, products and maxima over that axis
+    run plane by plane; they give the same bits as a stacked (..., m) array.
+    """
+    m = len(coords)
+    planes = np.empty((m,) + tuple(c.size for c in coords))
+    for j, c in enumerate(coords):
+        planes[j] = c.reshape((1,) * j + (-1,) + (1,) * (m - 1 - j))
+    return g.eval(np.moveaxis(planes, 0, -1))
+
+
+def _common_positions(r1, r2, order):
+    """Original indices in both position ranges of the sorted order, ascending
+    (as np.intersect1d returns them), with their offsets in each window."""
+    lo, hi = max(r1[0], r2[0]), min(r1[1], r2[1])
+    perm = np.argsort(order[lo:hi])
+    return order[lo:hi][perm], perm + (lo - r1[0]), perm + (lo - r2[0])
 
 
 def u_stat_windowed(spec, s):
@@ -187,7 +216,8 @@ def u_stat_windowed(spec, s):
     if m > n:
         raise DegenerateSample(f"order m={m} exceeds sample size n={n}")
     total = count_indices(n, m)
-    wins = _windows(spec, s)
+    ranges = _windows(spec, s)
+    wins = [s.sort_index[lo:hi] for lo, hi in ranges]
     sizes = [w.size for w in wins]
     window_tuples = int(np.prod([float(sz) for sz in sizes]))
     if min(sizes) == 0:
@@ -207,18 +237,25 @@ def u_stat_windowed(spec, s):
         return UStatResult(value, evaluated, total, "windowed")
 
     weights = [
-        eval_scaled(spec.kernel, spec.h, spec.t[j] - s.x[wins[j]]) for j in range(m)
+        eval_scaled(spec.kernel, spec.h, spec.t[j] - s.x_sorted[lo:hi])
+        for j, (lo, hi) in enumerate(ranges)
     ]
-    y = s.y
+    ys = [s.y[w] for w in wins]
     if m == 1:
-        acc = float(np.dot(spec.g.eval(y[wins[0]][:, None]), weights[0]))
+        acc = float(np.dot(spec.g.eval(ys[0][:, None]), weights[0]))
         evaluated = sizes[0]
     elif m == 2:
-        G = _pairs_eval(spec.g, y[wins[0]], y[wins[1]])
+        G = _tuples_eval(spec.g, ys[0], ys[1])
+        if not G.flags.owndata:
+            # g handed back one coordinate plane (identity_j). In a stacked
+            # (k, k, 2) array that plane is a strided view, which matmul sums
+            # with NumPy's own row loop instead of BLAS; a strided copy keeps
+            # that loop, and so the output bytes.
+            G = np.stack([G, G], axis=-1)[..., 0]
         acc = float(weights[0] @ (G @ weights[1]))
-        common, i1, i2 = np.intersect1d(wins[0], wins[1], return_indices=True)
+        common, i1, i2 = _common_positions(ranges[0], ranges[1], s.sort_index)
         if common.size:
-            diag = spec.g.eval(np.stack([y[common], y[common]], axis=-1))
+            diag = spec.g.eval(np.stack([s.y[common], s.y[common]], axis=-1))
             acc -= float(np.sum(diag * weights[0][i1] * weights[1][i2]))
         evaluated = sizes[0] * sizes[1] - common.size
     elif m == 3:
@@ -235,10 +272,7 @@ def u_stat_windowed(spec, s):
                 & (i1[:, None, None] != wins[1][None, :, None])
                 & (i1[:, None, None] != wins[2][None, None, :])
             )
-            a = np.broadcast_to(y[i1][:, None, None], mask.shape)
-            b = np.broadcast_to(y[wins[1]][None, :, None], mask.shape)
-            c = np.broadcast_to(y[wins[2]][None, None, :], mask.shape)
-            G = spec.g.eval(np.stack([a, b, c], axis=-1))
+            G = _tuples_eval(spec.g, ys[0][lo:hi], ys[1], ys[2])
             acc += float(
                 np.sum(G * mask * weights[0][lo:hi, None, None] * w23[None, :, :])
             )

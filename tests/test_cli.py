@@ -1,10 +1,18 @@
 import copy
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import condu.cli
 from condu.cli import main
+from condu.estimator import estimate
 from test_harness import BASE_DOC
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture
@@ -28,6 +36,16 @@ class TestVerify:
         out = tmp_path / "checks.json"
         assert main(["verify", "--filter", "dyadic", "--out", str(out)]) == 0
         assert json.loads(out.read_text())
+
+
+def assert_simulate_schema_error(doc, tmp_path, capsys):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(doc))
+    rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "s.csv")])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "SchemaError"
+    assert not (tmp_path / "s.csv").exists()
 
 
 class TestConfigErrors:
@@ -63,6 +81,35 @@ class TestConfigErrors:
         assert key in err["message"]
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("regime", "b0"), 1.5),
+            (("function_class", "regime", "p"), 1.5),
+            (("experiment", "reps"), "abc"),
+            (("function_class", "members"), []),
+            (("function_class", "members"), ["const:abc"]),
+            (("experiment", "n_list"), []),
+            (("experiment", "epsilon"), 0.0),
+            (("function_class", "regime", "mu_p"), "abc"),
+        ],
+        ids=["b0", "p", "reps", "members", "member_param", "n_list", "epsilon", "mu_p"],
+    )
+    def test_invalid_value_is_a_schema_error(self, tmp_path, capsys, path, value):
+        doc = copy.deepcopy(BASE_DOC)
+        section = doc
+        for key in path[:-1]:
+            section = section[key]
+        section[path[-1]] = value
+        assert_simulate_schema_error(doc, tmp_path, capsys)
+
+    def test_non_numeric_table_kappa_is_a_schema_error(self, tmp_path, capsys):
+        table = tmp_path / "k.csv"
+        table.write_text("u,k\n-0.5,1\n0.5,1\n")
+        doc = copy.deepcopy(BASE_DOC)
+        doc["kernel"] = {"table": str(table), "kappa": "abc"}
+        assert_simulate_schema_error(doc, tmp_path, capsys)
+
     def test_invalid_json_exits_one(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
@@ -95,6 +142,25 @@ class TestSimulateAndEstimate:
         # 2 bandwidths x 3 grid points x 1 member, plus the header
         assert len(rows) == 1 + 2 * 3 * 1
         assert rows[0] == "m,h,t_1,phi,numerator,denominator,mhat,status"
+
+    def test_shared_denominator_matches_the_per_member_loop(
+        self, tmp_path, monkeypatch
+    ):
+        doc = copy.deepcopy(BASE_DOC)
+        doc["function_class"]["members"] = ["identity_j:1", "const:2"]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        shared, looped = tmp_path / "shared.csv", tmp_path / "looped.csv"
+        assert main(["estimate", "--config", str(cfg), "--out", str(shared)]) == 0
+        monkeypatch.setattr(
+            condu.cli,
+            "estimate_members",
+            lambda members, h, t, s, k: [estimate(phi, h, t, s, k) for phi in members],
+        )
+        assert main(["estimate", "--config", str(cfg), "--out", str(looped)]) == 0
+        assert shared.read_bytes() == looped.read_bytes()
+        # 2 bandwidths x 3 grid points x 2 members, plus the header
+        assert len(read_rows(shared)) == 1 + 2 * 3 * 2
 
     def test_seed_flag_changes_the_sample(self, cfg_path, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -139,3 +205,43 @@ class TestSweepAndRates:
         for n, entry in report["per_n"].items():
             assert "remainder_sup" in entry
             assert entry["remainder"]["n"] >= int(n)
+
+
+# m = 2 with windows of several hundred points, so each cell's pair sum runs
+# through BLAS matrix-vector products
+M2_DOC = {
+    "dgp": {"id": "uniform_linear", "noise": "uniform", "noise_param": 0.25},
+    "kernel": {"id": "epanechnikov-rescaled"},
+    "function_class": {
+        "m": 2,
+        "members": ["sum_clipped:2.5", "identity_j:2"],
+        "regime": {"kind": "bounded", "M": 2.5},
+    },
+    "regime": {"c": 1.0, "b0": 0.3},
+    "grids": {
+        "interval": [0.3, 0.7],
+        "points_per_axis": 3,
+        "bn_rule": "fixed",
+        "quad_order": 12,
+    },
+    "experiment": {"n_list": [2000], "reps": 1, "seed": 4},
+}
+
+
+def test_rates_bytes_do_not_depend_on_blas_threads(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(M2_DOC))
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[var] = threads
+        out = tmp_path / f"blas{threads}"
+        subprocess.run(
+            [sys.executable, "-m", "condu.cli", "rates", "--config", str(cfg),
+             "--out", str(out)],
+            env=env, check=True, capture_output=True, timeout=120,
+        )
+        outs.append(out)
+    for name in ("deviations.csv", "report.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()

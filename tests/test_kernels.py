@@ -4,14 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.legendre import leggauss
 
 from condu.errors import InvalidBandwidth, SchemaError
 from condu.function_class import builtin_member
 from condu.hoeffding import read_measure_csv
 from condu.kernels import (
     Kernel1D,
+    _leggauss,
     builtin_kernel_ids,
     eval_scaled,
+    gauss_legendre_panels,
     get_kernel,
     load_table_kernel,
     table_kernel,
@@ -195,3 +198,18 @@ class TestCsvRows:
         path.write_text(f"{header}\n\n")
         with pytest.raises(SchemaError, match="no data rows"):
             loader(str(path))
+
+
+class TestGaussLegendreCache:
+    @pytest.mark.parametrize("order", [1, 5, 20, 64])
+    def test_cached_rule_equals_leggauss_and_is_read_only(self, order):
+        nodes, weights = leggauss(order)
+        cached_nodes, cached_weights = _leggauss(order)
+        assert _leggauss(order)[1] is cached_weights
+        assert np.array_equal(cached_nodes, nodes)
+        assert np.array_equal(cached_weights, weights)
+        (x, half, w), = gauss_legendre_panels([-1.0, 1.0], order)
+        assert half == 1.0 and np.array_equal(x, nodes) and w is cached_weights
+        for arr in (cached_nodes, cached_weights):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -14,12 +15,14 @@ from condu.errors import (
     SchemaError,
     UnsupportedOrder,
 )
-from condu.function_class import FunctionSpec, builtin_member
-from condu.kernels import get_kernel, table_kernel
+from condu.function_class import FunctionSpec, builtin_member, polynomial_member
+from condu.kernels import eval_scaled, get_kernel, table_kernel
 from condu.ucore import (
     EXACT_PATH_MAX,
     Sample,
     UKernelSpec,
+    _common_positions,
+    _tuples_eval,
     _windows,
     count_indices,
     incomplete_u,
@@ -206,7 +209,7 @@ def oracle_case(draw, m, n_lo, n_hi):
 
 
 def window_tuples(spec, s):
-    return math.prod(w.size for w in _windows(spec, s))
+    return math.prod(hi - lo for lo, hi in _windows(spec, s))
 
 
 class TestWindowedOracleProperties:
@@ -230,6 +233,108 @@ class TestWindowedOracleProperties:
         brute = u_stat_brute(ukernel_scalar(spec), s, m).value
         fast = u_stat_windowed(spec, s).value
         assert abs(fast - brute) <= 1e-12 * (1.0 + abs(brute))
+
+
+def stacked_eval(g, *coords):
+    """g over the outer grid of the coordinates, from one stacked (..., m)
+    array: the evaluation _tuples_eval replaces."""
+    m = len(coords)
+    grids = np.broadcast_arrays(
+        *(c.reshape((1,) * j + (-1,) + (1,) * (m - 1 - j)) for j, c in enumerate(coords))
+    )
+    return g.eval(np.stack(grids, axis=-1))
+
+
+def all_members(m):
+    ids = ["sum", "product", "max", "one", "const:-1.5", "indicator_leq:0.0",
+           "sum_clipped:1.0"] + [f"identity_j:{j}" for j in range(1, m + 1)]
+    poly = polynomial_member(
+        "poly", m, [(1.5, (2,) + (1,) * (m - 1)), (-0.5, (0,) * (m - 1) + (3,))]
+    )
+    return [builtin_member(i, m) for i in ids] + [poly]
+
+
+# few distinct values, so coordinates tie; both signed zeros included
+TUPLE_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.1, -2.25, 1e-300, 3.0e5]),
+    st.floats(-1e3, 1e3),
+)
+
+
+class TestTuplesEval:
+    @pytest.mark.parametrize("m", [2, 3])
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_stacked_evaluation_bit_for_bit(self, m, data):
+        phi = data.draw(st.sampled_from(all_members(m)))
+        coords = [
+            np.array(data.draw(st.lists(TUPLE_VALUES, min_size=1, max_size=6)))
+            for _ in range(m)
+        ]
+        new = np.ascontiguousarray(_tuples_eval(phi, *coords), dtype=float)
+        old = np.ascontiguousarray(stacked_eval(phi, *coords), dtype=float)
+        assert new.shape == old.shape == tuple(c.size for c in coords)
+        assert np.array_equal(new.view(np.int64), old.view(np.int64))
+
+
+def stacked_pair_value(spec, s):
+    """The m=2 vectorized sum as computed from a stacked pair array, with the
+    diagonal found by np.intersect1d: the reference for byte identity."""
+    wins = [s.sort_index[lo:hi] for lo, hi in _windows(spec, s)]
+    w = [eval_scaled(spec.kernel, spec.h, tj - s.x[win]) for tj, win in zip(spec.t, wins)]
+    G = stacked_eval(spec.g, s.y[wins[0]], s.y[wins[1]])
+    acc = float(w[0] @ (G @ w[1]))
+    common, i1, i2 = np.intersect1d(wins[0], wins[1], return_indices=True)
+    if common.size:
+        diag = spec.g.eval(np.stack([s.y[common], s.y[common]], axis=-1))
+        acc -= float(np.sum(diag * w[0][i1] * w[1][i2]))
+    return acc / count_indices(s.n, 2)
+
+
+class TestPairDiagonal:
+    """The m=2 diagonal correction, read off the overlap of the two windows'
+    position ranges, against np.intersect1d and the brute enumerator."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_vectorized_value_is_the_stacked_one_bit_for_bit(self, data):
+        spec, s = data.draw(oracle_case(2, 50, 60))
+        spec = dataclasses.replace(spec, g=data.draw(st.sampled_from(all_members(2))))
+        assume(window_tuples(spec, s) > EXACT_PATH_MAX)
+        got = np.float64(u_stat_windowed(spec, s).value)
+        assert got.tobytes() == np.float64(stacked_pair_value(spec, s)).tobytes()
+
+    @pytest.mark.parametrize(
+        "t, h, layout",
+        [
+            ((0.2, 0.8), 0.3, "disjoint"),
+            ((0.0, 0.1), 0.4, "nested"),
+            ((0.5, 0.5), 0.5, "identical"),
+            ((0.4, 0.6), 0.5, "overlapping"),
+        ],
+    )
+    def test_window_layouts(self, t, h, layout):
+        s = random_sample(make_rng(21), 120)
+        s = Sample(np.concatenate([s.x, s.x[:10]]), np.concatenate([s.y, s.y[:10]]))
+        spec = UKernelSpec(builtin_member("sum", 2), h, t,
+                           get_kernel("epanechnikov-rescaled"))
+        (lo1, hi1), (lo2, hi2) = r1, r2 = _windows(spec, s)
+        assert layout == (
+            "disjoint" if hi1 <= lo2 else
+            "identical" if (lo1, hi1) == (lo2, hi2) else
+            "nested" if lo2 <= lo1 and hi1 <= hi2 else
+            "overlapping" if lo1 < lo2 < hi1 < hi2 else "other"
+        )
+        w1, w2 = s.sort_index[lo1:hi1], s.sort_index[lo2:hi2]
+        got = _common_positions(r1, r2, s.sort_index)
+        want = np.intersect1d(w1, w2, return_indices=True)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+        res = u_stat_windowed(spec, s)
+        assert res.tuples_evaluated > EXACT_PATH_MAX
+        assert res.tuples_evaluated == sum(1 for i in w1 for j in w2 if i != j)
+        brute = u_stat_brute(ukernel_scalar(spec), s, 2).value
+        assert abs(res.value - brute) <= 1e-12 * (1.0 + abs(brute))
 
 
 class TestSymmetrize:
