@@ -182,15 +182,6 @@ def sweep_cells(cfg, s, n, rep, hs, tgrid, cache):
     return rows
 
 
-def _sup(rows, stat, n, rep, field="normalized"):
-    vals = [
-        getattr(r, field)
-        for r in rows
-        if r.stat == stat and r.n == n and r.rep == rep and r.status == "ok"
-    ]
-    return max(vals) if vals else float("nan")
-
-
 def bias_from_cache(cfg, hs, tgrid, cache):
     """max over members, bandwidths and grid points of |centering - truth|,
     reusing the cached convolutions."""
@@ -346,8 +337,17 @@ def rate_experiment(cfg, out_dir=None, threads=1, include_remainder=False):
             "sup_normalized_estimator": ("est_centering", "normalized"),
             "sup_consistency": ("est_truth", "raw"),
         }
+        # ok rows by (stat, rep), in row order, scanned once for all summaries
+        groups = {}
+        for r in n_rows:
+            if r.status == "ok":
+                groups.setdefault((r.stat, r.rep), []).append(r)
         for key, (stat, fieldname) in summaries.items():
-            sups = [_sup(n_rows, stat, n, rep, fieldname) for rep in range(cfg.reps)]
+            sups = [
+                max(getattr(r, fieldname) for r in groups[stat, rep])
+                if (stat, rep) in groups else float("nan")
+                for rep in range(cfg.reps)
+            ]
             entry[f"{key}_per_rep"] = sups
             finite = [v for v in sups if not math.isnan(v)]
             entry[key] = max(finite) if finite else float("nan")

@@ -3,8 +3,10 @@
 Three evaluation paths for the kernel-weighted U-statistics: a brute-force
 enumeration (the oracle), a locality-pruned path that only enumerates tuples
 inside the kernel window, and a seeded incomplete-U subsampler for large n.
-Exact summation (math.fsum) is used whenever the tuple count is small enough
-that the brute and windowed paths must agree bit for bit.
+When the window holds few tuples, the pruned path builds the oracle's terms
+with array operations and sums them with math.fsum; fsum is exactly rounded,
+so the sum does not depend on the order of the terms or on zero terms, and
+the pruned and brute paths agree bit for bit.
 """
 
 import itertools
@@ -26,9 +28,9 @@ from .function_class import FunctionSpec
 from .kernels import Kernel1D, eval_scaled, read_csv_columns
 
 BRUTE_TUPLE_BUDGET = 10 ** 8
-# below this window-tuple count the pruned path uses exact summation and is
-# bit-identical to the brute path; above it, vectorized pairwise summation
-# (agreement within 1e-12 relative)
+# up to this window-tuple count the pruned path builds the brute path's terms
+# as arrays and sums them with math.fsum, bit-identical to the brute path;
+# above it, BLAS and pairwise summation (agreement within 1e-12 relative)
 EXACT_PATH_MAX = 400
 _CHUNK_ELEMENTS = 4_000_000
 
@@ -120,7 +122,9 @@ def count_indices(n, k):
 
 
 def ukernel_scalar(spec):
-    """Scalar evaluator H(xs, ys) for a UKernelSpec; used by exact paths."""
+    """Scalar evaluator H(xs, ys) for a UKernelSpec: the term of the brute
+    oracle u_stat_brute, which the windowed exact path reproduces bit for
+    bit."""
     g, h, t, kern = spec.g, spec.h, spec.t, spec.kernel
     m = spec.m
     half = h / 2.0
@@ -224,17 +228,23 @@ def u_stat_windowed(spec, s):
         return UStatResult(0.0, 0, total, "windowed")
 
     if window_tuples <= EXACT_PATH_MAX:
-        H = ukernel_scalar(spec)
-        x, y = s.x, s.y
-        terms = []
-        evaluated = 0
-        for idx in itertools.product(*wins):
-            if len(set(idx)) != m:
-                continue
-            evaluated += 1
-            terms.append(H(tuple(x[list(idx)]), tuple(y[list(idx)])))
-        value = math.fsum(terms) / total
-        return UStatResult(value, evaluated, total, "windowed")
+        # the terms ukernel_scalar's H gives, built as arrays in H's order of
+        # operations; fsum is exactly rounded, so dropping H's zero terms and
+        # reordering the rest leave the bits of the sum unchanged
+        idx = np.stack(np.meshgrid(*wins, indexing="ij"), axis=-1).reshape(-1, m)
+        if m > 1:
+            srt = np.sort(idx, axis=1)
+            idx = idx[np.all(srt[:, 1:] != srt[:, :-1], axis=1)]
+        evaluated = len(idx)
+        zs = [spec.t[j] - s.x[idx[:, j]] for j in range(m)]
+        w = 1.0
+        for z in zs:
+            w = w * eval_scaled(spec.kernel, spec.h, z)
+        # H returns 0.0 before calling g outside the window, so g never sees
+        # those tuples (an overflowing member would give inf * 0 = nan)
+        inside = np.logical_and.reduce([np.abs(z) <= spec.h / 2.0 for z in zs])
+        terms = spec.g.eval(s.y[idx[inside]]) * w[inside]
+        return UStatResult(math.fsum(terms.tolist()) / total, evaluated, total, "windowed")
 
     weights = [
         eval_scaled(spec.kernel, spec.h, spec.t[j] - s.x_sorted[lo:hi])

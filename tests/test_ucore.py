@@ -1,5 +1,7 @@
 import dataclasses
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -185,11 +187,27 @@ SIGNED_TABLE = table_kernel(
     [-0.5, -0.25, 0.0, 0.25, 0.5], [-0.5, 1.0, 2.0, 1.0, -0.5], kernel_id="signed"
 )
 ORACLE_KERNELS = [get_kernel("uniform"), get_kernel("epanechnikov-rescaled"), SIGNED_TABLE]
-ORACLE_MEMBERS = ["sum", "product", "max", "indicator_leq:0.5", "identity_j:1"]
+ORACLE_MEMBERS = ["sum", "product", "max", "one", "const:2", "indicator_leq:0.5",
+                  "sum_clipped:1.5", "identity_j:1"]
+
+
+def oracle_member(m, poly=False):
+    """Every built-in member (identity_j on the first and the last coordinate)
+    and, with poly, polynomial members with exponents up to 5."""
+    ids = st.sampled_from(ORACLE_MEMBERS + [f"identity_j:{m}"])
+    builtins = ids.map(lambda i: builtin_member(i, m))
+    if not poly:
+        return builtins
+    exponents = st.tuples(*[st.integers(0, 5)] * m)
+    term = st.tuples(st.sampled_from([1.0, -0.5, 2.25]), exponents)
+    polys = st.lists(term, min_size=1, max_size=3).map(
+        lambda terms: polynomial_member("poly", m, terms)
+    )
+    return st.one_of(builtins, polys)
 
 
 @st.composite
-def oracle_case(draw, m, n_lo, n_hi):
+def oracle_case(draw, m, n_lo, n_hi, poly=False):
     """A sample around t with points exactly on t_j -+ h/2 and tied x values."""
     h = draw(st.sampled_from([0.05, 0.3, 0.5, 0.999]))
     t = tuple(draw(st.floats(0.0, 1.0)) for _ in range(m))
@@ -203,7 +221,7 @@ def oracle_case(draw, m, n_lo, n_hi):
     ties = draw(st.integers(0, n // 2))
     x[n - ties:] = x[:ties]
     y = np.round(rng.normal(0.5, 1.0, n), 1)  # rounded so indicator ties occur
-    phi = builtin_member(draw(st.sampled_from(ORACLE_MEMBERS)), m)
+    phi = draw(oracle_member(m, poly))
     spec = UKernelSpec(phi, h, t, draw(st.sampled_from(ORACLE_KERNELS)))
     return spec, Sample(x, y)
 
@@ -215,14 +233,40 @@ def window_tuples(spec, s):
 class TestWindowedOracleProperties:
     """u_stat_windowed against the brute enumerator on both of its paths."""
 
-    @pytest.mark.parametrize("m, n_hi", [(1, 30), (2, 14)])
+    @pytest.mark.parametrize("m, n_hi", [(1, 30), (2, 14), (3, 7)])
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_exact_path_is_bitwise_brute(self, m, n_hi, data):
-        spec, s = data.draw(oracle_case(m, m, n_hi))
+        spec, s = data.draw(oracle_case(m, m, n_hi, poly=True))
         assert window_tuples(spec, s) <= EXACT_PATH_MAX
-        brute = u_stat_brute(ukernel_scalar(spec), s, m).value
-        assert u_stat_windowed(spec, s).value == brute
+        brute = u_stat_brute(ukernel_scalar(spec), s, m)
+        got = u_stat_windowed(spec, s)
+        assert np.float64(got.value).tobytes() == np.float64(brute.value).tobytes()
+        wins = [s.sort_index[lo:hi] for lo, hi in _windows(spec, s)]
+        distinct = sum(1 for idx in itertools.product(*wins) if len(set(idx)) == m)
+        assert got.tuples_evaluated == distinct
+        assert got.tuples_total == brute.tuples_total
+
+    def test_out_of_window_overflow_never_reaches_the_member(self):
+        # two points 2 ulps outside t -+ h/2: inside the widened search range,
+        # outside |z| <= h/2; their product overflows if g ever sees the pair
+        t, h = 0.5, 0.25
+        lo = np.nextafter(np.nextafter(t - h / 2, -np.inf), -np.inf)
+        hi = np.nextafter(np.nextafter(t + h / 2, np.inf), np.inf)
+        x = np.array([lo, hi, 0.45, 0.5, 0.55, 0.6])
+        y = np.array([1e200, 1e200, 1.0, -2.0, 0.5, 3.0])
+        s = Sample(x, y)
+        spec = UKernelSpec(builtin_member("product", 2), h, (t, t),
+                           get_kernel("epanechnikov-rescaled"))
+        assert all(abs(t - v) > h / 2 for v in (lo, hi))
+        assert _windows(spec, s) == [(0, 6), (0, 6)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = u_stat_windowed(spec, s)
+            brute = u_stat_brute(ukernel_scalar(spec), s, 2)
+        assert math.isfinite(got.value)
+        assert np.float64(got.value).tobytes() == np.float64(brute.value).tobytes()
+        assert got.tuples_evaluated == 30
 
     @pytest.mark.parametrize("m, n_lo, n_hi", [(1, 600, 700), (2, 50, 60)])
     @settings(max_examples=30, deadline=None)
