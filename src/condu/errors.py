@@ -38,6 +38,10 @@ class UnsupportedOrder(ConduError, ValueError):
     """No evaluation path handles this U-statistic order."""
 
 
+class NonFiniteSum(ConduError, ValueError):
+    """The exact sum of a cell's terms is not finite (inf - inf or overflow)."""
+
+
 class MeasureTooLarge(ConduError, RuntimeError):
     pass
 

@@ -13,8 +13,8 @@ import numpy as np
 from scipy.special import ndtr
 
 from .errors import NoClosedFormConditional, SchemaError, ZeroDensityWindow
-from .function_class import builtin_member
-from .kernels import composite_integral, composite_rule
+from .function_class import builtin_member, member_kind
+from .kernels import composite_integral, composite_rule, tensor_rule
 from .ucore import UKernelSpec, u_stat_windowed
 
 
@@ -199,45 +199,37 @@ def true_regression(dgp, phi, t):
     m = phi.m
     if t.shape[-1] != m:
         raise SchemaError(f"t must have trailing dimension {m}")
-    pid = phi.id
+    kind, c = member_kind(phi.id)
     r = dgp.regression
 
-    if pid == "one":
+    if kind == "one":
         out = np.ones(t.shape[:-1])
-    elif pid.startswith("const:"):
-        out = np.full(t.shape[:-1], float(pid.split(":", 1)[1]))
-    elif pid == "sum":
+    elif kind == "const":
+        out = np.full(t.shape[:-1], c)
+    elif kind == "sum":
         out = np.sum(r(t), axis=-1)
-    elif pid.startswith("sum_clipped:"):
-        M = float(pid.split(":", 1)[1])
+    elif kind == "sum_clipped":
         bound = dgp.noise.bound
-        if bound is None or m * (dgp.r_bound + bound) > M:
+        if bound is None or m * (dgp.r_bound + bound) > c:
             raise NoClosedFormConditional(
                 f"sum_clipped closed form needs the clip inactive on the "
-                f"support; M={M} too small or noise unbounded"
+                f"support; M={c} too small or noise unbounded"
             )
         out = np.sum(r(t), axis=-1)
-    elif pid == "product":
+    elif kind == "product":
         out = np.prod(r(t), axis=-1)
-    elif pid.startswith("identity_j:"):
-        j = int(pid.split(":", 1)[1])
-        out = r(t[..., j - 1])
-    elif pid.startswith("indicator_leq:"):
-        c = float(pid.split(":", 1)[1])
+    elif kind == "identity_j":
+        out = r(t[..., c - 1])
+    elif kind == "indicator_leq":
         out = np.prod(dgp.noise.cdf(c - r(t)), axis=-1)
-    elif pid == "max":
+    elif kind == "max":
         if dgp.noise.kind == "gaussian":
             raise NoClosedFormConditional("max has no closed form under gaussian noise")
-        centers = r(t)
-        if centers.ndim == 1:
-            out = np.float64(_max_uniform_expectation(centers, dgp.noise.param))
-        else:
-            flat = centers.reshape(-1, m)
-            out = np.array(
-                [_max_uniform_expectation(row, dgp.noise.param) for row in flat]
-            ).reshape(centers.shape[:-1])
+        rows = r(t).reshape(-1, m)
+        out = np.array([_max_uniform_expectation(row, dgp.noise.param) for row in rows])
+        out = out.reshape(t.shape[:-1])
     else:
-        raise NoClosedFormConditional(f"no closed-form regression for {pid!r}")
+        raise NoClosedFormConditional(f"no closed-form regression for {phi.id!r}")
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -248,28 +240,26 @@ def conditional_mean_fixed(dgp, phi, xs_free, slot, y):
     in slot order. Vectorized over the leading axes.
     """
     xs_free = np.asarray(xs_free, dtype=float)
-    m = phi.m
-    pid = phi.id
+    kind, c = member_kind(phi.id)
     r = dgp.regression
-    if pid == "one":
+    if kind == "one":
         return np.ones(xs_free.shape[:-1])
-    if pid.startswith("const:"):
-        return np.full(xs_free.shape[:-1], float(pid.split(":", 1)[1]))
-    if pid == "sum":
+    if kind == "const":
+        return np.full(xs_free.shape[:-1], c)
+    if kind == "sum":
         return y + np.sum(r(xs_free), axis=-1)
-    if pid == "product":
+    if kind == "product":
         return y * np.prod(r(xs_free), axis=-1)
-    if pid.startswith("identity_j:"):
-        j = int(pid.split(":", 1)[1]) - 1
+    if kind == "identity_j":
+        j = c - 1
         if j == slot:
             return np.full(xs_free.shape[:-1], y)
         free_pos = j if j < slot else j - 1
         return r(xs_free[..., free_pos])
-    if pid.startswith("indicator_leq:"):
-        c = float(pid.split(":", 1)[1])
+    if kind == "indicator_leq":
         others = np.prod(dgp.noise.cdf(c - r(xs_free)), axis=-1)
         return (1.0 if y <= c else 0.0) * others
-    raise NoClosedFormConditional(f"no closed-form conditional mean for {pid!r}")
+    raise NoClosedFormConditional(f"no closed-form conditional mean for {phi.id!r}")
 
 
 def convolve(phi, kernel, h, z, quad_order=64, breakpoints=None):
@@ -287,16 +277,12 @@ def convolve(phi, kernel, h, z, quad_order=64, breakpoints=None):
         composite_rule(-0.5, 0.5, quad_order, [(zj - b) / h for b in breakpoints or ()])
         for zj in z
     ]
-    mesh = np.meshgrid(*[r[0] for r in rules], indexing="ij")
-    U = np.stack([m.ravel() for m in mesh], axis=-1)  # (N, d)
+    U, w = tensor_rule(rules)  # U: (N, d)
     pts = z[None, :] - h * U
     vals = np.asarray(phi(pts), dtype=float)
     kw = np.ones(U.shape[0])
     for j in range(d):
         kw *= kernel.eval(U[:, j])
-    w = rules[0][1]
-    for j in range(1, d):
-        w = np.multiply.outer(w, rules[j][1]).ravel()
     return float(np.dot(vals * kw, w))
 
 
@@ -315,11 +301,7 @@ def expected_u(dgp, phi, kernel, h, t, quad_order=64):
 
 def expected_u_one(dgp, m, kernel, h, t, quad_order=64):
     """E U_n(1, h, t) = f~ convolved with the scaled product kernel."""
-    return convolve(
-        lambda pts: product_density(dgp, pts), kernel, h,
-        np.asarray(t, dtype=float), quad_order=quad_order,
-        breakpoints=list(dgp.support),
-    )
+    return expected_u(dgp, builtin_member("one", m), kernel, h, t, quad_order)
 
 
 def centering(phi, h, t, dgp, kernel, quad_order=64):

@@ -49,10 +49,22 @@ class Unbounded:
 Regime = Union[Bounded, Unbounded]
 
 
-def _member_param(spec_id, conv):
-    """The number after the colon of a parametrized member id."""
+_PARAM_KINDS = {"const": float, "identity_j": int, "indicator_leq": float,
+                "sum_clipped": float}
+
+
+def member_kind(spec_id):
+    """(kind, number after the colon or None) of a built-in member id, or
+    (None, None) for an id outside the built-in family; a built-in prefix
+    with a bad number raises SchemaError."""
+    if spec_id in ("sum", "product", "max", "one"):
+        return spec_id, None
+    kind, colon, param = str(spec_id).partition(":")
+    conv = _PARAM_KINDS.get(kind)
+    if not colon or conv is None:
+        return None, None
     try:
-        return conv(spec_id.split(":", 1)[1])
+        return kind, conv(param)
     except ValueError:
         raise SchemaError(f"member id {spec_id!r} needs a number after the colon") from None
 
@@ -64,31 +76,28 @@ def builtin_member(spec_id, m):
     ``identity_j:j`` (1-based), ``indicator_leq:c`` (product of per-coordinate
     indicators 1{y_j <= c}), ``sum_clipped:M`` (sum clipped to [-M, M]).
     """
-    if spec_id == "sum":
+    kind, c = member_kind(spec_id)
+    if kind == "sum":
         return FunctionSpec("sum", lambda y: np.sum(y, axis=-1), m)
-    if spec_id == "product":
+    if kind == "product":
         return FunctionSpec("product", lambda y: np.prod(y, axis=-1), m)
-    if spec_id == "max":
+    if kind == "max":
         return FunctionSpec("max", lambda y: np.max(y, axis=-1), m)
-    if spec_id == "one":
+    if kind == "one":
         return FunctionSpec("one", lambda y: np.ones(y.shape[:-1]), m)
-    if spec_id.startswith("const:"):
-        c = _member_param(spec_id, float)
+    if kind == "const":
         return FunctionSpec(spec_id, lambda y: np.full(y.shape[:-1], c), m)
-    if spec_id.startswith("identity_j:"):
-        j = _member_param(spec_id, int)
-        if not 1 <= j <= m:
-            raise SchemaError(f"identity_j index {j} out of range 1..{m}")
-        return FunctionSpec(spec_id, lambda y: y[..., j - 1], m)
-    if spec_id.startswith("indicator_leq:"):
-        c = _member_param(spec_id, float)
+    if kind == "identity_j":
+        if not 1 <= c <= m:
+            raise SchemaError(f"identity_j index {c} out of range 1..{m}")
+        return FunctionSpec(spec_id, lambda y: y[..., c - 1], m)
+    if kind == "indicator_leq":
         return FunctionSpec(
             spec_id, lambda y: np.prod((y <= c).astype(float), axis=-1), m
         )
-    if spec_id.startswith("sum_clipped:"):
-        M = _member_param(spec_id, float)
+    if kind == "sum_clipped":
         return FunctionSpec(
-            spec_id, lambda y: np.clip(np.sum(y, axis=-1), -M, M), m
+            spec_id, lambda y: np.clip(np.sum(y, axis=-1), -c, c), m
         )
     raise SchemaError(f"unknown function member id {spec_id!r}")
 
@@ -97,7 +106,10 @@ def polynomial_member(spec_id, m, terms):
     """Member of the form sum_k c_k * prod_j y_j^{e_kj}.
 
     ``terms`` is a list of (coefficient, exponents) with len(exponents) == m.
+    The id may not be a built-in id: results are keyed and dispatched by id.
     """
+    if member_kind(spec_id)[0] is not None:
+        raise SchemaError(f"polynomial member id {spec_id!r} is a built-in id")
     terms = [(float(c), tuple(int(e) for e in es)) for c, es in terms]
     for _, es in terms:
         if len(es) != m:
@@ -128,6 +140,9 @@ class FunctionClass:
         ms = {f.m for f in self.members}
         if len(ms) != 1:
             raise DimensionMismatch(f"members disagree on arity: {sorted(ms)}")
+        ids = [f.id for f in self.members]
+        if len(set(ids)) != len(ids):
+            raise SchemaError(f"duplicate member ids in {ids}")
 
     @property
     def m(self):

@@ -10,7 +10,6 @@ import itertools
 import json
 import math
 import os
-import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -23,14 +22,10 @@ from .bandwidth import (
     normalizer,
     truncate_split,
 )
-from .errors import (
-    BoundedClassHasNoRemainder,
-    EmptyBandwidthRange,
-    NoClosedFormConditional,
-)
+from .errors import BoundedClassHasNoRemainder, EmptyBandwidthRange
 from .estimator import expected_u, expected_u_one, ratio_status, true_regression
 from .function_class import Bounded, FunctionSpec, builtin_member, envelope_tilde
-from .kernels import eval_scaled
+from .kernels import atomic_write, eval_scaled, format_float
 from .ucore import Sample, UKernelSpec, u_stat_windowed
 
 
@@ -101,17 +96,13 @@ def expectation_cache(cfg, n, hs, tgrid):
     """Population quantities shared by every replication at this n.
 
     Keys: ("EU1", h, t) for the denominator, ("EU", phi, h, t) for numerators,
-    ("m", phi, t) for the closed-form regression (None when unavailable).
+    ("m", phi, t) for the closed-form regression. A member without a closed
+    form raises NoClosedFormConditional here, before any convolution.
     """
     cache = {}
     for t in tgrid:
         for phi in cfg.fc.members:
-            try:
-                cache[("m", phi.id, t)] = float(
-                    true_regression(cfg.dgp, phi, np.asarray(t))
-                )
-            except NoClosedFormConditional:
-                cache[("m", phi.id, t)] = None
+            cache[("m", phi.id, t)] = float(true_regression(cfg.dgp, phi, np.asarray(t)))
     for h in hs:
         for t in tgrid:
             cache[("EU1", h, t)] = expected_u_one(
@@ -171,14 +162,10 @@ def sweep_cells(cfg, s, n, rep, hs, tgrid, cache):
                         "est_centering", n, rep, h, t, phi.id, raw2, norm * raw2, "ok"
                     )
                 )
-                truth = cache[("m", phi.id, t)]
-                if truth is not None:
-                    raw3 = abs(mhat - truth)
-                    rows.append(
-                        DeviationRow(
-                            "est_truth", n, rep, h, t, phi.id, raw3, norm * raw3, "ok"
-                        )
-                    )
+                raw3 = abs(mhat - cache[("m", phi.id, t)])
+                rows.append(
+                    DeviationRow("est_truth", n, rep, h, t, phi.id, raw3, norm * raw3, "ok")
+                )
     return rows
 
 
@@ -191,7 +178,7 @@ def bias_from_cache(cfg, hs, tgrid, cache):
             for t in tgrid:
                 truth = cache[("m", phi.id, t)]
                 eu1 = cache[("EU1", h, t)]
-                if truth is None or eu1 <= 1e-14:
+                if eu1 <= 1e-14:
                     continue
                 worst = max(worst, abs(cache[("EU", phi.id, h, t)] / eu1 - truth))
     return worst
@@ -367,25 +354,6 @@ def rate_experiment(cfg, out_dir=None, threads=1, include_remainder=False):
     if out_dir is not None:
         write_outputs(report, cfg, out_dir)
     return report
-
-
-def format_float(x):
-    """17 significant digits: enough to round-trip any float64."""
-    return "%.17g" % x
-
-
-def atomic_write(path, text):
-    """Write via a temp file in the same directory, then rename into place."""
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def deviations_csv_text(report, m):

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import InvalidProjectionOrder, MeasureTooLarge, SchemaError
 from .estimator import conditional_mean_fixed
-from .kernels import composite_rule, read_csv_columns
+from .kernels import composite_rule, read_csv_columns, tensor_rule
 from .ucore import Sample, u_stat_brute
 
 _EXPANSION_BUDGET = 10 ** 7
@@ -119,17 +119,10 @@ def decomposition_check(L, m, s, Q):
 
 def degeneracy_check(pk, Q):
     """max over fixed tails of |E_Q pi_k L(Z_1, z_2, ..., z_k)|."""
-    k = pk.k
-    ax, ay, w = Q.ax, Q.ay, Q.weights
     worst = 0.0
-    for tail in itertools.product(range(Q.natoms), repeat=k - 1):
-        txs = [ax[i] for i in tail]
-        tys = [ay[i] for i in tail]
-        val = math.fsum(
-            w[i] * pk(tuple([ax[i]] + txs), tuple([ay[i]] + tys))
-            for i in range(Q.natoms)
-        )
-        worst = max(worst, abs(val))
+    for tail in itertools.product(range(Q.natoms), repeat=pk.k - 1):
+        fixed = {j + 1: (Q.ax[i], Q.ay[i]) for j, i in enumerate(tail)}
+        worst = max(worst, abs(_integrate(pk, pk.k, fixed, Q)))
     return worst
 
 
@@ -170,23 +163,12 @@ def projection_variance_check(L, m, k, Q):
     if Q.natoms ** m > _EXPANSION_BUDGET:
         raise MeasureTooLarge("atom expansion budget exceeded")
     pk = project(L, m, k, Q)
-    ax, ay, w = Q.ax, Q.ay, Q.weights
-
-    lhs_terms = []
-    for combo in itertools.product(range(Q.natoms), repeat=k):
-        wt = math.prod(w[i] for i in combo)
-        v = pk(tuple(ax[i] for i in combo), tuple(ay[i] for i in combo))
-        lhs_terms.append(wt * v * v)
-    lhs = math.fsum(lhs_terms)
-
     mean = _integrate(L, m, {}, Q)
-    mid_terms, rhs_terms = [], []
-    for combo in itertools.product(range(Q.natoms), repeat=m):
-        wt = math.prod(w[i] for i in combo)
-        v = L(tuple(ax[i] for i in combo), tuple(ay[i] for i in combo))
-        mid_terms.append(wt * (v - mean) ** 2)
-        rhs_terms.append(wt * v * v)
-    return lhs, math.fsum(mid_terms), math.fsum(rhs_terms)
+    return (
+        _integrate(lambda xs, ys: pk(xs, ys) ** 2, k, {}, Q),
+        _integrate(lambda xs, ys: (L(xs, ys) - mean) ** 2, m, {}, Q),
+        _integrate(lambda xs, ys: L(xs, ys) ** 2, m, {}, Q),
+    )
 
 
 def eval_linear_kernel(spec, dgp, x, y, quad_order=64):
@@ -212,15 +194,11 @@ def eval_linear_kernel(spec, dgp, x, y, quad_order=64):
             composite_rule(ti - h / 2.0, ti + h / 2.0, quad_order, dgp.support)
             for ti in free_ts
         ]
-        mesh = np.meshgrid(*[r[0] for r in rules], indexing="ij")
-        pts = np.stack([mm.ravel() for mm in mesh], axis=-1)  # (N, m-1)
+        pts, w = tensor_rule(rules)  # pts: (N, m-1)
         psi = np.asarray(conditional_mean_fixed(dgp, g, pts, j, y), dtype=float)
         dens = np.ones(pts.shape[0])
         for i, ti in enumerate(free_ts):
             dens *= kern.eval((ti - pts[:, i]) / h) * dgp.fx(pts[:, i])
-        w = rules[0][1]
-        for r in rules[1:]:
-            w = np.multiply.outer(w, r[1]).ravel()
         total += outer[j] * float(np.dot(psi * dens, w))
     return total
 

@@ -1,5 +1,6 @@
 """Scalar smoothing kernels with compact support, their scaled weights, and
-the package's shared composite Gauss-Legendre rule and numeric CSV reader.
+the package's shared composite Gauss-Legendre and tensor rules, numeric CSV
+reader and atomic text writer.
 
 All built-in kernels live on [-1/2, 1/2], integrate to one and are bounded.
 The support boundary is closed: K(+-1/2) counts as inside the window, so the
@@ -7,6 +8,8 @@ binary-search windows used by the U-statistic code agree with the kernel's
 own support test.
 """
 
+import os
+import tempfile
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -127,6 +130,25 @@ def read_csv_columns(path, header, what):
     return [np.array(col) for col in zip(*rows)]
 
 
+def format_float(x):
+    """17 significant digits: enough to round-trip any float64."""
+    return "%.17g" % x
+
+
+def atomic_write(path, text):
+    """Write via a temp file in the same directory, then rename into place."""
+    d = os.path.dirname(os.path.abspath(path))
+    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def load_table_kernel(path, kappa=None):
     """Load a user kernel from CSV with header ``u,k``."""
     us, ks = read_csv_columns(path, "u,k", "kernel")
@@ -168,6 +190,16 @@ def composite_rule(lo, hi, order, breaks):
         np.concatenate([x for x, _, _ in panels]),
         np.concatenate([half * weights for _, half, weights in panels]),
     )
+
+
+def tensor_rule(rules):
+    """Tensor product of per-axis (nodes, weights) rules: the (N, d) points
+    in ij order and their weights."""
+    mesh = np.meshgrid(*[x for x, _ in rules], indexing="ij")
+    w = rules[0][1]
+    for _, wj in rules[1:]:
+        w = np.multiply.outer(w, wj).ravel()
+    return np.stack([mm.ravel() for mm in mesh], axis=-1), w
 
 
 def validate_kernel(k, probe_points=1001, quad_order=64):

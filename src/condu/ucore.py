@@ -20,12 +20,13 @@ from .errors import (
     BudgetExceedsPopulation,
     DegenerateSample,
     InvalidBandwidth,
+    NonFiniteSum,
     PopulationTooLarge,
     SchemaError,
     UnsupportedOrder,
 )
 from .function_class import FunctionSpec
-from .kernels import Kernel1D, eval_scaled, read_csv_columns
+from .kernels import Kernel1D, atomic_write, eval_scaled, format_float, read_csv_columns
 
 BRUTE_TUPLE_BUDGET = 10 ** 8
 # up to this window-tuple count the pruned path builds the brute path's terms
@@ -214,7 +215,8 @@ def u_stat_windowed(spec, s):
 
     Only tuples whose every coordinate lies inside the closed kernel window
     are enumerated; the distinct-index constraint is enforced during the
-    Cartesian enumeration.
+    Cartesian enumeration. On the exact path, terms without a finite exact
+    sum (inf - inf, or overflow) raise NonFiniteSum.
     """
     m, n = spec.m, s.n
     if m > n:
@@ -244,7 +246,11 @@ def u_stat_windowed(spec, s):
         # those tuples (an overflowing member would give inf * 0 = nan)
         inside = np.logical_and.reduce([np.abs(z) <= spec.h / 2.0 for z in zs])
         terms = spec.g.eval(s.y[idx[inside]]) * w[inside]
-        return UStatResult(math.fsum(terms.tolist()) / total, evaluated, total, "windowed")
+        try:
+            acc = math.fsum(terms.tolist())
+        except (ValueError, OverflowError) as exc:
+            raise NonFiniteSum(f"cell h={spec.h}, t={spec.t}: {exc}") from None
+        return UStatResult(acc / total, evaluated, total, "windowed")
 
     weights = [
         eval_scaled(spec.kernel, spec.h, spec.t[j] - s.x_sorted[lo:hi])
@@ -373,7 +379,6 @@ def read_sample_csv(path):
 
 
 def write_sample_csv(path, s):
-    with open(path, "w") as fh:
-        fh.write("x,y\n")
-        for xv, yv in zip(s.x, s.y):
-            fh.write(f"{xv:.17g},{yv:.17g}\n")
+    """Write a sample as CSV with header ``x,y``, atomically."""
+    rows = [f"{format_float(xv)},{format_float(yv)}\n" for xv, yv in zip(s.x, s.y)]
+    atomic_write(path, "x,y\n" + "".join(rows))

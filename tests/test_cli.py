@@ -118,6 +118,54 @@ class TestConfigErrors:
         assert json.loads(capsys.readouterr().err)["error"] == "SchemaError"
 
 
+def run_rates(doc, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    return main(["rates", "--config", str(cfg), "--out", str(tmp_path / "out")])
+
+
+class TestMemberIds:
+    @pytest.mark.parametrize(
+        "members",
+        [
+            [{"id": "identity_j:1", "poly": [[1.0, [3]]]}],
+            ["sum", {"id": "sum", "poly": [[5.0, [0]]]}],
+            ["sum", "sum"],
+        ],
+        ids=["poly_named_builtin", "poly_shadows_member", "repeated_builtin"],
+    )
+    def test_colliding_ids_exit_one(self, tmp_path, capsys, members):
+        doc = copy.deepcopy(BASE_DOC)
+        doc["dgp"] = {"id": "uniform_linear", "noise": "uniform", "noise_param": 0.25}
+        doc["function_class"]["members"] = members
+        assert run_rates(doc, tmp_path) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "SchemaError"
+        assert not (tmp_path / "out").exists()
+
+    def test_member_without_closed_form_stops_rates(self, tmp_path, capsys):
+        doc = copy.deepcopy(BASE_DOC)  # gaussian noise: max has no closed form
+        doc["function_class"]["members"] = ["identity_j:1", "max"]
+        assert run_rates(doc, tmp_path) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "NoClosedFormConditional"
+        assert "max" in err["message"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_non_finite_cell_sum_exits_one(self, tmp_path, capsys):
+        data = tmp_path / "s.csv"
+        data.write_text("x,y\n0.49,1e200\n0.51,-1e200\n0.50,1\n0.2,0\n0.8,0\n")
+        doc = copy.deepcopy(BASE_DOC)
+        doc["function_class"]["members"] = [{"id": "cube", "poly": [[1.0, [3]]]}]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "cells.csv"
+        rc = main(["estimate", "--config", str(cfg), "--data", str(data), "--out", str(out)])
+        assert rc == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "NonFiniteSum"
+        assert not out.exists()
+
+
 class TestSimulateAndEstimate:
     def test_simulate_row_count(self, cfg_path, tmp_path, capsys):
         out = tmp_path / "s.csv"

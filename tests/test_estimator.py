@@ -151,6 +151,18 @@ class TestTrueRegression:
         se = draws.std(ddof=1) / math.sqrt(draws.size)
         assert abs(v - draws.mean()) <= 4 * se
 
+    @pytest.mark.parametrize("m, t", [
+        (1, (0.5,)), (1, (0.0,)), (1, (1.0,)), (1, (1.2,)),
+        (2, (0.5, 0.5)), (2, (0.0, 1.0)), (2, (1.05, 0.5)), (2, (-0.3, 1.3)),
+    ])
+    def test_expected_u_one_is_expected_u_of_member_one(self, m, t):
+        d = make_dgp("uniform_linear", "uniform", 0.25)
+        k = get_kernel("epanechnikov-rescaled")
+        for h in (0.2, 0.5):
+            a = expected_u_one(d, m, k, h, t, 16)
+            b = expected_u(d, builtin_member("one", m), k, h, t, 16)
+            assert np.float64(a).tobytes() == np.float64(b).tobytes()
+
     def test_max_under_gaussian_noise_has_no_closed_form(self):
         d = make_dgp("uniform_linear", "gaussian", 0.5)
         with pytest.raises(NoClosedFormConditional):

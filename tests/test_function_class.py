@@ -17,8 +17,40 @@ from condu.function_class import (
     envelope_check,
     envelope_tilde,
     make_function_class,
+    member_kind,
     polynomial_member,
 )
+
+BUILTIN_IDS = ["sum", "product", "max", "one", "const:2.5", "identity_j:2",
+               "indicator_leq:0.5", "sum_clipped:1.5"]
+
+
+class TestMemberKind:
+    @pytest.mark.parametrize("spec_id", BUILTIN_IDS)
+    def test_builtin_ids_round_trip(self, spec_id):
+        kind, param = member_kind(spec_id)
+        assert (kind if param is None else f"{kind}:{param}") == spec_id
+        assert builtin_member(spec_id, 2).id == spec_id
+
+    @pytest.mark.parametrize("spec_id", ["q", "sum:3", "one:1"])
+    def test_ids_outside_the_family(self, spec_id):
+        assert member_kind(spec_id) == (None, None)
+
+    @pytest.mark.parametrize("spec_id", ["const:abc", "identity_j:1.5"])
+    def test_bad_number_is_a_schema_error(self, spec_id):
+        with pytest.raises(SchemaError):
+            member_kind(spec_id)
+
+    @pytest.mark.parametrize("spec_id", ["sum", "identity_j:1", "const:abc"])
+    def test_polynomial_may_not_take_a_builtin_id(self, spec_id):
+        with pytest.raises(SchemaError):
+            polynomial_member(spec_id, 1, [(1.0, (3,))])
+
+    def test_duplicate_member_ids_are_rejected(self):
+        members = [builtin_member("sum", 1), polynomial_member("q", 1, [(5.0, (0,))]),
+                   polynomial_member("q", 1, [(1.0, (1,))])]
+        with pytest.raises(SchemaError, match="duplicate"):
+            make_function_class(members, Bounded(5.0))
 
 
 class TestBuiltinMembers:

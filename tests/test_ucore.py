@@ -13,12 +13,14 @@ from condu.errors import (
     BudgetExceedsPopulation,
     DegenerateSample,
     InvalidBandwidth,
+    NonFiniteSum,
     PopulationTooLarge,
     SchemaError,
     UnsupportedOrder,
 )
 from condu.function_class import FunctionSpec, builtin_member, polynomial_member
 from condu.kernels import eval_scaled, get_kernel, table_kernel
+import condu.ucore
 from condu.ucore import (
     EXACT_PATH_MAX,
     Sample,
@@ -483,6 +485,25 @@ class TestSampleIo:
         assert np.array_equal(back.x, s.x)
         assert np.array_equal(back.y, s.y)
 
+    def test_failed_write_keeps_the_old_file(self, tmp_path, monkeypatch):
+        rng = make_rng(19)
+        path = tmp_path / "s.csv"
+        write_sample_csv(str(path), random_sample(rng, 10))
+        before = path.read_bytes()
+        calls = []
+
+        def failing(v):
+            calls.append(v)
+            if len(calls) == 7:
+                raise RuntimeError("formatter failed mid-file")
+            return "%.17g" % v
+
+        monkeypatch.setattr(condu.ucore, "format_float", failing)
+        with pytest.raises(RuntimeError, match="mid-file"):
+            write_sample_csv(str(path), random_sample(rng, 10))
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.csv"]
+
     def test_missing_value_names_the_row(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("x,y\n0.1,1.0\n0.2,\n")
@@ -498,3 +519,28 @@ class TestSampleIo:
         path.write_text("a,b\n0.1,1.0\n")
         with pytest.raises(SchemaError):
             read_sample_csv(str(path))
+
+
+CUBE = polynomial_member("cube", 1, [(1.0, (3,))])
+
+
+class TestNonFiniteSum:
+    def test_inf_minus_inf_cell(self):
+        s = Sample(np.array([0.49, 0.51, 0.50, 0.2, 0.8]),
+                   np.array([1e200, -1e200, 1.0, 0.0, 0.0]))
+        spec = UKernelSpec(CUBE, 0.1, (0.5,), get_kernel("uniform"))
+        with np.errstate(over="ignore"):
+            with pytest.raises(NonFiniteSum, match="inf") as windowed:
+                u_stat_windowed(spec, s)
+            with pytest.raises(ValueError) as brute:
+                u_stat_brute(ukernel_scalar(spec), s, 1)
+        # both are ValueErrors; the oracle keeps math.fsum's own error
+        assert isinstance(windowed.value, ValueError)
+        assert not isinstance(brute.value, NonFiniteSum)
+
+    def test_finite_terms_that_overflow(self):
+        s = Sample(np.array([0.4, 0.6]), np.array([1e308, 1e308]))
+        spec = UKernelSpec(builtin_member("identity_j:1", 1), 1.0, (0.5,),
+                           get_kernel("uniform"))
+        with pytest.raises(NonFiniteSum, match="overflow"):
+            u_stat_windowed(spec, s)
