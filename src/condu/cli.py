@@ -13,16 +13,9 @@ import sys
 
 from .config import load_config
 from .errors import ConduError
-from .estimator import estimate_members
-from .harness import (
-    atomic_write,
-    bandwidths,
-    child_seed,
-    format_float,
-    make_t_grid,
-    rate_experiment,
-    simulate,
-)
+from .estimator import estimate_grid
+from .harness import bandwidths, child_seed, make_t_grid, rate_experiment, simulate
+from .kernels import atomic_write, format_float
 from .ucore import read_sample_csv, write_sample_csv
 from .verify import run_checks
 
@@ -61,9 +54,10 @@ def cmd_estimate(args):
     tcols = ",".join(f"t_{j + 1}" for j in range(cfg.m))
     lines = [f"m,h,{tcols},phi,numerator,denominator,mhat,status"]
     for h in hs:
-        for t in tgrid:
+        cells = estimate_grid(cfg.fc.members, h, tgrid, s, cfg.kernel)
+        for t, t_cells in zip(tgrid, cells):
             ts = ",".join(format_float(v) for v in t)
-            for cell in estimate_members(cfg.fc.members, h, t, s, cfg.kernel):
+            for cell in t_cells:
                 mh = format_float(cell.mhat) if cell.mhat is not None else "nan"
                 lines.append(
                     f"{cfg.m},{format_float(h)},{ts},{cell.phi},"

@@ -9,7 +9,7 @@ import json
 from dataclasses import dataclass, field
 
 from .bandwidth import RateRegime
-from .errors import SchemaError
+from .errors import InputFileError, SchemaError
 from .estimator import DgpSpec, make_dgp
 from .function_class import (
     Bounded,
@@ -107,6 +107,9 @@ def parse_config(doc):
     m = _field(f, "m", "function_class", int)
     members = []
     for spec in _require(f, "members", "function_class"):
+        if spec == "one":
+            raise SchemaError("member 'one' is the estimator's denominator, "
+                              "reported by every sweep; remove it from the members")
         if isinstance(spec, str):
             members.append(builtin_member(spec, m))
         elif isinstance(spec, dict) and "poly" in spec:
@@ -171,8 +174,12 @@ def parse_config(doc):
 
 def load_config(path):
     try:
-        with open(path) as fh:
+        fh = open(path)
+    except OSError as exc:
+        raise InputFileError(f"cannot open config {path!r}: {exc.strerror}") from None
+    with fh:
+        try:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"config is not valid JSON: {exc}") from None
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"config is not valid JSON: {exc}") from None
     return parse_config(doc)

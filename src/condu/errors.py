@@ -70,6 +70,10 @@ class BoundedClassHasNoRemainder(ConduError, ValueError):
     pass
 
 
+class InputFileError(ConduError, OSError):
+    """An input file (config, sample or kernel table) cannot be opened."""
+
+
 class SchemaError(ConduError, ValueError):
     """Malformed input file or config; message carries the offending row
     or field."""

@@ -7,15 +7,15 @@ the scaled product kernel, evaluated by tensor Gauss-Legendre quadrature.
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import NoClosedFormConditional, SchemaError, ZeroDensityWindow
 from .function_class import builtin_member, member_kind
 from .kernels import composite_integral, composite_rule, tensor_rule
-from .ucore import UKernelSpec, u_stat_windowed
+from .ucore import WindowGrid
 
 
 @dataclass(frozen=True)
@@ -41,6 +41,10 @@ class Noise:
         if self.kind == "none":
             return (v >= 0.0).astype(float)
         if self.kind == "gaussian":
+            # imported here: scipy.special is most of the package's import
+            # time, and only Gaussian-noise truths need it
+            from scipy.special import ndtr
+
             return ndtr(v / self.param)
         return np.clip((v + self.param) / (2.0 * self.param), 0.0, 1.0)
 
@@ -137,23 +141,34 @@ def ratio_status(den):
     return "nonpositive_denominator"
 
 
-def estimate_members(members, h, t, s, kernel):
-    """Stute's estimator m^(t, h) = U_n(phi, h, t) / U_n(1, h, t) for each of
-    the (nonempty) members, one EstimateCell each, sharing one denominator.
+def estimate_grid(members, h, points, s, kernel):
+    """Stute's estimator m^(t, h) = U_n(phi, h, t) / U_n(1, h, t) at every
+    point t for each of the (nonempty) members: per point, one EstimateCell
+    per member, all sharing one denominator.
 
     A vanishing window or a signed-kernel denominator is a cell status, not
     an exception: small-h cells are legitimately empty at finite n.
     """
-    t = tuple(t)
-    one = builtin_member("one", members[0].m)
-    den = u_stat_windowed(UKernelSpec(one, h, t, kernel), s).value
-    status = ratio_status(den)
-    cells = []
-    for phi in members:
-        num = u_stat_windowed(UKernelSpec(phi, h, t, kernel), s).value
-        mhat = num / den if status == "ok" else None
-        cells.append(EstimateCell(t, h, phi.id, num, den, mhat, status))
-    return cells
+    points = [tuple(t) for t in points]
+    grid = WindowGrid(s, h, points, kernel)
+    dens = grid.u_stats(builtin_member("one", members[0].m))
+    nums = [grid.u_stats(phi) for phi in members]
+    out = []
+    for k, t in enumerate(points):
+        den = dens[k].value
+        status = ratio_status(den)
+        cells = []
+        for phi, phi_nums in zip(members, nums):
+            num = phi_nums[k].value
+            mhat = num / den if status == "ok" else None
+            cells.append(EstimateCell(t, h, phi.id, num, den, mhat, status))
+        out.append(cells)
+    return out
+
+
+def estimate_members(members, h, t, s, kernel):
+    """estimate_grid at the one point t."""
+    return estimate_grid(members, h, [t], s, kernel)[0]
 
 
 def estimate(phi, h, t, s, kernel):
@@ -270,20 +285,31 @@ def convolve(phi, kernel, h, z, quad_order=64, breakpoints=None):
     cube regardless of h.
     """
     z = np.asarray(z, dtype=float).ravel()
-    d = z.size
     # per axis, panels split where the mapped point z_j - h*u crosses a
     # density breakpoint b, i.e. at u = (z_j - b) / h
-    rules = [
-        composite_rule(-0.5, 0.5, quad_order, [(zj - b) / h for b in breakpoints or ()])
+    cuts = tuple(
+        tuple(sorted({u for u in ((zj - b) / h for b in breakpoints or ()) if -0.5 < u < 0.5}))
         for zj in z
-    ]
-    U, w = tensor_rule(rules)  # U: (N, d)
+    )
+    U, w, kw = _kernel_rule(kernel, quad_order, cuts)
     pts = z[None, :] - h * U
     vals = np.asarray(phi(pts), dtype=float)
-    kw = np.ones(U.shape[0])
-    for j in range(d):
-        kw *= kernel.eval(U[:, j])
     return float(np.dot(vals * kw, w))
+
+
+@lru_cache(maxsize=16)
+def _kernel_rule(kernel, quad_order, cuts):
+    """The tensor rule on the support cube, panels split at the per-axis
+    cuts: read-only points U (N, d), weights w and kernel factor
+    kw = prod_j K(U[:, j]). Points away from the density's breakpoints
+    share one rule across every t and h."""
+    U, w = tensor_rule([composite_rule(-0.5, 0.5, quad_order, c) for c in cuts])
+    kw = np.ones(U.shape[0])
+    for j in range(U.shape[1]):
+        kw *= kernel.eval(U[:, j])
+    for a in (U, w, kw):
+        a.setflags(write=False)
+    return U, w, kw
 
 
 def expected_u(dgp, phi, kernel, h, t, quad_order=64):

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import InvalidBandwidth, SchemaError
+from .errors import InputFileError, InvalidBandwidth, SchemaError
 
 SUPPORT_HALFWIDTH = 0.5
 
@@ -108,7 +108,11 @@ def read_csv_columns(path, header, what):
     blank lines ignored); every entry must be a finite number."""
     width = header.count(",") + 1
     rows = []
-    with open(path) as fh:
+    try:
+        fh = open(path)
+    except OSError as exc:
+        raise InputFileError(f"cannot open {what} CSV {path!r}: {exc.strerror}") from None
+    with fh:
         got = fh.readline().strip()
         if got.replace(" ", "") != header:
             raise SchemaError(f"{what} CSV must have header {header!r}, got {got!r}")

@@ -166,6 +166,55 @@ class TestMemberIds:
         assert not out.exists()
 
 
+class TestInputFiles:
+    @pytest.mark.parametrize("command", ["simulate", "estimate"])
+    def test_missing_config_exits_one(self, tmp_path, capsys, command):
+        out = tmp_path / "out.csv"
+        argv = [command, "--config", str(tmp_path / "nonexist.json"), "--out", str(out)]
+        assert main(argv) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "InputFileError" and "nonexist.json" in err["message"]
+        assert not out.exists()
+
+    def test_missing_data_exits_one(self, cfg_path, tmp_path, capsys):
+        out = tmp_path / "cells.csv"
+        argv = ["estimate", "--config", cfg_path, "--data",
+                str(tmp_path / "nonexist.csv"), "--out", str(out)]
+        assert main(argv) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "InputFileError" and "nonexist.csv" in err["message"]
+        assert not out.exists()
+
+
+class TestRatesRows:
+    def test_member_one_is_rejected(self, tmp_path, capsys):
+        doc = copy.deepcopy(BASE_DOC)
+        doc["function_class"]["members"] = ["one", "identity_j:1"]
+        assert run_rates(doc, tmp_path) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "SchemaError" and "'one'" in err["message"]
+        assert not (tmp_path / "out").exists()
+
+    def test_deviation_keys_are_unique(self, tmp_path):
+        doc = copy.deepcopy(BASE_DOC)
+        doc["function_class"]["members"] = ["identity_j:1", "const:2"]
+        doc["experiment"]["n_list"] = [128]
+        assert run_rates(doc, tmp_path) == 0
+        lines = (tmp_path / "out" / "deviations.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        assert header[:5] == ["stat", "n", "rep", "h", "t_1"] and header[5] == "phi"
+        keys = [tuple(line.split(",")[:6]) for line in lines[1:]]
+        assert len(keys) == len(set(keys)) > 0
+
+
+def test_importing_the_cli_leaves_scipy_unloaded():
+    code = "import sys, condu.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    res = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60)
+    assert res.stdout.strip() == "False"
+
+
 class TestSimulateAndEstimate:
     def test_simulate_row_count(self, cfg_path, tmp_path, capsys):
         out = tmp_path / "s.csv"
@@ -202,8 +251,10 @@ class TestSimulateAndEstimate:
         assert main(["estimate", "--config", str(cfg), "--out", str(shared)]) == 0
         monkeypatch.setattr(
             condu.cli,
-            "estimate_members",
-            lambda members, h, t, s, k: [estimate(phi, h, t, s, k) for phi in members],
+            "estimate_grid",
+            lambda members, h, points, s, k: [
+                [estimate(phi, h, t, s, k) for phi in members] for t in points
+            ],
         )
         assert main(["estimate", "--config", str(cfg), "--out", str(looped)]) == 0
         assert shared.read_bytes() == looped.read_bytes()

@@ -131,7 +131,7 @@ class TestSweepInvariants:
         assert keys == sorted(keys)
 
     def test_constant_member_has_zero_estimator_deviations(self):
-        cfg = make_cfg(function_class__members=["one"])
+        cfg = make_cfg(function_class__members=["const:1"])
         n = 128
         hs = bandwidths(cfg, n)
         tgrid = make_t_grid(cfg.t_interval, cfg.t_points, cfg.m)

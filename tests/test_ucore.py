@@ -25,6 +25,7 @@ from condu.ucore import (
     EXACT_PATH_MAX,
     Sample,
     UKernelSpec,
+    WindowGrid,
     _common_positions,
     _tuples_eval,
     _windows,
@@ -544,3 +545,166 @@ class TestNonFiniteSum:
                            get_kernel("uniform"))
         with pytest.raises(NonFiniteSum, match="overflow"):
             u_stat_windowed(spec, s)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("m, member", [(1, CUBE), (2, builtin_member("product", 2))])
+    def test_vectorized_path_raises_on_a_non_finite_sum(self, m, member):
+        x = np.linspace(0.3, 0.7, 500)
+        y = np.zeros(500)
+        y[100], y[300] = 1e200, -1e200
+        s = Sample(x, y)
+        spec = UKernelSpec(member, 0.5, (0.5,) * m, get_kernel("uniform"))
+        assert window_tuples(spec, s) > EXACT_PATH_MAX
+        with pytest.raises(NonFiniteSum, match="vectorized sum is nan"):
+            u_stat_windowed(spec, s)
+        grid = WindowGrid(s, 0.5, [(0.45,) * m, (0.5,) * m], get_kernel("uniform"))
+        with pytest.raises(NonFiniteSum):
+            grid.u_stats(member)
+
+
+def frozen_windows(h, t, s):
+    """The per-coordinate window search, one value at a time."""
+    out = []
+    for tj in t:
+        lo_val, hi_val = tj - h / 2.0, tj + h / 2.0
+        for _ in range(4):
+            lo_val = np.nextafter(lo_val, -np.inf)
+            hi_val = np.nextafter(hi_val, np.inf)
+        out.append((int(np.searchsorted(s.x_sorted, lo_val, side="left")),
+                    int(np.searchsorted(s.x_sorted, hi_val, side="right"))))
+    return out
+
+
+def frozen_cell(spec, s):
+    """A frozen copy of the per-point windowed formula for m <= 3, kept as
+    the bit-for-bit reference of WindowGrid: (value, tuples evaluated)."""
+    m, h, t, g = spec.m, spec.h, spec.t, spec.g
+    total = count_indices(s.n, m)
+    ranges = frozen_windows(h, t, s)
+    wins = [s.sort_index[lo:hi] for lo, hi in ranges]
+    sizes = [w.size for w in wins]
+    window_tuples = int(np.prod([float(sz) for sz in sizes]))
+    if min(sizes) == 0:
+        return 0.0, 0
+    if window_tuples <= EXACT_PATH_MAX:
+        idx = np.stack(np.meshgrid(*wins, indexing="ij"), axis=-1).reshape(-1, m)
+        if m > 1:
+            srt = np.sort(idx, axis=1)
+            idx = idx[np.all(srt[:, 1:] != srt[:, :-1], axis=1)]
+        zs = [t[j] - s.x[idx[:, j]] for j in range(m)]
+        w = 1.0
+        for z in zs:
+            w = w * eval_scaled(spec.kernel, h, z)
+        inside = np.logical_and.reduce([np.abs(z) <= h / 2.0 for z in zs])
+        terms = g.eval(s.y[idx[inside]]) * w[inside]
+        return math.fsum(terms.tolist()) / total, len(idx)
+    weights = [eval_scaled(spec.kernel, h, t[j] - s.x_sorted[lo:hi])
+               for j, (lo, hi) in enumerate(ranges)]
+    ys = [s.y[w] for w in wins]
+    if m == 1:
+        return float(np.dot(g.eval(ys[0][:, None]), weights[0])) / total, sizes[0]
+    if m == 2:
+        G = stacked_eval(g, ys[0], ys[1])
+        if not G.flags.owndata:
+            G = np.stack([G, G], axis=-1)[..., 0]
+        acc = float(weights[0] @ (G @ weights[1]))
+        common, i1, i2 = np.intersect1d(wins[0], wins[1], return_indices=True)
+        if common.size:
+            diag = g.eval(np.stack([s.y[common], s.y[common]], axis=-1))
+            acc -= float(np.sum(diag * weights[0][i1] * weights[1][i2]))
+        return acc / total, sizes[0] * sizes[1] - common.size
+    acc, evaluated = 0.0, 0
+    w23 = np.outer(weights[1], weights[2])
+    neq23 = wins[1][:, None] != wins[2][None, :]
+    chunk = max(1, condu.ucore._CHUNK_ELEMENTS // max(1, sizes[1] * sizes[2]))
+    for lo in range(0, sizes[0], chunk):
+        hi = min(lo + chunk, sizes[0])
+        i1 = wins[0][lo:hi]
+        mask = (
+            neq23[None, :, :]
+            & (i1[:, None, None] != wins[1][None, :, None])
+            & (i1[:, None, None] != wins[2][None, None, :])
+        )
+        G = stacked_eval(g, ys[0][lo:hi], ys[1], ys[2])
+        acc += float(np.sum(G * mask * weights[0][lo:hi, None, None] * w23[None, :, :]))
+        evaluated += int(np.sum(mask))
+    return acc / total, evaluated
+
+
+@st.composite
+def grid_case(draw, m):
+    """A sample, a bandwidth, a member and a shuffled tensor grid of points
+    whose windows range from empty through exact-path to vectorized, with
+    tied x values and points exactly on the window edges."""
+    h = draw(st.sampled_from([0.05, 0.2, 0.5, 0.7, 0.999]))
+    axis = draw(st.lists(st.floats(0.25, 0.75), min_size=1, max_size=4, unique=True))
+    points = draw(st.permutations(list(itertools.product(axis, repeat=m))))
+    sizes = {1: [(2, 40), (600, 800)], 2: [(2, 20), (25, 70)], 3: [(3, 8), (8, 14)]}[m]
+    n = draw(st.integers(*draw(st.sampled_from(sizes))))
+    rng = make_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    x = rng.uniform(0.0, 1.0, n)
+    edges = [v + sign * h / 2.0 for v in axis for sign in (-1.0, 1.0)]
+    n_edges = draw(st.integers(0, min(n, len(edges))))
+    x[:n_edges] = edges[:n_edges]
+    ties = draw(st.integers(0, n // 2))
+    x[n - ties:] = x[:ties]
+    y = np.round(rng.normal(0.5, 1.0, n), 1)
+    phi = draw(oracle_member(m, poly=True))
+    kernel = draw(st.sampled_from(ORACLE_KERNELS))
+    return Sample(x, y), h, points, phi, kernel
+
+
+class TestWindowGrid:
+    """WindowGrid against the frozen per-point formula, bit for bit, with
+    band budgets small enough to split rows and group runs of windows."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_grid_is_the_per_point_formula_bit_for_bit(self, m, data):
+        s, h, points, phi, kernel = data.draw(grid_case(m))
+        band = data.draw(st.sampled_from([1, 40, 700, 2 ** 19]))
+        fill = data.draw(st.sampled_from([1, 30, 2 ** 15]))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(condu.ucore, "_BAND_ELEMENTS", band)
+            patch.setattr(condu.ucore, "_FILL_ELEMENTS", fill)
+            got = WindowGrid(s, h, points, kernel).u_stats(phi)
+        assert len(got) == len(points)
+        for t, res in zip(points, got):
+            value, evaluated = frozen_cell(UKernelSpec(phi, h, t, kernel), s)
+            assert np.float64(res.value).tobytes() == np.float64(value).tobytes()
+            assert res.tuples_evaluated == evaluated
+            assert res.tuples_total == count_indices(s.n, m)
+
+    @pytest.mark.parametrize("m, n", [(1, 1500), (2, 300)])
+    @pytest.mark.parametrize("band, fill", [(2 ** 19, 2 ** 15), (3000, 50)])
+    def test_every_member_on_a_banded_grid(self, m, n, band, fill):
+        s = random_sample(make_rng(23), n)
+        k = get_kernel("epanechnikov-rescaled")
+        points = list(itertools.product(np.linspace(0.3, 0.7, 5), repeat=m))
+        for phi in all_members(m):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(condu.ucore, "_BAND_ELEMENTS", band)
+                patch.setattr(condu.ucore, "_FILL_ELEMENTS", fill)
+                got = WindowGrid(s, 0.3, points, k).u_stats(phi)
+            for t, res in zip(points, got):
+                spec = UKernelSpec(phi, 0.3, t, k)
+                assert window_tuples(spec, s) > EXACT_PATH_MAX
+                value, evaluated = frozen_cell(spec, s)
+                assert np.float64(res.value).tobytes() == np.float64(value).tobytes()
+                assert res.tuples_evaluated == evaluated
+                assert res == u_stat_windowed(spec, s)
+
+    @pytest.mark.parametrize("h, t", [(0.0, 0.5), (-1.0, 0.5), (math.nan, 0.5),
+                                      (math.inf, 0.5), (0.3, math.nan), (0.3, -math.inf)])
+    def test_bad_bandwidth_or_point_is_a_typed_error(self, h, t):
+        s = random_sample(make_rng(24), 10)
+        with pytest.raises(InvalidBandwidth):
+            WindowGrid(s, h, [(0.5,), (t,)], get_kernel("uniform"))
+
+    def test_point_length_must_match_the_member(self):
+        s = random_sample(make_rng(25), 10)
+        grid = WindowGrid(s, 0.3, [(0.5, 0.5)], get_kernel("uniform"))
+        with pytest.raises(SchemaError):
+            grid.u_stats(builtin_member("sum", 1))
