@@ -174,7 +174,7 @@ def parse_config(doc):
 
 def load_config(path):
     try:
-        fh = open(path)
+        fh = open(path, encoding="utf-8")
     except OSError as exc:
         raise InputFileError(f"cannot open config {path!r}: {exc.strerror}") from None
     with fh:
@@ -182,4 +182,6 @@ def load_config(path):
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"config is not valid JSON: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"config {path!r} is not UTF-8 text: {exc.reason}") from None
     return parse_config(doc)

@@ -74,6 +74,10 @@ class InputFileError(ConduError, OSError):
     """An input file (config, sample or kernel table) cannot be opened."""
 
 
+class OutputFileError(ConduError, OSError):
+    """An output file cannot be written; no partial file is left behind."""
+
+
 class SchemaError(ConduError, ValueError):
     """Malformed input file or config; message carries the offending row
     or field."""

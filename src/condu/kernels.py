@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import InputFileError, InvalidBandwidth, SchemaError
+from .errors import InputFileError, InvalidBandwidth, OutputFileError, SchemaError
 
 SUPPORT_HALFWIDTH = 0.5
 
@@ -109,26 +109,29 @@ def read_csv_columns(path, header, what):
     width = header.count(",") + 1
     rows = []
     try:
-        fh = open(path)
+        fh = open(path, encoding="utf-8")
     except OSError as exc:
         raise InputFileError(f"cannot open {what} CSV {path!r}: {exc.strerror}") from None
     with fh:
-        got = fh.readline().strip()
-        if got.replace(" ", "") != header:
-            raise SchemaError(f"{what} CSV must have header {header!r}, got {got!r}")
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            try:
-                row = [float(v) for v in line.split(",")]
-            except ValueError:
-                row = []
-            if len(row) != width or not np.all(np.isfinite(row)):
-                raise SchemaError(
-                    f"{what} CSV row {lineno}: expected {width} finite numbers, "
-                    f"got {line.strip()!r}"
-                )
-            rows.append(row)
+        try:
+            got = fh.readline().strip()
+            if got.replace(" ", "") != header:
+                raise SchemaError(f"{what} CSV must have header {header!r}, got {got!r}")
+            for lineno, line in enumerate(fh, start=2):
+                if not line.strip():
+                    continue
+                try:
+                    row = [float(v) for v in line.split(",")]
+                except ValueError:
+                    row = []
+                if len(row) != width or not np.all(np.isfinite(row)):
+                    raise SchemaError(
+                        f"{what} CSV row {lineno}: expected {width} finite numbers, "
+                        f"got {line.strip()!r}"
+                    )
+                rows.append(row)
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"{what} CSV {path!r} is not UTF-8 text: {exc.reason}") from None
     if not rows:
         raise SchemaError(f"{what} CSV has no data rows")
     return [np.array(col) for col in zip(*rows)]
@@ -140,16 +143,20 @@ def format_float(x):
 
 
 def atomic_write(path, text):
-    """Write via a temp file in the same directory, then rename into place."""
+    """Write via a temp file in the same directory, then rename into place;
+    an OSError becomes OutputFileError, and the temp file is removed."""
     d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise OutputFileError(f"cannot write {path!r}: {exc.strerror or exc}") from None
         raise
 
 

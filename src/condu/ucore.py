@@ -11,7 +11,8 @@ the pruned and brute paths agree bit for bit.
 The pruned path is a grid evaluator: WindowGrid takes one sample, one
 bandwidth and a set of evaluation points, finds each distinct coordinate's
 window and kernel weights once, and evaluates a member at every point in
-one pass (for m <= 2, g once per sample span or per band of window pairs).
+one pass (for m <= 2, g once per sample span or per band of window pairs;
+m = 3 points one at a time, in chunks filled a few rows at a time).
 u_stat_windowed is its one-point call, so one point gives the same bits
 alone as within a grid.
 """
@@ -44,9 +45,10 @@ EXACT_PATH_MAX = 400
 # the summation order, and so the bits
 _CHUNK_ELEMENTS = 4_000_000
 # an m=2 band of g values holds at most this many values, 16 MB (a single
-# cell whose window holds more gets a band of its own); it is filled this
-# many values at a time, so the evaluation planes stay small
+# cell whose window holds more gets a band of its own)
 _BAND_ELEMENTS = 2 ** 21
+# m=2 bands and m=3 chunks are filled about this many values at a time, so
+# the evaluation planes, masks and products stay small
 _FILL_ELEMENTS = 2 ** 15
 
 
@@ -261,8 +263,12 @@ class WindowGrid:
       _FILL_ELEMENTS values at a time. Each point reads its columns of the
       band as a view: w_1 @ (G @ w_2), less the terms of the tuples that
       repeat an index.
-    * m = 3, and m = 2 points of at most EXACT_PATH_MAX tuples, go point by
-      point.
+    * m = 3: point by point. A window's tuples are split along the first
+      axis into chunks of at most _CHUNK_ELEMENTS, each summed by one np.sum
+      over a contiguous buffer (one per point, reused by its chunks). The
+      buffer is filled about _FILL_ELEMENTS values at a time with
+      ((g * distinct-index mask) * w_1) * w_2 w_3.
+    * m = 2 points of at most EXACT_PATH_MAX tuples go point by point.
     """
 
     def __init__(self, s, h, points, kernel):
@@ -414,19 +420,28 @@ class WindowGrid:
         evaluated = 0
         w23 = np.outer(weights[1], weights[2])
         neq23 = wins[1][:, None] != wins[2][None, :]
-        chunk = max(1, _CHUNK_ELEMENTS // max(1, sizes[1] * sizes[2]))
+        plane = max(1, sizes[1] * sizes[2])
+        chunk = max(1, _CHUNK_ELEMENTS // plane)
+        step = max(1, _FILL_ELEMENTS // plane)
+        buf = np.empty((min(chunk, sizes[0]), sizes[1], sizes[2]))
         for lo in range(0, sizes[0], chunk):
             hi = min(lo + chunk, sizes[0])
-            i1 = wins[0][lo:hi, None, None]
-            mask = (i1 != wins[1][None, :, None]) & neq23
-            mask &= i1 != wins[2][None, None, :]
-            G = np.require(_tuples_eval(g, ys[0][lo:hi], ys[1], ys[2]), float, "W")
-            # ((G * mask) * w_1) * w_23, one product at a time, into G
-            np.multiply(G, mask, out=G)
-            np.multiply(G, weights[0][lo:hi, None, None], out=G)
-            np.multiply(G, w23[None, :, :], out=G)
+            G = buf[:hi - lo]
+            # a few rows at a time, so the evaluation planes, the mask and
+            # the products stay in cache; each value is ((g * mask) * w_1) *
+            # w_23, as it is when the whole chunk is built at once
+            for r in range(lo, hi, step):
+                e = min(r + step, hi)
+                block = G[r - lo:e - lo]
+                block[...] = _tuples_eval(g, ys[0][r:e], ys[1], ys[2])
+                i1 = wins[0][r:e, None, None]
+                mask = (i1 != wins[1][None, :, None]) & neq23
+                mask &= i1 != wins[2][None, None, :]
+                np.multiply(block, mask, out=block)
+                np.multiply(block, weights[0][r:e, None, None], out=block)
+                np.multiply(block, w23[None, :, :], out=block)
+                evaluated += int(np.count_nonzero(mask))
             acc += float(np.sum(G))
-            evaluated += int(np.sum(mask))
         return UStatResult(self._finite(acc, k) / total, evaluated, total, "windowed")
 
 

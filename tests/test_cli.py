@@ -185,6 +185,41 @@ class TestInputFiles:
         assert err["error"] == "InputFileError" and "nonexist.csv" in err["message"]
         assert not out.exists()
 
+    def test_undecodable_config_exits_one(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.json"
+        cfg.write_bytes(b"\xff\xfe{")
+        out = tmp_path / "out.csv"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "SchemaError" and "bad.json" in err["message"]
+        assert not out.exists()
+
+    def test_undecodable_data_exits_one(self, cfg_path, tmp_path, capsys):
+        data = tmp_path / "bad.csv"
+        data.write_bytes(b"x,y\n0.5,0.25\n0.5,\xff\n")
+        out = tmp_path / "cells.csv"
+        argv = ["estimate", "--config", cfg_path, "--data", str(data), "--out", str(out)]
+        assert main(argv) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "SchemaError" and "bad.csv" in err["message"]
+        assert not out.exists()
+
+    def test_out_in_a_missing_directory_exits_one(self, cfg_path, tmp_path, capsys):
+        out = tmp_path / "nonexistent_dir" / "x.csv"
+        assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "OutputFileError" and "x.csv" in err["message"]
+        assert not out.parent.exists()
+
+    def test_out_onto_a_directory_exits_one_and_leaves_no_temp_file(
+        self, cfg_path, tmp_path, capsys
+    ):
+        out = tmp_path / "taken"
+        out.mkdir()
+        assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "OutputFileError"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "taken"]
+
 
 class TestRatesRows:
     def test_member_one_is_rejected(self, tmp_path, capsys):

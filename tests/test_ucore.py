@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -666,13 +667,16 @@ class TestWindowGrid:
         s, h, points, phi, kernel = data.draw(grid_case(m))
         band = data.draw(st.sampled_from([1, 40, 700, 2 ** 19]))
         fill = data.draw(st.sampled_from([1, 30, 2 ** 15]))
+        chunk = data.draw(st.sampled_from([1, 50, 700, 4_000_000]))
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(condu.ucore, "_BAND_ELEMENTS", band)
             patch.setattr(condu.ucore, "_FILL_ELEMENTS", fill)
+            patch.setattr(condu.ucore, "_CHUNK_ELEMENTS", chunk)
             got = WindowGrid(s, h, points, kernel).u_stats(phi)
+            # frozen_cell splits its m = 3 sum at the patched chunk size too
+            expected = [frozen_cell(UKernelSpec(phi, h, t, kernel), s) for t in points]
         assert len(got) == len(points)
-        for t, res in zip(points, got):
-            value, evaluated = frozen_cell(UKernelSpec(phi, h, t, kernel), s)
+        for res, (value, evaluated) in zip(got, expected):
             assert np.float64(res.value).tobytes() == np.float64(value).tobytes()
             assert res.tuples_evaluated == evaluated
             assert res.tuples_total == count_indices(s.n, m)
@@ -695,6 +699,41 @@ class TestWindowGrid:
                 assert np.float64(res.value).tobytes() == np.float64(value).tobytes()
                 assert res.tuples_evaluated == evaluated
                 assert res == u_stat_windowed(spec, s)
+
+    @pytest.fixture(scope="class")
+    def two_chunk_cell(self):
+        """One m = 3 point whose window splits into two chunks at the real
+        _CHUNK_ELEMENTS: about 4.4 M tuples."""
+        s = random_sample(make_rng(26), 165)
+        spec = UKernelSpec(builtin_member("one", 3), 0.999, (0.5,) * 3,
+                           get_kernel("epanechnikov-rescaled"))
+        sizes = [hi - lo for lo, hi in _windows(spec, s)]
+        assert sizes[0] > condu.ucore._CHUNK_ELEMENTS // (sizes[1] * sizes[2])
+        return s, spec
+
+    @pytest.mark.parametrize("member", ["product", "sum", "identity_j:2", "one"])
+    def test_two_chunk_cell_is_the_per_point_formula_bit_for_bit(self, two_chunk_cell, member):
+        s, spec = two_chunk_cell
+        spec = dataclasses.replace(spec, g=builtin_member(member, 3))
+        value, evaluated = frozen_cell(spec, s)
+        got = WindowGrid(s, spec.h, [spec.t], spec.kernel).u_stats(spec.g)[0]
+        assert np.float64(got.value).tobytes() == np.float64(value).tobytes()
+        assert got.tuples_evaluated == evaluated
+        assert got == u_stat_windowed(spec, s)
+
+    @pytest.mark.parametrize("member", ["product", "identity_j:2"])
+    def test_two_chunk_cell_allocates_one_chunk_buffer(self, two_chunk_cell, member):
+        # a 4 M-value chunk buffer is 32 MB; evaluation planes, mask and
+        # products of the whole chunk would add about 90 MB
+        s, spec = two_chunk_cell
+        spec = dataclasses.replace(spec, g=builtin_member(member, 3))
+        tracemalloc.start()
+        try:
+            u_stat_windowed(spec, s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40e6
 
     @pytest.mark.parametrize("h, t", [(0.0, 0.5), (-1.0, 0.5), (math.nan, 0.5),
                                       (math.inf, 0.5), (0.3, math.nan), (0.3, -math.inf)])
