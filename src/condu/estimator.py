@@ -330,20 +330,28 @@ def expected_u_one(dgp, m, kernel, h, t, quad_order=64):
     return expected_u(dgp, builtin_member("one", m), kernel, h, t, quad_order)
 
 
+def centering_ratio(eu, eu1, h, t):
+    """E U_n(phi, h, t) / E U_n(1, h, t) from the two expectations. The one
+    zero-density rule: a denominator at or below the cutoff below raises
+    ZeroDensityWindow; no caller skips the point."""
+    if eu1 <= 1e-14:
+        t = tuple(float(v) for v in t)
+        raise ZeroDensityWindow(f"denominator convolution {eu1:.3g} at t={t}, h={h}")
+    return eu / eu1
+
+
 def centering(phi, h, t, dgp, kernel, quad_order=64):
-    """E^ m^ = E U_n(phi, h, t) / E U_n(1, h, t), both by quadrature."""
+    """E^ m^ = E U_n(phi, h, t) / E U_n(1, h, t), both by quadrature; a
+    zero-density window raises ZeroDensityWindow (see centering_ratio)."""
     t = np.asarray(t, dtype=float)
     den = expected_u_one(dgp, phi.m, kernel, h, t, quad_order)
-    if den <= 1e-14:
-        raise ZeroDensityWindow(
-            f"denominator convolution {den:.3g} at t={tuple(t)}, h={h}"
-        )
     num = expected_u(dgp, phi, kernel, h, t, quad_order)
-    return num / den
+    return centering_ratio(num, den, h, t)
 
 
 def bias_sup(dgp, fc, h, t_grid, kernel, quad_order=64):
-    """max over members and grid points of |E^ m^ - m_phi(t)|."""
+    """max over members and grid points of |E^ m^ - m_phi(t)|; a
+    zero-density grid point raises ZeroDensityWindow (see centering_ratio)."""
     worst = 0.0
     for phi in fc.members:
         for t in t_grid:

@@ -23,12 +23,21 @@ from .bandwidth import (
     truncate_split,
 )
 from .errors import BoundedClassHasNoRemainder, EmptyBandwidthRange
-from .estimator import expected_u, expected_u_one, ratio_status, true_regression
-from .function_class import Bounded, FunctionSpec, builtin_member, envelope_tilde
+from .estimator import (
+    centering_ratio,
+    estimate_grid,
+    expected_u,
+    expected_u_one,
+    true_regression,
+)
+from .function_class import Bounded, FunctionSpec, envelope_tilde
 from .kernels import atomic_write, eval_scaled, format_float
-# u_stat_windowed stays importable from here for the benchmark's tracer,
-# which rebinds it; the sweeps below evaluate whole grids through WindowGrid
-from .ucore import Sample, WindowGrid, u_stat_windowed  # noqa: F401
+from .ucore import Sample, WindowGrid
+
+# importable from here only for the benchmark's tracer, which rebinds them;
+# the sweeps evaluate whole grids through estimate_grid and WindowGrid
+from .function_class import builtin_member  # noqa: F401
+from .ucore import u_stat_windowed  # noqa: F401
 
 
 def child_seed(master, *key):
@@ -127,65 +136,41 @@ def sweep_cells(cfg, s, n, rep, hs, tgrid, cache):
     deviation for every statistic; consistency summaries use the raw column.
     """
     rows = []
-    one = builtin_member("one", cfg.m)
     for h in hs:
         norm = normalizer(n, h, cfg.m)
-        grid = WindowGrid(s, h, tgrid, cfg.kernel)
-        dens = grid.u_stats(one)
-        nums = [grid.u_stats(phi) for phi in cfg.fc.members]
-        for k, t in enumerate(tgrid):
-            den = dens[k].value
+        cells = estimate_grid(cfg.fc.members, h, tgrid, s, cfg.kernel)
+        for t, t_cells in zip(tgrid, cells):
             eu1 = cache[("EU1", h, t)]
-            raw1 = abs(den - eu1)
-            rows.append(
-                DeviationRow("process", n, rep, h, t, "one", raw1, norm * raw1, "ok")
-            )
-            status = ratio_status(den)
-            for phi, phi_nums in zip(cfg.fc.members, nums):
-                num = phi_nums[k].value
-                eu = cache[("EU", phi.id, h, t)]
-                raw = abs(num - eu)
-                rows.append(
-                    DeviationRow("process", n, rep, h, t, phi.id, raw, norm * raw, "ok")
-                )
-                if status != "ok":
+            devs = [("process", "one", abs(t_cells[0].denominator - eu1), "ok")]
+            for c in t_cells:
+                eu = cache[("EU", c.phi, h, t)]
+                devs.append(("process", c.phi, abs(c.numerator - eu), "ok"))
+                if c.status != "ok":
                     nan = float("nan")
-                    rows.append(
-                        DeviationRow(
-                            "est_centering", n, rep, h, t, phi.id, nan, nan, status
-                        )
-                    )
-                    rows.append(
-                        DeviationRow("est_truth", n, rep, h, t, phi.id, nan, nan, status)
-                    )
+                    devs += [("est_centering", c.phi, nan, c.status),
+                             ("est_truth", c.phi, nan, c.status)]
                     continue
-                mhat = num / den
-                cent = eu / eu1
-                raw2 = abs(mhat - cent)
-                rows.append(
-                    DeviationRow(
-                        "est_centering", n, rep, h, t, phi.id, raw2, norm * raw2, "ok"
-                    )
-                )
-                raw3 = abs(mhat - cache[("m", phi.id, t)])
-                rows.append(
-                    DeviationRow("est_truth", n, rep, h, t, phi.id, raw3, norm * raw3, "ok")
-                )
+                cent = centering_ratio(eu, eu1, h, t)
+                truth = cache[("m", c.phi, t)]
+                devs += [("est_centering", c.phi, abs(c.mhat - cent), "ok"),
+                         ("est_truth", c.phi, abs(c.mhat - truth), "ok")]
+            rows += [DeviationRow(stat, n, rep, h, t, phi, raw, norm * raw, status)
+                     for stat, phi, raw, status in devs]
     return rows
 
 
 def bias_from_cache(cfg, hs, tgrid, cache):
     """max over members, bandwidths and grid points of |centering - truth|,
-    reusing the cached convolutions."""
+    reusing the cached convolutions; a zero-density grid point raises
+    ZeroDensityWindow (see estimator.centering_ratio), as bias_sup does."""
     worst = 0.0
     for phi in cfg.fc.members:
         for h in hs:
             for t in tgrid:
-                truth = cache[("m", phi.id, t)]
-                eu1 = cache[("EU1", h, t)]
-                if eu1 <= 1e-14:
-                    continue
-                worst = max(worst, abs(cache[("EU", phi.id, h, t)] / eu1 - truth))
+                cent = centering_ratio(
+                    cache[("EU", phi.id, h, t)], cache[("EU1", h, t)], h, t
+                )
+                worst = max(worst, abs(cent - cache[("m", phi.id, t)]))
     return worst
 
 

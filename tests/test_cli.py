@@ -166,6 +166,16 @@ class TestMemberIds:
         assert not out.exists()
 
 
+def test_rates_on_a_grid_outside_the_support_exits_one(tmp_path, capsys):
+    doc = copy.deepcopy(BASE_DOC)  # uniform design on [0, 1]
+    doc["grids"]["interval"] = [2.0, 3.0]
+    assert run_rates(doc, tmp_path) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ZeroDensityWindow"
+    assert "t=(2.0,)" in err["message"]
+    assert not (tmp_path / "out").exists()
+
+
 class TestInputFiles:
     @pytest.mark.parametrize("command", ["simulate", "estimate"])
     def test_missing_config_exits_one(self, tmp_path, capsys, command):
@@ -248,6 +258,17 @@ def test_importing_the_cli_leaves_scipy_unloaded():
     res = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=60)
     assert res.stdout.strip() == "False"
+
+
+def test_benchmark_tracer_finds_every_name_it_rebinds():
+    """benchmarks/tracer.py rebinds names in harness, ucore and estimator;
+    installing it fails with AttributeError if one of them has gone."""
+    bench = SRC.parent / "benchmarks"
+    code = "import tracer; tracer.install(tracer.Tracer())"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), str(bench)]))
+    res = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
 
 
 class TestSimulateAndEstimate:

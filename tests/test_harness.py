@@ -6,10 +6,11 @@ import pytest
 
 from condu.bandwidth import lower_bandwidth, normalizer
 from condu.config import parse_config
-from condu.errors import BoundedClassHasNoRemainder, EmptyBandwidthRange
-from condu.estimator import make_dgp, true_regression
+from condu.errors import BoundedClassHasNoRemainder, EmptyBandwidthRange, ZeroDensityWindow
+from condu.estimator import bias_sup, centering, make_dgp, true_regression
 from condu.harness import (
     bandwidth_cap,
+    bias_from_cache,
     bandwidths,
     child_seed,
     expectation_cache,
@@ -111,6 +112,26 @@ class TestExpectationCache:
             for h in hs:
                 assert ("EU1", h, t) in cache
                 assert ("EU", phi.id, h, t) in cache
+
+
+class TestZeroDensityRule:
+    """centering, bias_sup and bias_from_cache share one zero-density rule:
+    a grid point whose window misses the design density raises."""
+
+    def test_every_centering_path_raises_outside_the_support(self):
+        cfg = make_cfg(grids__interval=[2.0, 3.0])  # uniform design on [0, 1]
+        n = cfg.n_list[0]
+        hs = bandwidths(cfg, n)
+        tgrid = make_t_grid(cfg.t_interval, cfg.t_points, cfg.m)
+        cache = expectation_cache(cfg, n, hs, tgrid)
+        phi = cfg.fc.members[0]
+        at = r"t=\(2\.0,\)"  # plain floats, not np.float64 reprs
+        with pytest.raises(ZeroDensityWindow, match=at):
+            centering(phi, hs[0], tgrid[0], cfg.dgp, cfg.kernel, cfg.quad_order)
+        with pytest.raises(ZeroDensityWindow, match=at):
+            bias_sup(cfg.dgp, cfg.fc, hs[0], tgrid, cfg.kernel, cfg.quad_order)
+        with pytest.raises(ZeroDensityWindow, match=at):
+            bias_from_cache(cfg, hs, tgrid, cache)
 
 
 class TestSweepInvariants:
