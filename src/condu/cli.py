@@ -12,7 +12,7 @@ import os
 import sys
 
 from .config import load_config
-from .errors import ConduError
+from .errors import ConduError, SchemaError
 from .estimator import estimate_grid
 from .harness import bandwidths, child_seed, make_t_grid, rate_experiment, simulate
 from .kernels import atomic_write, format_float
@@ -20,22 +20,35 @@ from .ucore import read_sample_csv, write_sample_csv
 from .verify import run_checks
 
 
+def _at_least(value, least, name):
+    """value, the integer input `name`; below `least` it raises SchemaError,
+    so the CLI exits 1."""
+    if value < least:
+        raise SchemaError(f"{name} must be >= {least}, got {value}")
+    return value
+
+
 def _load(args):
     """Load the config with seed precedence: --seed, then CONDU_SEED, then
     the config file."""
     cfg = load_config(args.config)
-    seed = getattr(args, "seed", None)
-    if seed is None:
-        env = os.environ.get("CONDU_SEED")
-        seed = int(env) if env is not None else None
+    seed, name = getattr(args, "seed", None), "--seed"
+    env = os.environ.get("CONDU_SEED")
+    if seed is None and env is not None:
+        name = "CONDU_SEED"
+        try:
+            seed = int(env)
+        except ValueError:
+            raise SchemaError(f"CONDU_SEED must be an integer, got {env!r}") from None
     if seed is not None:
-        cfg = dataclasses.replace(cfg, seed=seed)
+        cfg = dataclasses.replace(cfg, seed=_at_least(seed, 0, name))
     return cfg
 
 
 def cmd_simulate(args):
     cfg = _load(args)
-    n = args.n if args.n is not None else cfg.n_list[0]
+    _at_least(args.rep, 0, "--rep")
+    n = _at_least(args.n, 1, "--n") if args.n is not None else cfg.n_list[0]
     s = simulate(cfg.dgp, n, child_seed(cfg.seed, n, args.rep))
     write_sample_csv(args.out, s)
     print(f"wrote {n} rows to {args.out}")
@@ -53,9 +66,9 @@ def cmd_estimate(args):
     tgrid = make_t_grid(cfg.t_interval, cfg.t_points, cfg.m)
     tcols = ",".join(f"t_{j + 1}" for j in range(cfg.m))
     lines = [f"m,h,{tcols},phi,numerator,denominator,mhat,status"]
-    for h in hs:
-        cells = estimate_grid(cfg.fc.members, h, tgrid, s, cfg.kernel)
-        for t, t_cells in zip(tgrid, cells):
+    cells = estimate_grid(cfg.fc.members, hs, tgrid, s, cfg.kernel)
+    for h, h_cells in zip(hs, cells):
+        for t, t_cells in zip(tgrid, h_cells):
             ts = ",".join(format_float(v) for v in t)
             for cell in t_cells:
                 mh = format_float(cell.mhat) if cell.mhat is not None else "nan"
@@ -79,6 +92,7 @@ def _restrict_to_n(cfg, n):
 
 def cmd_sweep(args):
     cfg = _load(args)
+    _at_least(args.threads, 1, "--threads")
     cfg = _restrict_to_n(cfg, args.n if args.n is not None else cfg.n_list[-1])
     rate_experiment(cfg, out_dir=args.out, threads=args.threads)
     print(f"wrote sweep outputs to {args.out}")
@@ -87,6 +101,7 @@ def cmd_sweep(args):
 
 def cmd_rates(args):
     cfg = _load(args)
+    _at_least(args.threads, 1, "--threads")
     rate_experiment(
         cfg,
         out_dir=args.out,
@@ -98,7 +113,7 @@ def cmd_rates(args):
 
 
 def cmd_verify(args):
-    results = run_checks(filter_substr=args.filter, seed=args.seed)
+    results = run_checks(filter_substr=args.filter, seed=_at_least(args.seed, 0, "--seed"))
     text = json.dumps(results, indent=2) + "\n"
     if args.out:
         atomic_write(args.out, text)

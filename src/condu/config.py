@@ -65,11 +65,11 @@ def _field(section, key, where, conv=float, default=_REQUIRED):
         raise SchemaError(f"config field {where}.{key} cannot hold {value!r}") from None
 
 
-def _count(section, key, where, default):
-    """section[key] (default when absent) as an int of at least 1."""
+def _count(section, key, where, default, least=1):
+    """section[key] (default when absent) as an int of at least `least`."""
     value = _field(section, key, where, int, default)
-    if value < 1:
-        raise SchemaError(f"{where}.{key} must be >= 1")
+    if value < least:
+        raise SchemaError(f"{where}.{key} must be >= {least}")
     return value
 
 
@@ -151,6 +151,8 @@ def parse_config(doc):
     n_list = _field(e, "n_list", "experiment", _ints)
     if not n_list or any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise SchemaError("experiment.n_list must be nonempty and strictly ascending")
+    if n_list[0] < 1:
+        raise SchemaError("experiment.n_list entries must be >= 1")
     epsilon = _field(e, "epsilon", "experiment", default=1.0)
     if not epsilon > 0:
         raise SchemaError("experiment.epsilon must be > 0")
@@ -165,7 +167,7 @@ def parse_config(doc):
         t_interval=interval,
         t_points=_count(g, "points_per_axis", "grids", 21),
         bn_rule=bn_rule,
-        seed=_field(e, "seed", "experiment", int, 0),
+        seed=_count(e, "seed", "experiment", 0, least=0),
         epsilon=epsilon,
         quad_order=_count(g, "quad_order", "grids", 64),
         raw=doc,

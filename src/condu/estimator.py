@@ -141,34 +141,38 @@ def ratio_status(den):
     return "nonpositive_denominator"
 
 
-def estimate_grid(members, h, points, s, kernel):
+def estimate_grid(members, hs, points, s, kernel):
     """Stute's estimator m^(t, h) = U_n(phi, h, t) / U_n(1, h, t) at every
-    point t for each of the (nonempty) members: per point, one EstimateCell
-    per member, all sharing one denominator.
+    bandwidth h and point t for each of the (nonempty) members: per
+    bandwidth, per point, one EstimateCell per member. One WindowGrid serves
+    every cell of the sample; the members share its denominators(), which
+    call no member.
 
     A vanishing window or a signed-kernel denominator is a cell status, not
     an exception: small-h cells are legitimately empty at finite n.
     """
-    points = [tuple(t) for t in points]
-    grid = WindowGrid(s, h, points, kernel)
-    dens = grid.u_stats(builtin_member("one", members[0].m))
+    hs, points = tuple(hs), [tuple(t) for t in points]
+    grid = WindowGrid(s, hs, points, kernel)
     nums = [grid.u_stats(phi) for phi in members]
     out = []
-    for k, t in enumerate(points):
-        den = dens[k].value
-        status = ratio_status(den)
-        cells = []
-        for phi, phi_nums in zip(members, nums):
-            num = phi_nums[k].value
-            mhat = num / den if status == "ok" else None
-            cells.append(EstimateCell(t, h, phi.id, num, den, mhat, status))
-        out.append(cells)
+    for q, (h, dens) in enumerate(zip(hs, grid.denominators())):
+        h_cells = []
+        for k, t in enumerate(points):
+            den = dens[k].value
+            status = ratio_status(den)
+            cells = []
+            for phi, phi_nums in zip(members, nums):
+                num = phi_nums[q][k].value
+                mhat = num / den if status == "ok" else None
+                cells.append(EstimateCell(t, h, phi.id, num, den, mhat, status))
+            h_cells.append(cells)
+        out.append(h_cells)
     return out
 
 
 def estimate_members(members, h, t, s, kernel):
-    """estimate_grid at the one point t."""
-    return estimate_grid(members, h, [t], s, kernel)[0]
+    """estimate_grid at the one bandwidth h and point t."""
+    return estimate_grid(members, [h], [t], s, kernel)[0][0]
 
 
 def estimate(phi, h, t, s, kernel):

@@ -136,10 +136,10 @@ def sweep_cells(cfg, s, n, rep, hs, tgrid, cache):
     deviation for every statistic; consistency summaries use the raw column.
     """
     rows = []
-    for h in hs:
+    cells = estimate_grid(cfg.fc.members, hs, tgrid, s, cfg.kernel)
+    for h, h_cells in zip(hs, cells):
         norm = normalizer(n, h, cfg.m)
-        cells = estimate_grid(cfg.fc.members, h, tgrid, s, cfg.kernel)
-        for t, t_cells in zip(tgrid, cells):
+        for t, t_cells in zip(tgrid, h_cells):
             eu1 = cache[("EU1", h, t)]
             devs = [("process", "one", abs(t_cells[0].denominator - eu1), "ok")]
             for c in t_cells:
@@ -237,17 +237,17 @@ def remainder_diagnostic(cfg, ell, rep=0, mc_draws=50_000, p=None):
         g.id: np.asarray(g.eval(ys), dtype=float) for g in members
     }
 
+    grid = WindowGrid(s, hs, tgrid, cfg.kernel)
+    us = [grid.u_stats(g) for g in members]
     sup_val, sup_se, cells = 0.0, 0.0, []
-    for h in hs:
+    for q, h in enumerate(hs):
         norm = normalizer(n, h, m)
-        grid = WindowGrid(s, h, tgrid, cfg.kernel)
-        us = [grid.u_stats(g) for g in members]
         for k, t in enumerate(tgrid):
             w = np.ones(mc_draws)
             for j in range(m):
                 w *= eval_scaled(cfg.kernel, h, t[j] - xs[:, j])
             for g, g_us in zip(members, us):
-                u = g_us[k].value
+                u = g_us[q][k].value
                 samples = gated[g.id] * w
                 eu = float(np.mean(samples))
                 se = float(np.std(samples, ddof=1)) / math.sqrt(mc_draws)

@@ -8,13 +8,15 @@ with array operations and sums them with math.fsum; fsum is exactly rounded,
 so the sum does not depend on the order of the terms or on zero terms, and
 the pruned and brute paths agree bit for bit.
 
-The pruned path is a grid evaluator: WindowGrid takes one sample, one
-bandwidth and a set of evaluation points, finds each distinct coordinate's
-window and kernel weights once, and evaluates a member at every point in
-one pass (for m <= 2, g once per sample span or per band of window pairs;
-m = 3 points one at a time, in chunks filled a few rows at a time).
-u_stat_windowed is its one-point call, so one point gives the same bits
-alone as within a grid.
+The pruned path is a grid evaluator: WindowGrid takes one sample, all of
+its bandwidths and a set of evaluation points, finds each distinct
+coordinate's window and kernel weights once per bandwidth, and evaluates a
+member at every (h, t) cell in one pass (m = 1: g once per sample; m = 2:
+g once per band of window pairs, shared by every bandwidth; m = 3 cells one
+at a time, in chunks filled a few rows at a time). Its denominators() is
+U_n(1, h, t) over the same cells without calling any member.
+u_stat_windowed is its one-bandwidth, one-point call, so a cell gives the
+same bits alone as within a grid.
 """
 
 import itertools
@@ -206,17 +208,26 @@ def _windows(spec, s):
 
 def _tuples_eval(g, *coords):
     """g over the outer grid of the coordinate vectors: entry [i, j, ...] is
-    g(coords[0][i], coords[1][j], ...).
+    g(coords[0][i], coords[1][j], ...); ones, without a call, when g is None
+    (the constant 1 of the denominator).
 
     Each coordinate fills one contiguous plane, and g sees the planes as a
     trailing axis (a view), so its sums, products and maxima over that axis
     run plane by plane; they give the same bits as a stacked (..., m) array.
     """
     m = len(coords)
-    planes = np.empty((m,) + tuple(c.size for c in coords))
+    shape = tuple(c.size for c in coords)
+    if g is None:
+        return np.ones(shape)
+    planes = np.empty((m,) + shape)
     for j, c in enumerate(coords):
         planes[j] = c.reshape((1,) * j + (-1,) + (1,) * (m - 1 - j))
     return g.eval(np.moveaxis(planes, 0, -1))
+
+
+def _eval_rows(g, ys):
+    """g on the rows of ys, shape (..., m); ones when g is None."""
+    return np.ones(ys.shape[:-1]) if g is None else g.eval(ys)
 
 
 def _common_positions(r1, r2, order):
@@ -227,71 +238,95 @@ def _common_positions(r1, r2, order):
     return order[lo:hi][perm], perm + (lo - r1[0]), perm + (lo - r2[0])
 
 
-def _band_groups(cells, rows):
-    """Split the cells of one m=2 row (a list of (cell, (lo, hi))) into runs
-    whose column windows overlap and whose band, rows x the span of the
-    run's windows, stays within _BAND_ELEMENTS (a lone cell may exceed it).
-    Yields (lo, hi, cells) per run."""
-    run, lo, hi = [], 0, 0
-    for c, (a, b) in sorted(cells, key=lambda cell: cell[1]):
-        if run and a <= hi and rows * (max(hi, b) - lo) <= _BAND_ELEMENTS:
-            run.append((c, (a, b)))
-            hi = max(hi, b)
-            continue
+def _band_groups(cells):
+    """Split the banded m=2 cells of one t_1 value over every bandwidth, a
+    list of (key, (lo, hi), (a, b)) row and column windows, into runs whose
+    column windows overlap and whose band, the run's row span x column span,
+    stays within _BAND_ELEMENTS (a lone cell may exceed it). Yields
+    (r_lo, r_hi, c_lo, c_hi, run) per run."""
+    run = []
+    for cell in sorted(cells, key=lambda c: c[2]):
+        _, (lo, hi), (a, b) = cell
         if run:
-            yield lo, hi, run
-        run, lo, hi = [(c, (a, b))], a, b
+            rows = max(r_hi, hi) - min(r_lo, lo)
+            if a <= c_hi and rows * (max(c_hi, b) - c_lo) <= _BAND_ELEMENTS:
+                run.append(cell)
+                r_lo, r_hi, c_hi = min(r_lo, lo), max(r_hi, hi), max(c_hi, b)
+                continue
+            yield r_lo, r_hi, c_lo, c_hi, run
+        run, r_lo, r_hi, c_lo, c_hi = [cell], lo, hi, a, b
     if run:
-        yield lo, hi, run
+        yield r_lo, r_hi, c_lo, c_hi, run
 
 
 class WindowGrid:
-    """U_n(g, h, t) of one sample at one bandwidth over a set of evaluation
-    points, equal bit for bit to evaluating each point on its own.
+    """U_n(g, h, t) of one sample over a set of bandwidths and a set of
+    evaluation points, equal bit for bit to evaluating each (h, t) on its
+    own.
 
-    Each distinct coordinate value gets its window (a half-open range of
-    positions in the stable x-sort) and its kernel weights once; every
-    coordinate, point and member shares them. u_stats(g) evaluates one
-    member at every point:
+    Per bandwidth, each distinct coordinate value gets its window (a
+    half-open range of positions in the stable x-sort) and its kernel
+    weights once; every coordinate, point and member shares them.
+    u_stats(g) evaluates one member at every (h, t); denominators() gives
+    the same for the constant member 1 without calling any member:
 
-    * m = 1: g once on the sorted y over the span of the windows; each
-      point sums a slice, with math.fsum up to EXACT_PATH_MAX tuples (the
+    * m = 1: g once on the sorted y over the span of all the windows; each
+      cell sums a slice, with math.fsum up to EXACT_PATH_MAX tuples (the
       brute oracle's bits) and np.dot above.
-    * m = 2: points with the same t_1 share a row window. Their t_2 windows
-      are grouped into bands of g values, y[t_1 window] x y[span of the
-      group's t_2 windows], of at most _BAND_ELEMENTS values, filled
-      _FILL_ELEMENTS values at a time. Each point reads its columns of the
-      band as a view: w_1 @ (G @ w_2), less the terms of the tuples that
-      repeat an index.
-    * m = 3: point by point. A window's tuples are split along the first
-      axis into chunks of at most _CHUNK_ELEMENTS, each summed by one np.sum
-      over a contiguous buffer (one per point, reused by its chunks). The
-      buffer is filled about _FILL_ELEMENTS values at a time with
-      ((g * distinct-index mask) * w_1) * w_2 w_3.
-    * m = 2 points of at most EXACT_PATH_MAX tuples go point by point.
+    * m = 2: the windows of a coordinate value nest in h, so the cells of
+      every bandwidth whose points share t_1 share bands of g values,
+      y[min lo, max hi) x y[c_lo, c_hi) over a run of overlapping t_2
+      windows, of at most _BAND_ELEMENTS values, filled _FILL_ELEMENTS
+      values at a time; one band is alive at a time. Each cell reads its
+      rows and columns of the band as a view: w_1 @ (G @ w_2), less the
+      terms of the tuples that repeat an index.
+    * m = 3: (h, point) by (h, point). A window's tuples are split along
+      the first axis into chunks of at most _CHUNK_ELEMENTS, each summed by
+      one np.sum over a contiguous buffer (one per cell, reused by its
+      chunks). The buffer is filled about _FILL_ELEMENTS values at a time
+      with ((g * distinct-index mask) * w_1) * w_2 w_3.
+    * m = 2 cells of at most EXACT_PATH_MAX tuples go one at a time.
+
+    The denominator takes ones for the values of g, and at m = 3 the mask
+    itself for g * mask; both are exact, so its bits are those of the
+    constant member.
     """
 
-    def __init__(self, s, h, points, kernel):
+    def __init__(self, s, hs, points, kernel):
         self.points = [tuple(float(v) for v in t) for t in points]
-        if not (math.isfinite(h) and h > 0):
-            raise InvalidBandwidth(f"need finite h > 0, got h={h}")
+        self.hs = list(hs)
+        bad = [h for h in self.hs if not (math.isfinite(h) and h > 0)]
+        if bad:
+            raise InvalidBandwidth(f"need finite h > 0, got h={bad[0]}")
         bad = [t for t in self.points if not all(map(math.isfinite, t))]
         if bad:
             raise InvalidBandwidth(f"need finite evaluation points, got t={bad[0]}")
-        self.s, self.h, self.kernel = s, h, kernel
+        self.s, self.kernel = s, kernel
         values = sorted({v for t in self.points for v in t})
         column = {v: i for i, v in enumerate(values)}
         self.cells = [tuple(column[v] for v in t) for t in self.points]
-        lo, hi = _window_bounds(s.x_sorted, h, values)
-        self.ranges = list(zip(lo.tolist(), hi.tolist()))
-        self.weights = [
-            eval_scaled(kernel, h, v - s.x_sorted[a:b]) for v, (a, b) in zip(values, self.ranges)
-        ]
+        # per bandwidth: each value's window and kernel weights
+        self.ranges, self.weights = [], []
+        for h in self.hs:
+            lo, hi = _window_bounds(s.x_sorted, h, values)
+            ranges = list(zip(lo.tolist(), hi.tolist()))
+            self.ranges.append(ranges)
+            self.weights.append([eval_scaled(kernel, h, v - s.x_sorted[a:b])
+                                 for v, (a, b) in zip(values, ranges)])
         self.y_sorted = s.y[s.sort_index]
 
     def u_stats(self, g):
-        """One UStatResult per point, in the order of the points."""
-        m, n = g.m, self.s.n
+        """Per bandwidth, one UStatResult per point, in the order of the
+        bandwidths and of the points."""
+        return self._evaluate(g, g.m)
+
+    def denominators(self):
+        """u_stats of the constant member 1, U_n(1, h, t), with the same
+        bits and tuple counts, computed without calling any member."""
+        return self._evaluate(None, len(self.points[0]) if self.points else 1)
+
+    def _evaluate(self, g, m):
+        n = self.s.n
         if any(len(t) != m for t in self.points):
             raise SchemaError(f"evaluation points must have length {m}, the order of g")
         if m > n:
@@ -301,54 +336,62 @@ class WindowGrid:
             return self._first_order(g, total)
         if m == 2:
             return self._pairs(g, total)
-        return [self._cell(g, k, total) for k in range(len(self.points))]
+        return [[self._cell(g, q, k, total) for k in range(len(self.points))]
+                for q in range(len(self.hs))]
 
-    def _finite(self, acc, k):
+    def _finite(self, acc, q, k):
         if not math.isfinite(acc):
             raise NonFiniteSum(
-                f"cell h={self.h}, t={self.points[k]}: vectorized sum is {acc}"
+                f"cell h={self.hs[q]}, t={self.points[k]}: vectorized sum is {acc}"
             )
         return acc
 
     def _first_order(self, g, total):
-        spans = [(a, b) for a, b in self.ranges if b > a]
+        spans = [(a, b) for ranges in self.ranges for a, b in ranges if b > a]
         if spans:
             base = min(a for a, _ in spans)
-            gy = g.eval(self.y_sorted[base:max(b for _, b in spans), None])
+            gy = _eval_rows(g, self.y_sorted[base:max(b for _, b in spans), None])
         out = []
-        for k, (i,) in enumerate(self.cells):
-            a, b = self.ranges[i]
-            if a == b:
-                out.append(UStatResult(0.0, 0, total, "windowed"))
-                continue
-            gv, w = gy[a - base:b - base], self.weights[i]
-            if b - a <= EXACT_PATH_MAX:
-                t = self.points[k]
-                inside = np.abs(t[0] - self.s.x_sorted[a:b]) <= self.h / 2.0
-                acc = _exact_sum(gv[inside] * w[inside], self.h, t)
-            else:
-                acc = self._finite(float(np.dot(gv, w)), k)
-            out.append(UStatResult(acc / total, b - a, total, "windowed"))
+        for q, h in enumerate(self.hs):
+            row = []
+            for k, (i,) in enumerate(self.cells):
+                a, b = self.ranges[q][i]
+                if a == b:
+                    row.append(UStatResult(0.0, 0, total, "windowed"))
+                    continue
+                gv, w = gy[a - base:b - base], self.weights[q][i]
+                if b - a <= EXACT_PATH_MAX:
+                    t = self.points[k]
+                    inside = np.abs(t[0] - self.s.x_sorted[a:b]) <= h / 2.0
+                    acc = _exact_sum(gv[inside] * w[inside], h, t)
+                else:
+                    acc = self._finite(float(np.dot(gv, w)), q, k)
+                row.append(UStatResult(acc / total, b - a, total, "windowed"))
+            out.append(row)
         return out
 
     def _pairs(self, g, total):
-        out = [None] * len(self.cells)
+        out = [[None] * len(self.cells) for _ in self.hs]
         rows = {}
         for k, (i, j) in enumerate(self.cells):
             rows.setdefault(i, []).append((k, j))
         for i, row in rows.items():
-            lo, hi = self.ranges[i]
             banded = []
-            for k, j in row:
-                a, b = self.ranges[j]
-                if (hi - lo) * (b - a) <= EXACT_PATH_MAX:
-                    out[k] = self._cell(g, k, total)
-                else:
-                    banded.append((k, (a, b)))
-            for c_lo, c_hi, run in _band_groups(banded, hi - lo):
-                band = self._band(g, lo, hi, c_lo, c_hi)
-                for k, (a, b) in run:
-                    out[k] = self._pair_cell(g, k, band[:, a - c_lo:b - c_lo], total)
+            for q, ranges in enumerate(self.ranges):
+                lo, hi = ranges[i]
+                for k, j in row:
+                    a, b = ranges[j]
+                    if (hi - lo) * (b - a) <= EXACT_PATH_MAX:
+                        out[q][k] = self._cell(g, q, k, total)
+                    else:
+                        banded.append(((q, k), (lo, hi), (a, b)))
+            for r_lo, r_hi, c_lo, c_hi, run in _band_groups(banded):
+                band = self._band(g, r_lo, r_hi, c_lo, c_hi)
+                for (q, k), (lo, hi), (a, b) in run:
+                    out[q][k] = self._pair_cell(
+                        g, q, k, band[lo - r_lo:hi - r_lo, a - c_lo:b - c_lo], total
+                    )
+                del band  # one band alive at a time: freed before the next fill
         return out
 
     def _band(self, g, lo, hi, c_lo, c_hi):
@@ -369,22 +412,25 @@ class WindowGrid:
             band[r - lo:r - lo + part.shape[0]] = part
         return band
 
-    def _pair_cell(self, g, k, G, total):
+    def _pair_cell(self, g, q, k, G, total):
         i, j = self.cells[k]
-        w0, w1 = self.weights[i], self.weights[j]
+        w0, w1 = self.weights[q][i], self.weights[q][j]
         acc = float(w0 @ (G @ w1))
-        common, i1, i2 = _common_positions(self.ranges[i], self.ranges[j], self.s.sort_index)
+        common, i1, i2 = _common_positions(self.ranges[q][i], self.ranges[q][j],
+                                           self.s.sort_index)
         if common.size:
             y = self.s.y[common]
-            diag = g.eval(np.stack([y, y], axis=-1))
+            diag = _eval_rows(g, np.stack([y, y], axis=-1))
             acc -= float(np.sum(diag * w0[i1] * w1[i2]))
         evaluated = G.shape[0] * G.shape[1] - common.size
-        return UStatResult(self._finite(acc, k) / total, evaluated, total, "windowed")
+        return UStatResult(self._finite(acc, q, k) / total, evaluated, total, "windowed")
 
-    def _cell(self, g, k, total):
-        """One point on its own: the exact path, or the chunked m=3 sum."""
-        m, t, s, h = g.m, self.points[k], self.s, self.h
-        ranges = [self.ranges[i] for i in self.cells[k]]
+    def _cell(self, g, q, k, total):
+        """One (h, point) on its own: the exact path, or the chunked m=3
+        sum."""
+        t, s, h = self.points[k], self.s, self.hs[q]
+        m = len(t)
+        ranges = [self.ranges[q][i] for i in self.cells[k]]
         wins = [s.sort_index[lo:hi] for lo, hi in ranges]
         sizes = [w.size for w in wins]
         window_tuples = int(np.prod([float(sz) for sz in sizes]))
@@ -406,7 +452,7 @@ class WindowGrid:
             # H returns 0.0 before calling g outside the window, so g never
             # sees those tuples (an overflowing member would give inf * 0 = nan)
             inside = np.logical_and.reduce([np.abs(z) <= h / 2.0 for z in zs])
-            terms = g.eval(s.y[idx[inside]]) * w[inside]
+            terms = _eval_rows(g, s.y[idx[inside]]) * w[inside]
             return UStatResult(_exact_sum(terms, h, t) / total, len(idx), total, "windowed")
 
         if m != 3:
@@ -414,7 +460,7 @@ class WindowGrid:
                 f"windowed vectorized path supports m <= 3; window has "
                 f"{window_tuples} tuples for m={m}"
             )
-        weights = [self.weights[i] for i in self.cells[k]]
+        weights = [self.weights[q][i] for i in self.cells[k]]
         ys = [self.y_sorted[lo:hi] for lo, hi in ranges]
         acc = 0.0
         evaluated = 0
@@ -433,16 +479,20 @@ class WindowGrid:
             for r in range(lo, hi, step):
                 e = min(r + step, hi)
                 block = G[r - lo:e - lo]
-                block[...] = _tuples_eval(g, ys[0][r:e], ys[1], ys[2])
                 i1 = wins[0][r:e, None, None]
                 mask = (i1 != wins[1][None, :, None]) & neq23
                 mask &= i1 != wins[2][None, None, :]
-                np.multiply(block, mask, out=block)
+                if g is None:
+                    # 1.0 * mask is the mask
+                    block[...] = mask
+                else:
+                    block[...] = _tuples_eval(g, ys[0][r:e], ys[1], ys[2])
+                    np.multiply(block, mask, out=block)
                 np.multiply(block, weights[0][r:e, None, None], out=block)
                 np.multiply(block, w23[None, :, :], out=block)
                 evaluated += int(np.count_nonzero(mask))
             acc += float(np.sum(G))
-        return UStatResult(self._finite(acc, k) / total, evaluated, total, "windowed")
+        return UStatResult(self._finite(acc, q, k) / total, evaluated, total, "windowed")
 
 
 def _exact_sum(terms, h, t):
@@ -462,7 +512,7 @@ def u_stat_windowed(spec, s):
     a finite sum raise NonFiniteSum: on the exact path, terms whose exact sum
     is inf - inf or overflows; on the vectorized path, a non-finite total.
     """
-    return WindowGrid(s, spec.h, [spec.t], spec.kernel).u_stats(spec.g)[0]
+    return WindowGrid(s, [spec.h], [spec.t], spec.kernel).u_stats(spec.g)[0][0]
 
 
 def symmetrize(H, m):

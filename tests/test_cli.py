@@ -118,6 +118,56 @@ class TestConfigErrors:
         assert json.loads(capsys.readouterr().err)["error"] == "SchemaError"
 
 
+class TestIntegerInputs:
+    """Seeds and --rep below 0, n and --threads below 1, and a CONDU_SEED
+    that is not an integer exit 1 with a SchemaError, before any output."""
+
+    @pytest.mark.parametrize(
+        "argv, env, experiment",
+        [
+            pytest.param(["simulate"], None, {"seed": -1}, id="config-seed"),
+            pytest.param(["simulate"], None, {"n_list": [-5]}, id="config-n_list"),
+            pytest.param(["simulate", "--seed", "-1"], None, {}, id="simulate-seed"),
+            pytest.param(["simulate"], "abc", {}, id="simulate-env-abc"),
+            pytest.param(["simulate"], "-3", {}, id="simulate-env-negative"),
+            pytest.param(["simulate", "--n", "-5"], None, {}, id="simulate-n"),
+            pytest.param(["simulate", "--rep", "-1"], None, {}, id="simulate-rep"),
+            pytest.param(["rates", "--seed", "-1"], None, {}, id="rates-seed"),
+            pytest.param(["rates"], "abc", {}, id="rates-env-abc"),
+            pytest.param(["rates"], "-3", {}, id="rates-env-negative"),
+            pytest.param(["rates", "--threads", "-3"], None, {}, id="rates-threads"),
+            pytest.param(["sweep", "--threads", "0"], None, {}, id="sweep-threads"),
+            pytest.param(["estimate", "--seed", "-1"], None, {}, id="estimate-seed"),
+            pytest.param(["verify", "--seed", "-1", "--filter", "brute"], None, None,
+                         id="verify-seed"),
+        ],
+    )
+    def test_out_of_range_integer_exits_one(self, argv, env, experiment, tmp_path,
+                                            capsys, monkeypatch):
+        out = tmp_path / "out"
+        if experiment is not None:
+            doc = copy.deepcopy(BASE_DOC)
+            doc["experiment"].update({"n_list": [128], "reps": 1}, **experiment)
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(doc))
+            argv = argv + ["--config", str(cfg), "--out", str(out)]
+        if env is None:
+            monkeypatch.delenv("CONDU_SEED", raising=False)
+        else:
+            monkeypatch.setenv("CONDU_SEED", env)
+        assert main(argv) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "SchemaError"
+        assert not out.exists()
+
+    def test_a_bad_condu_seed_is_ignored_under_an_explicit_seed(
+        self, cfg_path, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("CONDU_SEED", "abc")
+        assert main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "s.csv"),
+                     "--seed", "0"]) == 0
+
+
 def run_rates(doc, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(doc))
@@ -308,8 +358,8 @@ class TestSimulateAndEstimate:
         monkeypatch.setattr(
             condu.cli,
             "estimate_grid",
-            lambda members, h, points, s, k: [
-                [estimate(phi, h, t, s, k) for phi in members] for t in points
+            lambda members, hs, points, s, k: [
+                [[estimate(phi, h, t, s, k) for phi in members] for t in points] for h in hs
             ],
         )
         assert main(["estimate", "--config", str(cfg), "--out", str(looped)]) == 0

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import condu.estimator
 from condu.errors import (
     DegenerateSample,
     NoClosedFormConditional,
@@ -17,6 +19,7 @@ from condu.estimator import (
     conditional_mean_fixed,
     convolve,
     estimate,
+    estimate_grid,
     expected_u,
     expected_u_one,
     make_dgp,
@@ -87,6 +90,24 @@ class TestEstimate:
         base = estimate(phi, h, t, s, UNIF).mhat
         shifted = estimate(phi, h, t, Sample(s.x, a * s.y + b), UNIF).mhat
         assert shifted == pytest.approx(a * base + 2 * b, abs=1e-10 * (1 + abs(base)))
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_grid_denominator_is_the_one_member_without_building_it(self, m, monkeypatch):
+        s = random_sample(make_rng(45), 60)
+        hs, points = [0.1, 0.999], list(itertools.product([0.4, 0.5], repeat=m))
+        one = builtin_member("one", m)
+        expected = [[u_stat_windowed(UKernelSpec(one, h, t, EPA), s).value for t in points]
+                    for h in hs]
+
+        def no_member(*args):
+            raise AssertionError("estimate_grid built a member")
+
+        monkeypatch.setattr(condu.estimator, "builtin_member", no_member)
+        cells = estimate_grid([builtin_member("sum", m)], hs, points, s, EPA)
+        got = [[t_cells[0].denominator for t_cells in h_cells] for h_cells in cells]
+        assert np.array(got).tobytes() == np.array(expected).tobytes()
+        assert [[t_cells[0].h for t_cells in h_cells] for h_cells in cells] == [
+            [h] * len(points) for h in hs]
 
 
 class TestDgpCatalog:

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import math
 
@@ -7,7 +8,9 @@ import pytest
 from condu.bandwidth import lower_bandwidth, normalizer
 from condu.config import parse_config
 from condu.errors import BoundedClassHasNoRemainder, EmptyBandwidthRange, ZeroDensityWindow
+import condu.ucore
 from condu.estimator import bias_sup, centering, make_dgp, true_regression
+from condu.function_class import builtin_member
 from condu.harness import (
     bandwidth_cap,
     bias_from_cache,
@@ -20,6 +23,7 @@ from condu.harness import (
     simulate,
     sweep_cells,
 )
+from condu.ucore import UKernelSpec, u_stat_windowed
 
 
 BASE_DOC = {
@@ -162,6 +166,34 @@ class TestSweepInvariants:
         for r in rows:
             if r.stat in ("est_centering", "est_truth") and r.status == "ok":
                 assert r.raw == 0.0
+
+    @pytest.mark.parametrize("band", [condu.ucore._BAND_ELEMENTS, 3000])
+    def test_process_rows_are_the_per_cell_reference_bit_for_bit(self, band, monkeypatch):
+        # m = 2 over seven bandwidths: exact-path and banded cells
+        monkeypatch.setattr(condu.ucore, "_BAND_ELEMENTS", band)
+        doc = copy.deepcopy(BASE_DOC)
+        doc["dgp"] = {"id": "uniform_linear", "noise": "uniform", "noise_param": 0.25}
+        doc["function_class"] = {
+            "m": 2,
+            "members": ["sum_clipped:2.5", "identity_j:2", "product"],
+            "regime": {"kind": "bounded", "M": 2.5},
+        }
+        doc["regime"] = {"c": 0.3, "b0": 0.3}
+        cfg = parse_config(doc)
+        n = 400
+        hs = bandwidths(cfg, n)
+        assert len(hs) >= 4
+        tgrid = make_t_grid(cfg.t_interval, cfg.t_points, cfg.m)
+        cache = expectation_cache(cfg, n, hs, tgrid)
+        s = simulate(cfg.dgp, n, child_seed(cfg.seed, n, 1))
+        rows = [r for r in sweep_cells(cfg, s, n, 1, hs, tgrid, cache) if r.stat == "process"]
+        members = {phi.id: phi for phi in cfg.fc.members}
+        members["one"] = builtin_member("one", 2)
+        assert len(rows) == len(hs) * len(tgrid) * len(members)
+        for r in rows:
+            u = u_stat_windowed(UKernelSpec(members[r.phi], r.h, r.t, cfg.kernel), s).value
+            eu = cache[("EU1", r.h, r.t)] if r.phi == "one" else cache[("EU", r.phi, r.h, r.t)]
+            assert np.float64(r.raw).tobytes() == np.float64(abs(u - eu)).tobytes()
 
     def test_report_summaries_present_and_consistent(self):
         cfg = make_cfg()

@@ -559,7 +559,7 @@ class TestNonFiniteSum:
         assert window_tuples(spec, s) > EXACT_PATH_MAX
         with pytest.raises(NonFiniteSum, match="vectorized sum is nan"):
             u_stat_windowed(spec, s)
-        grid = WindowGrid(s, 0.5, [(0.45,) * m, (0.5,) * m], get_kernel("uniform"))
+        grid = WindowGrid(s, [0.5], [(0.45,) * m, (0.5,) * m], get_kernel("uniform"))
         with pytest.raises(NonFiniteSum):
             grid.u_stats(member)
 
@@ -635,17 +635,19 @@ def frozen_cell(spec, s):
 
 @st.composite
 def grid_case(draw, m):
-    """A sample, a bandwidth, a member and a shuffled tensor grid of points
-    whose windows range from empty through exact-path to vectorized, with
-    tied x values and points exactly on the window edges."""
-    h = draw(st.sampled_from([0.05, 0.2, 0.5, 0.7, 0.999]))
+    """A sample, 1-4 bandwidths, a member and a shuffled tensor grid of
+    points whose windows range from empty through exact-path to vectorized,
+    with tied x values and points exactly on the window edges."""
+    hs = draw(st.lists(st.sampled_from([0.05, 0.2, 0.35, 0.5, 0.7, 0.999]),
+                       min_size=1, max_size=4, unique=True))
     axis = draw(st.lists(st.floats(0.25, 0.75), min_size=1, max_size=4, unique=True))
     points = draw(st.permutations(list(itertools.product(axis, repeat=m))))
-    sizes = {1: [(2, 40), (600, 800)], 2: [(2, 20), (25, 70)], 3: [(3, 8), (8, 14)]}[m]
+    sizes = {1: [(2, 40), (600, 800)], 2: [(2, 20), (25, 70), (70, 150)],
+             3: [(3, 8), (8, 14)]}[m]
     n = draw(st.integers(*draw(st.sampled_from(sizes))))
     rng = make_rng(draw(st.integers(0, 2 ** 32 - 1)))
     x = rng.uniform(0.0, 1.0, n)
-    edges = [v + sign * h / 2.0 for v in axis for sign in (-1.0, 1.0)]
+    edges = [v + sign * h / 2.0 for h in hs for v in axis for sign in (-1.0, 1.0)]
     n_edges = draw(st.integers(0, min(n, len(edges))))
     x[:n_edges] = edges[:n_edges]
     ties = draw(st.integers(0, n // 2))
@@ -653,7 +655,17 @@ def grid_case(draw, m):
     y = np.round(rng.normal(0.5, 1.0, n), 1)
     phi = draw(oracle_member(m, poly=True))
     kernel = draw(st.sampled_from(ORACLE_KERNELS))
-    return Sample(x, y), h, points, phi, kernel
+    return Sample(x, y), hs, points, phi, kernel
+
+
+def assert_same_results(got, expected):
+    """Two lists of UStatResults agree in the bits of every value and in
+    every count."""
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert np.float64(a.value).tobytes() == np.float64(b.value).tobytes()
+        assert (a.tuples_evaluated, a.tuples_total, a.mode) == (
+            b.tuples_evaluated, b.tuples_total, b.mode)
 
 
 class TestWindowGrid:
@@ -664,41 +676,51 @@ class TestWindowGrid:
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())
     def test_grid_is_the_per_point_formula_bit_for_bit(self, m, data):
-        s, h, points, phi, kernel = data.draw(grid_case(m))
-        band = data.draw(st.sampled_from([1, 40, 700, 2 ** 19]))
+        s, hs, points, phi, kernel = data.draw(grid_case(m))
+        band = data.draw(st.sampled_from([1, 40, 700, 6000, 2 ** 19]))
         fill = data.draw(st.sampled_from([1, 30, 2 ** 15]))
         chunk = data.draw(st.sampled_from([1, 50, 700, 4_000_000]))
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(condu.ucore, "_BAND_ELEMENTS", band)
             patch.setattr(condu.ucore, "_FILL_ELEMENTS", fill)
             patch.setattr(condu.ucore, "_CHUNK_ELEMENTS", chunk)
-            got = WindowGrid(s, h, points, kernel).u_stats(phi)
+            grid = WindowGrid(s, hs, points, kernel)
+            got = grid.u_stats(phi)
             # frozen_cell splits its m = 3 sum at the patched chunk size too
-            expected = [frozen_cell(UKernelSpec(phi, h, t, kernel), s) for t in points]
-        assert len(got) == len(points)
-        for res, (value, evaluated) in zip(got, expected):
-            assert np.float64(res.value).tobytes() == np.float64(value).tobytes()
-            assert res.tuples_evaluated == evaluated
-            assert res.tuples_total == count_indices(s.n, m)
+            expected = [[frozen_cell(UKernelSpec(phi, h, t, kernel), s) for t in points]
+                        for h in hs]
+            dens = grid.denominators()
+            ones = grid.u_stats(builtin_member("one", m))
+        assert len(got) == len(dens) == len(hs)
+        for h_got, h_expected, h_dens, h_ones in zip(got, expected, dens, ones):
+            assert len(h_got) == len(points)
+            for res, (value, evaluated) in zip(h_got, h_expected):
+                assert np.float64(res.value).tobytes() == np.float64(value).tobytes()
+                assert res.tuples_evaluated == evaluated
+                assert res.tuples_total == count_indices(s.n, m)
+            assert_same_results(h_dens, h_ones)
 
     @pytest.mark.parametrize("m, n", [(1, 1500), (2, 300)])
     @pytest.mark.parametrize("band, fill", [(2 ** 19, 2 ** 15), (3000, 50)])
     def test_every_member_on_a_banded_grid(self, m, n, band, fill):
         s = random_sample(make_rng(23), n)
         k = get_kernel("epanechnikov-rescaled")
+        # the wider windows start lower: a shared band's rows differ by cell
+        hs = [0.3, 0.45]
         points = list(itertools.product(np.linspace(0.3, 0.7, 5), repeat=m))
         for phi in all_members(m):
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(condu.ucore, "_BAND_ELEMENTS", band)
                 patch.setattr(condu.ucore, "_FILL_ELEMENTS", fill)
-                got = WindowGrid(s, 0.3, points, k).u_stats(phi)
-            for t, res in zip(points, got):
-                spec = UKernelSpec(phi, 0.3, t, k)
-                assert window_tuples(spec, s) > EXACT_PATH_MAX
-                value, evaluated = frozen_cell(spec, s)
-                assert np.float64(res.value).tobytes() == np.float64(value).tobytes()
-                assert res.tuples_evaluated == evaluated
-                assert res == u_stat_windowed(spec, s)
+                got = WindowGrid(s, hs, points, k).u_stats(phi)
+            for h, h_got in zip(hs, got):
+                for t, res in zip(points, h_got):
+                    spec = UKernelSpec(phi, h, t, k)
+                    assert window_tuples(spec, s) > EXACT_PATH_MAX
+                    value, evaluated = frozen_cell(spec, s)
+                    assert np.float64(res.value).tobytes() == np.float64(value).tobytes()
+                    assert res.tuples_evaluated == evaluated
+                    assert res == u_stat_windowed(spec, s)
 
     @pytest.fixture(scope="class")
     def two_chunk_cell(self):
@@ -716,7 +738,7 @@ class TestWindowGrid:
         s, spec = two_chunk_cell
         spec = dataclasses.replace(spec, g=builtin_member(member, 3))
         value, evaluated = frozen_cell(spec, s)
-        got = WindowGrid(s, spec.h, [spec.t], spec.kernel).u_stats(spec.g)[0]
+        got = WindowGrid(s, [spec.h], [spec.t], spec.kernel).u_stats(spec.g)[0][0]
         assert np.float64(got.value).tobytes() == np.float64(value).tobytes()
         assert got.tuples_evaluated == evaluated
         assert got == u_stat_windowed(spec, s)
@@ -735,15 +757,47 @@ class TestWindowGrid:
             tracemalloc.stop()
         assert peak <= 40e6
 
+    def test_two_chunk_denominator_is_the_one_member_in_one_chunk_buffer(self, two_chunk_cell):
+        s, spec = two_chunk_cell
+        grid = WindowGrid(s, [spec.h], [spec.t], spec.kernel)
+        tracemalloc.start()
+        try:
+            dens = grid.denominators()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40e6
+        assert_same_results(dens[0], grid.u_stats(builtin_member("one", 3))[0])
+
+    def test_pair_bands_of_all_bandwidths_keep_one_band_alive(self, monkeypatch):
+        # every cell is banded and fits a band; with one band alive at a time
+        # the peak is one band plus the fill blocks, weights and G @ w_2
+        band = 2 ** 18
+        monkeypatch.setattr(condu.ucore, "_BAND_ELEMENTS", band)
+        monkeypatch.setattr(condu.ucore, "_FILL_ELEMENTS", 2 ** 10)
+        s = random_sample(make_rng(28), 2000)
+        points = list(itertools.product(np.linspace(0.3, 0.7, 5), repeat=2))
+        grid = WindowGrid(s, [0.05, 0.1, 0.15, 0.2], points, get_kernel("uniform"))
+        widths = [hi - lo for ranges in grid.ranges for lo, hi in ranges]
+        assert min(widths) ** 2 > EXACT_PATH_MAX and max(widths) ** 2 <= band
+        phi = builtin_member("sum_clipped:2.5", 2)
+        tracemalloc.start()
+        try:
+            grid.u_stats(phi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 8 * band * 0.5 < peak <= 8 * band * 1.25
+
     @pytest.mark.parametrize("h, t", [(0.0, 0.5), (-1.0, 0.5), (math.nan, 0.5),
                                       (math.inf, 0.5), (0.3, math.nan), (0.3, -math.inf)])
     def test_bad_bandwidth_or_point_is_a_typed_error(self, h, t):
         s = random_sample(make_rng(24), 10)
         with pytest.raises(InvalidBandwidth):
-            WindowGrid(s, h, [(0.5,), (t,)], get_kernel("uniform"))
+            WindowGrid(s, [0.3, h], [(0.5,), (t,)], get_kernel("uniform"))
 
     def test_point_length_must_match_the_member(self):
         s = random_sample(make_rng(25), 10)
-        grid = WindowGrid(s, 0.3, [(0.5, 0.5)], get_kernel("uniform"))
+        grid = WindowGrid(s, [0.3], [(0.5, 0.5)], get_kernel("uniform"))
         with pytest.raises(SchemaError):
             grid.u_stats(builtin_member("sum", 1))
