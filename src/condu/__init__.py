@@ -26,7 +26,6 @@ from .estimator import (
     centering,
     convolve,
     estimate,
-    estimate_members,
     expected_u,
     expected_u_one,
     make_dgp,

@@ -30,12 +30,12 @@ class RateRegime:
     def __post_init__(self):
         if self.kind not in ("bounded", "unbounded"):
             raise SchemaError(f"unknown regime kind {self.kind!r}")
-        if self.kind == "unbounded" and (self.p is None or self.p <= 2):
-            raise SchemaError("unbounded regime requires p > 2")
+        if self.kind == "unbounded" and not (self.p is not None and 2 < self.p < math.inf):
+            raise SchemaError("unbounded regime requires a finite p > 2")
         if not 0 < self.b0 < 1:
             raise SchemaError("b0 must lie in (0, 1)")
-        if self.c <= 0:
-            raise SchemaError("c must be positive")
+        if not 0 < self.c < math.inf:
+            raise SchemaError("c must be finite and positive")
 
 
 @dataclass(frozen=True)

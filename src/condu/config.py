@@ -6,6 +6,7 @@ directory can echo exactly what was run.
 """
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from .bandwidth import RateRegime
@@ -65,9 +66,19 @@ def _field(section, key, where, conv=float, default=_REQUIRED):
         raise SchemaError(f"config field {where}.{key} cannot hold {value!r}") from None
 
 
+def _integer(value):
+    """value as an int; a bool, a non-number or a number with a fractional
+    part raises TypeError or ValueError (inf: OverflowError)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(value)
+    if value != int(value):
+        raise ValueError(value)
+    return int(value)
+
+
 def _count(section, key, where, default, least=1):
     """section[key] (default when absent) as an int of at least `least`."""
-    value = _field(section, key, where, int, default)
+    value = _field(section, key, where, _integer, default)
     if value < least:
         raise SchemaError(f"{where}.{key} must be >= {least}")
     return value
@@ -78,45 +89,57 @@ def _floats(values):
 
 
 def _ints(values):
-    return tuple(int(v) for v in values)
+    return tuple(_integer(v) for v in values)
+
+
+def _section(parent, name):
+    """The config section `name`, a dotted path under the document, which
+    must be a JSON object."""
+    section = parent.get(name.rpartition(".")[2])
+    if not isinstance(section, dict):
+        raise SchemaError(f"config section '{name}' is missing or not an object")
+    return section
 
 
 def parse_config(doc):
     """Build an ExperimentConfig from a config dict (already JSON-decoded)."""
     if not isinstance(doc, dict):
         raise SchemaError("config must be a JSON object")
-    for section in ("dgp", "kernel", "function_class", "regime", "grids", "experiment"):
-        if section not in doc:
-            raise SchemaError(f"missing config section '{section}'")
-
-    d = doc["dgp"]
+    d, k, f, r, g, e = (_section(doc, name) for name in (
+        "dgp", "kernel", "function_class", "regime", "grids", "experiment"))
     dgp = make_dgp(
         _require(d, "id", "dgp"),
         noise_kind=d.get("noise", "none"),
         noise_param=_field(d, "noise_param", "dgp", default=0.0),
     )
 
-    k = doc["kernel"]
     if "table" in k:
+        if not isinstance(k["table"], str):
+            raise SchemaError(f"kernel.table must be a file path, got {k['table']!r}")
         kappa = None if k.get("kappa") is None else _field(k, "kappa", "kernel")
         kernel = load_table_kernel(k["table"], kappa=kappa)
     else:
         kernel = get_kernel(_require(k, "id", "kernel"))
 
-    f = doc["function_class"]
-    m = _field(f, "m", "function_class", int)
+    m = _count(f, "m", "function_class", _REQUIRED)
+    specs = _require(f, "members", "function_class")
+    if not isinstance(specs, list):
+        raise SchemaError("function_class.members must be a list")
     members = []
-    for spec in _require(f, "members", "function_class"):
+    for spec in specs:
         if spec == "one":
             raise SchemaError("member 'one' is the estimator's denominator, "
                               "reported by every sweep; remove it from the members")
         if isinstance(spec, str):
             members.append(builtin_member(spec, m))
         elif isinstance(spec, dict) and "poly" in spec:
+            if not isinstance(spec.get("id", "poly"), str):
+                raise SchemaError(f"function_class.members: poly id {spec['id']!r} "
+                                  "is not a string")
             members.append(polynomial_member(spec.get("id", "poly"), m, spec["poly"]))
         else:
             raise SchemaError(f"unrecognized function member spec {spec!r}")
-    rg = _require(f, "regime", "function_class")
+    rg = _section(f, "function_class.regime")
     kind = _require(rg, "kind", "function_class.regime")
     if kind == "bounded":
         regime_fc = Bounded(M=_field(rg, "M", "function_class.regime"))
@@ -130,7 +153,6 @@ def parse_config(doc):
         raise SchemaError(f"unknown regime kind {kind!r}")
     fc = make_function_class(members, regime_fc)
 
-    r = doc["regime"]
     rate = RateRegime(
         kind=kind,
         c=_field(r, "c", "regime"),
@@ -139,23 +161,21 @@ def parse_config(doc):
         p=regime_fc.p if kind == "unbounded" else None,
     )
 
-    g = doc["grids"]
     interval = _field(g, "interval", "grids", _floats)
-    if len(interval) != 2 or interval[0] >= interval[1]:
-        raise SchemaError("grids.interval must be [c, d] with c < d")
+    if len(interval) != 2 or not -math.inf < interval[0] < interval[1] < math.inf:
+        raise SchemaError("grids.interval must be [c, d] with finite c < d")
     bn_rule = g.get("bn_rule", "fixed")
     if bn_rule not in ("fixed", "decaying"):
         raise SchemaError(f"unknown bn_rule {bn_rule!r}")
 
-    e = doc["experiment"]
     n_list = _field(e, "n_list", "experiment", _ints)
     if not n_list or any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise SchemaError("experiment.n_list must be nonempty and strictly ascending")
     if n_list[0] < 1:
         raise SchemaError("experiment.n_list entries must be >= 1")
     epsilon = _field(e, "epsilon", "experiment", default=1.0)
-    if not epsilon > 0:
-        raise SchemaError("experiment.epsilon must be > 0")
+    if not 0 < epsilon < math.inf:
+        raise SchemaError("experiment.epsilon must be finite and > 0")
 
     return ExperimentConfig(
         dgp=dgp,

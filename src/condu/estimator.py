@@ -26,8 +26,8 @@ class Noise:
     def __post_init__(self):
         if self.kind not in ("none", "gaussian", "uniform"):
             raise SchemaError(f"unknown noise kind {self.kind!r}")
-        if self.kind != "none" and self.param <= 0:
-            raise SchemaError("noise parameter must be positive")
+        if self.kind != "none" and not 0 < self.param < math.inf:
+            raise SchemaError("noise parameter must be finite and positive")
 
     def draw(self, rng, size):
         if self.kind == "none":
@@ -101,12 +101,9 @@ _DGP_BUILDERS = {
 
 def make_dgp(dgp_id, noise_kind="none", noise_param=0.0):
     noise = Noise(noise_kind, noise_param)
-    try:
-        dgp = _DGP_BUILDERS[dgp_id](noise)
-    except KeyError:
-        raise SchemaError(
-            f"unknown dgp id {dgp_id!r}; known: {sorted(_DGP_BUILDERS)}"
-        ) from None
+    if not isinstance(dgp_id, str) or dgp_id not in _DGP_BUILDERS:
+        raise SchemaError(f"unknown dgp id {dgp_id!r}; known: {sorted(_DGP_BUILDERS)}")
+    dgp = _DGP_BUILDERS[dgp_id](noise)
     _validate_density(dgp)
     return dgp
 
@@ -144,21 +141,19 @@ def ratio_status(den):
 def estimate_grid(members, hs, points, s, kernel):
     """Stute's estimator m^(t, h) = U_n(phi, h, t) / U_n(1, h, t) at every
     bandwidth h and point t for each of the (nonempty) members: per
-    bandwidth, per point, one EstimateCell per member. One WindowGrid serves
-    every cell of the sample; the members share its denominators(), which
-    call no member.
+    bandwidth, per point, one EstimateCell per member. One WindowGrid call
+    evaluates the denominator and every member over the sample's cells.
 
     A vanishing window or a signed-kernel denominator is a cell status, not
     an exception: small-h cells are legitimately empty at finite n.
     """
     hs, points = tuple(hs), [tuple(t) for t in points]
-    grid = WindowGrid(s, hs, points, kernel)
-    nums = [grid.u_stats(phi) for phi in members]
+    dens, *nums = WindowGrid(s, hs, points, kernel).u_stats([None, *members])
     out = []
-    for q, (h, dens) in enumerate(zip(hs, grid.denominators())):
+    for q, h in enumerate(hs):
         h_cells = []
         for k, t in enumerate(points):
-            den = dens[k].value
+            den = dens[q][k].value
             status = ratio_status(den)
             cells = []
             for phi, phi_nums in zip(members, nums):
@@ -170,14 +165,10 @@ def estimate_grid(members, hs, points, s, kernel):
     return out
 
 
-def estimate_members(members, h, t, s, kernel):
-    """estimate_grid at the one bandwidth h and point t."""
-    return estimate_grid(members, [h], [t], s, kernel)[0][0]
-
-
 def estimate(phi, h, t, s, kernel):
-    """Stute's estimator for one member; see estimate_members."""
-    return estimate_members((phi,), h, t, s, kernel)[0]
+    """Stute's estimator for one member at one bandwidth and point; see
+    estimate_grid."""
+    return estimate_grid((phi,), [h], [t], s, kernel)[0][0][0]
 
 
 def product_density(dgp, t):

@@ -7,6 +7,7 @@ return arrays of shape (...).
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -35,6 +36,10 @@ class FunctionSpec:
 class Bounded:
     M: float
 
+    def __post_init__(self):
+        if not 0 < self.M < math.inf:
+            raise SchemaError("bounded regime requires a finite M > 0")
+
 
 @dataclass(frozen=True)
 class Unbounded:
@@ -42,8 +47,8 @@ class Unbounded:
     mu_p: Optional[float] = None
 
     def __post_init__(self):
-        if self.p <= 2:
-            raise SchemaError("unbounded regime requires p > 2")
+        if not 2 < self.p < math.inf:
+            raise SchemaError("unbounded regime requires a finite p > 2")
 
 
 Regime = Union[Bounded, Unbounded]
@@ -110,7 +115,11 @@ def polynomial_member(spec_id, m, terms):
     """
     if member_kind(spec_id)[0] is not None:
         raise SchemaError(f"polynomial member id {spec_id!r} is a built-in id")
-    terms = [(float(c), tuple(int(e) for e in es)) for c, es in terms]
+    try:
+        terms = [(float(c), tuple(int(e) for e in es)) for c, es in terms]
+    except (TypeError, ValueError):
+        raise SchemaError(f"polynomial member {spec_id!r} needs a list of "
+                          "[coefficient, exponents] terms") from None
     for _, es in terms:
         if len(es) != m:
             raise SchemaError("polynomial exponent tuple length must equal m")

@@ -237,8 +237,7 @@ def remainder_diagnostic(cfg, ell, rep=0, mc_draws=50_000, p=None):
         g.id: np.asarray(g.eval(ys), dtype=float) for g in members
     }
 
-    grid = WindowGrid(s, hs, tgrid, cfg.kernel)
-    us = [grid.u_stats(g) for g in members]
+    us = WindowGrid(s, hs, tgrid, cfg.kernel).u_stats(members)
     sup_val, sup_se, cells = 0.0, 0.0, []
     for q, h in enumerate(hs):
         norm = normalizer(n, h, m)

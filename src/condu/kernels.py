@@ -75,12 +75,9 @@ def builtin_kernel_ids():
 
 
 def get_kernel(kernel_id):
-    try:
-        return _BUILTINS[kernel_id]()
-    except KeyError:
-        raise SchemaError(
-            f"unknown kernel id {kernel_id!r}; known: {sorted(_BUILTINS)}"
-        ) from None
+    if not isinstance(kernel_id, str) or kernel_id not in _BUILTINS:
+        raise SchemaError(f"unknown kernel id {kernel_id!r}; known: {sorted(_BUILTINS)}")
+    return _BUILTINS[kernel_id]()
 
 
 def table_kernel(u_nodes, k_values, kappa=None, kernel_id="user-table"):

@@ -10,17 +10,19 @@ the pruned and brute paths agree bit for bit.
 
 The pruned path is a grid evaluator: WindowGrid takes one sample, all of
 its bandwidths and a set of evaluation points, finds each distinct
-coordinate's window and kernel weights once per bandwidth, and evaluates a
-member at every (h, t) cell in one pass (m = 1: g once per sample; m = 2:
-g once per band of window pairs, shared by every bandwidth; m = 3 cells one
-at a time, in chunks filled a few rows at a time). Its denominators() is
-U_n(1, h, t) over the same cells without calling any member.
-u_stat_windowed is its one-bandwidth, one-point call, so a cell gives the
-same bits alone as within a grid.
+coordinate's window and kernel weights once per bandwidth, and its
+u_stats(members) walks the (h, t) cells once, evaluating every member, and
+the constant 1 of the estimator's denominator without calling any member,
+over each cell's shared geometry (m = 1: g once per sample; m = 2: g once
+per band of window pairs, shared by every bandwidth; m = 3 in chunks filled
+a few rows at a time). u_stat_windowed is its one-member, one-bandwidth,
+one-point call, so a cell gives the same bits alone as within a grid.
 """
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -260,36 +262,39 @@ def _band_groups(cells):
 
 
 class WindowGrid:
-    """U_n(g, h, t) of one sample over a set of bandwidths and a set of
-    evaluation points, equal bit for bit to evaluating each (h, t) on its
-    own.
+    """U_n(g, h, t) of one sample for a list of members over a set of
+    bandwidths and a set of evaluation points, equal bit for bit to
+    evaluating each (g, h, t) on its own.
 
     Per bandwidth, each distinct coordinate value gets its window (a
     half-open range of positions in the stable x-sort) and its kernel
-    weights once; every coordinate, point and member shares them.
-    u_stats(g) evaluates one member at every (h, t); denominators() gives
-    the same for the constant member 1 without calling any member:
+    weights once. u_stats(members) walks the (h, t) cells once, and each
+    cell's geometry serves every member; a member None is the constant 1,
+    the estimator's denominator, computed without calling any member. Each
+    cell takes one path:
 
-    * m = 1: g once on the sorted y over the span of all the windows; each
-      cell sums a slice, with math.fsum up to EXACT_PATH_MAX tuples (the
-      brute oracle's bits) and np.dot above.
+    * empty, when a window holds no point: 0.
+    * exact, at most EXACT_PATH_MAX window tuples, any m: the brute
+      oracle's terms from the stored weights, the closed-window mask and
+      the distinct sorted positions, summed by math.fsum.
+    * m = 1: g once per sample on the sorted y over the span of all the
+      windows; a cell is np.dot of a slice and its weights.
     * m = 2: the windows of a coordinate value nest in h, so the cells of
       every bandwidth whose points share t_1 share bands of g values,
       y[min lo, max hi) x y[c_lo, c_hi) over a run of overlapping t_2
       windows, of at most _BAND_ELEMENTS values, filled _FILL_ELEMENTS
       values at a time; one band is alive at a time. Each cell reads its
       rows and columns of the band as a view: w_1 @ (G @ w_2), less the
-      terms of the tuples that repeat an index.
-    * m = 3: (h, point) by (h, point). A window's tuples are split along
-      the first axis into chunks of at most _CHUNK_ELEMENTS, each summed by
-      one np.sum over a contiguous buffer (one per cell, reused by its
-      chunks). The buffer is filled about _FILL_ELEMENTS values at a time
-      with ((g * distinct-index mask) * w_1) * w_2 w_3.
-    * m = 2 cells of at most EXACT_PATH_MAX tuples go one at a time.
+      terms of the tuples that repeat an index, found once per cell.
+    * m = 3: the windows, w_2 w_3, the pair mask and one chunk buffer once
+      per cell. The tuples are split along the first axis into chunks of
+      at most _CHUNK_ELEMENTS, each summed by one np.sum over the buffer,
+      filled about _FILL_ELEMENTS values at a time with
+      ((g * distinct-index mask) * w_1) * w_2 w_3.
 
-    The denominator takes ones for the values of g, and at m = 3 the mask
-    itself for g * mask; both are exact, so its bits are those of the
-    constant member.
+    The constant 1 takes ones for the values of g, and at m = 3 the mask
+    itself for g * mask; both are exact, so its bits and tuple counts are
+    those of the member "one".
     """
 
     def __init__(self, s, hs, points, kernel):
@@ -315,84 +320,122 @@ class WindowGrid:
                                  for v, (a, b) in zip(values, ranges)])
         self.y_sorted = s.y[s.sort_index]
 
-    def u_stats(self, g):
-        """Per bandwidth, one UStatResult per point, in the order of the
-        bandwidths and of the points."""
-        return self._evaluate(g, g.m)
-
-    def denominators(self):
-        """u_stats of the constant member 1, U_n(1, h, t), with the same
-        bits and tuple counts, computed without calling any member."""
-        return self._evaluate(None, len(self.points[0]) if self.points else 1)
-
-    def _evaluate(self, g, m):
-        n = self.s.n
-        if any(len(t) != m for t in self.points):
-            raise SchemaError(f"evaluation points must have length {m}, the order of g")
+    def u_stats(self, members):
+        """Per member, per bandwidth, one UStatResult per point, in the
+        order of the members, the bandwidths and the points. A member None
+        is the constant 1, U_n(1, h, t)."""
+        orders = {len(t) for t in self.points} | {g.m for g in members if g is not None}
+        if len(orders) > 1:
+            raise SchemaError(f"evaluation points and members must share one order m, "
+                              f"got {sorted(orders)}")
+        m, n = (orders.pop() if orders else 1), self.s.n
         if m > n:
             raise DegenerateSample(f"order m={m} exceeds sample size n={n}")
         total = count_indices(n, m)
-        if m == 1:
-            return self._first_order(g, total)
-        if m == 2:
-            return self._pairs(g, total)
-        return [[self._cell(g, q, k, total) for k in range(len(self.points))]
-                for q in range(len(self.hs))]
+        out = [[[None] * len(self.points) for _ in self.hs] for _ in members]
+        spans = [r for ranges in self.ranges for r in ranges if r[1] > r[0]]
+        gy, base = None, 0
+        if m == 1 and spans:
+            base = min(a for a, _ in spans)
+            gy = [_eval_rows(g, self.y_sorted[base:max(b for _, b in spans), None])
+                  for g in members]
+        banded = {}
+        for q, ranges in enumerate(self.ranges):
+            for k, cell in enumerate(self.cells):
+                wins = [ranges[i] for i in cell]
+                tuples = math.prod(b - a for a, b in wins)
+                if tuples == 0:
+                    res = [UStatResult(0.0, 0, total, "windowed")] * len(members)
+                elif tuples <= EXACT_PATH_MAX:
+                    res = self._exact(members, q, k, gy, base, total)
+                elif m == 1:
+                    (a, b), w = wins[0], self.weights[q][cell[0]]
+                    res = [self._vectorized(float(np.dot(v[a - base:b - base], w)),
+                                            b - a, total, q, k) for v in gy]
+                elif m == 2:
+                    banded.setdefault(cell[0], []).append(((q, k), *wins))
+                    continue
+                elif m == 3:
+                    res = self._triples(members, q, k, total)
+                else:
+                    raise UnsupportedOrder(
+                        f"windowed vectorized path supports m <= 3; window has "
+                        f"{tuples} tuples for m={m}"
+                    )
+                for g_out, r in zip(out, res):
+                    g_out[q][k] = r
+        for row in banded.values():
+            for r_lo, r_hi, c_lo, c_hi, run in _band_groups(row):
+                diagonals = [self._diagonal(members, q, k) for (q, k), _, _ in run]
+                for gi, g in enumerate(members):
+                    band = self._band(g, r_lo, r_hi, c_lo, c_hi)
+                    for ((q, k), (lo, hi), (a, b)), (sums, common) in zip(run, diagonals):
+                        i, j = self.cells[k]
+                        G = band[lo - r_lo:hi - r_lo, a - c_lo:b - c_lo]
+                        acc = float(self.weights[q][i] @ (G @ self.weights[q][j]))
+                        out[gi][q][k] = self._vectorized(acc - sums[gi], G.size - common,
+                                                         total, q, k)
+                    del band, G  # one band alive at a time: freed before the next fill
+        return out
 
-    def _finite(self, acc, q, k):
+    def _vectorized(self, acc, evaluated, total, q, k):
+        """The result of a BLAS or np.sum total; a non-finite one raises."""
         if not math.isfinite(acc):
             raise NonFiniteSum(
                 f"cell h={self.hs[q]}, t={self.points[k]}: vectorized sum is {acc}"
             )
-        return acc
+        return UStatResult(acc / total, evaluated, total, "windowed")
 
-    def _first_order(self, g, total):
-        spans = [(a, b) for ranges in self.ranges for a, b in ranges if b > a]
-        if spans:
-            base = min(a for a, _ in spans)
-            gy = _eval_rows(g, self.y_sorted[base:max(b for _, b in spans), None])
-        out = []
-        for q, h in enumerate(self.hs):
-            row = []
-            for k, (i,) in enumerate(self.cells):
-                a, b = self.ranges[q][i]
-                if a == b:
-                    row.append(UStatResult(0.0, 0, total, "windowed"))
-                    continue
-                gv, w = gy[a - base:b - base], self.weights[q][i]
-                if b - a <= EXACT_PATH_MAX:
-                    t = self.points[k]
-                    inside = np.abs(t[0] - self.s.x_sorted[a:b]) <= h / 2.0
-                    acc = _exact_sum(gv[inside] * w[inside], h, t)
-                else:
-                    acc = self._finite(float(np.dot(gv, w)), q, k)
-                row.append(UStatResult(acc / total, b - a, total, "windowed"))
-            out.append(row)
-        return out
+    def _exact(self, members, q, k, gy, base, total):
+        """The terms ukernel_scalar's H gives, built in H's order of
+        operations over the outer grid of the windows: the tuples of
+        distinct sorted positions are counted, and those inside every
+        closed window |t_j - x| <= h/2 are summed. H returns 0.0 outside
+        before calling g, so g never sees those tuples (an overflowing
+        member would give inf * 0 = nan). fsum is exactly rounded, so
+        dropping H's zero terms and reordering the rest leave the bits of
+        the sum unchanged. At m = 1 the values of g come from gy, g on the
+        sorted y from position base on."""
+        h, t, cell = self.hs[q], self.points[k], self.cells[k]
+        wins = [self.ranges[q][i] for i in cell]
+        axes = []
+        for j, (i, (a, b)) in enumerate(zip(cell, wins)):
+            axes.append((1,) * j + (-1,) + (1,) * (len(cell) - 1 - j))
+            wj = self.weights[q][i].reshape(axes[j])
+            inside = (np.abs(t[j] - self.s.x_sorted[a:b]) <= h / 2.0).reshape(axes[j])
+            w, keep = (wj, inside) if j == 0 else (w * wj, keep & inside)
+        count = w.size
+        if len(cell) > 1:
+            distinct = functools.reduce(operator.and_, [
+                np.arange(a, b).reshape(ax1) != np.arange(c, d).reshape(ax2)
+                for ((a, b), ax1), ((c, d), ax2) in itertools.combinations(zip(wins, axes), 2)])
+            count, keep = int(np.count_nonzero(distinct)), keep & distinct
+        if gy is None:
+            rows = np.stack([self.y_sorted[a + o] for (a, _), o in zip(wins, np.nonzero(keep))],
+                            axis=-1)
+            values = [_eval_rows(g, rows) for g in members]
+        else:
+            values = [v[wins[0][0] - base:wins[0][1] - base][keep] for v in gy]
+        w = w[keep]
+        try:
+            return [UStatResult(math.fsum((v * w).tolist()) / total, count, total, "windowed")
+                    for v in values]
+        except (ValueError, OverflowError) as exc:  # no finite exact sum
+            raise NonFiniteSum(f"cell h={h}, t={t}: {exc}") from None
 
-    def _pairs(self, g, total):
-        out = [[None] * len(self.cells) for _ in self.hs]
-        rows = {}
-        for k, (i, j) in enumerate(self.cells):
-            rows.setdefault(i, []).append((k, j))
-        for i, row in rows.items():
-            banded = []
-            for q, ranges in enumerate(self.ranges):
-                lo, hi = ranges[i]
-                for k, j in row:
-                    a, b = ranges[j]
-                    if (hi - lo) * (b - a) <= EXACT_PATH_MAX:
-                        out[q][k] = self._cell(g, q, k, total)
-                    else:
-                        banded.append(((q, k), (lo, hi), (a, b)))
-            for r_lo, r_hi, c_lo, c_hi, run in _band_groups(banded):
-                band = self._band(g, r_lo, r_hi, c_lo, c_hi)
-                for (q, k), (lo, hi), (a, b) in run:
-                    out[q][k] = self._pair_cell(
-                        g, q, k, band[lo - r_lo:hi - r_lo, a - c_lo:b - c_lo], total
-                    )
-                del band  # one band alive at a time: freed before the next fill
-        return out
+    def _diagonal(self, members, q, k):
+        """Per member, the terms of an m = 2 cell's tuples (i, i), which
+        w_1 @ (G @ w_2) counts and the cell must not, summed; and their
+        number."""
+        i, j = self.cells[k]
+        w0, w1 = self.weights[q][i], self.weights[q][j]
+        common, i1, i2 = _common_positions(self.ranges[q][i], self.ranges[q][j],
+                                           self.s.sort_index)
+        if not common.size:
+            return [0.0] * len(members), 0
+        y = self.s.y[common]
+        ys = np.stack([y, y], axis=-1)
+        return [float(np.sum(_eval_rows(g, ys) * w0[i1] * w1[i2])) for g in members], common.size
 
     def _band(self, g, lo, hi, c_lo, c_hi):
         """g over y[lo:hi] x y[c_lo:c_hi] (sorted positions), filled
@@ -412,95 +455,46 @@ class WindowGrid:
             band[r - lo:r - lo + part.shape[0]] = part
         return band
 
-    def _pair_cell(self, g, q, k, G, total):
-        i, j = self.cells[k]
-        w0, w1 = self.weights[q][i], self.weights[q][j]
-        acc = float(w0 @ (G @ w1))
-        common, i1, i2 = _common_positions(self.ranges[q][i], self.ranges[q][j],
-                                           self.s.sort_index)
-        if common.size:
-            y = self.s.y[common]
-            diag = _eval_rows(g, np.stack([y, y], axis=-1))
-            acc -= float(np.sum(diag * w0[i1] * w1[i2]))
-        evaluated = G.shape[0] * G.shape[1] - common.size
-        return UStatResult(self._finite(acc, q, k) / total, evaluated, total, "windowed")
-
-    def _cell(self, g, q, k, total):
-        """One (h, point) on its own: the exact path, or the chunked m=3
-        sum."""
-        t, s, h = self.points[k], self.s, self.hs[q]
-        m = len(t)
+    def _triples(self, members, q, k, total):
+        """One m = 3 cell, its chunk buffer and mask shared by the members."""
         ranges = [self.ranges[q][i] for i in self.cells[k]]
-        wins = [s.sort_index[lo:hi] for lo, hi in ranges]
-        sizes = [w.size for w in wins]
-        window_tuples = int(np.prod([float(sz) for sz in sizes]))
-        if min(sizes) == 0:
-            return UStatResult(0.0, 0, total, "windowed")
-
-        if window_tuples <= EXACT_PATH_MAX:
-            # the terms ukernel_scalar's H gives, built as arrays in H's order
-            # of operations; fsum is exactly rounded, so dropping H's zero
-            # terms and reordering the rest leave the bits of the sum
-            # unchanged
-            idx = np.stack(np.meshgrid(*wins, indexing="ij"), axis=-1).reshape(-1, m)
-            srt = np.sort(idx, axis=1)
-            idx = idx[np.all(srt[:, 1:] != srt[:, :-1], axis=1)]
-            zs = [t[j] - s.x[idx[:, j]] for j in range(m)]
-            w = 1.0
-            for z in zs:
-                w = w * eval_scaled(self.kernel, h, z)
-            # H returns 0.0 before calling g outside the window, so g never
-            # sees those tuples (an overflowing member would give inf * 0 = nan)
-            inside = np.logical_and.reduce([np.abs(z) <= h / 2.0 for z in zs])
-            terms = _eval_rows(g, s.y[idx[inside]]) * w[inside]
-            return UStatResult(_exact_sum(terms, h, t) / total, len(idx), total, "windowed")
-
-        if m != 3:
-            raise UnsupportedOrder(
-                f"windowed vectorized path supports m <= 3; window has "
-                f"{window_tuples} tuples for m={m}"
-            )
-        weights = [self.weights[q][i] for i in self.cells[k]]
+        wins = [self.s.sort_index[lo:hi] for lo, hi in ranges]
         ys = [self.y_sorted[lo:hi] for lo, hi in ranges]
-        acc = 0.0
-        evaluated = 0
-        w23 = np.outer(weights[1], weights[2])
+        w1, w2, w3 = [self.weights[q][i] for i in self.cells[k]]
+        n1, n2, n3 = [w.size for w in wins]
+        w23 = np.outer(w2, w3)
         neq23 = wins[1][:, None] != wins[2][None, :]
-        plane = max(1, sizes[1] * sizes[2])
-        chunk = max(1, _CHUNK_ELEMENTS // plane)
-        step = max(1, _FILL_ELEMENTS // plane)
-        buf = np.empty((min(chunk, sizes[0]), sizes[1], sizes[2]))
-        for lo in range(0, sizes[0], chunk):
-            hi = min(lo + chunk, sizes[0])
-            G = buf[:hi - lo]
-            # a few rows at a time, so the evaluation planes, the mask and
-            # the products stay in cache; each value is ((g * mask) * w_1) *
-            # w_23, as it is when the whole chunk is built at once
-            for r in range(lo, hi, step):
-                e = min(r + step, hi)
-                block = G[r - lo:e - lo]
-                i1 = wins[0][r:e, None, None]
-                mask = (i1 != wins[1][None, :, None]) & neq23
-                mask &= i1 != wins[2][None, None, :]
-                if g is None:
-                    # 1.0 * mask is the mask
-                    block[...] = mask
-                else:
-                    block[...] = _tuples_eval(g, ys[0][r:e], ys[1], ys[2])
-                    np.multiply(block, mask, out=block)
-                np.multiply(block, weights[0][r:e, None, None], out=block)
-                np.multiply(block, w23[None, :, :], out=block)
-                evaluated += int(np.count_nonzero(mask))
-            acc += float(np.sum(G))
-        return UStatResult(self._finite(acc, q, k) / total, evaluated, total, "windowed")
-
-
-def _exact_sum(terms, h, t):
-    """math.fsum of the terms; no finite exact sum raises NonFiniteSum."""
-    try:
-        return math.fsum(terms.tolist())
-    except (ValueError, OverflowError) as exc:
-        raise NonFiniteSum(f"cell h={h}, t={t}: {exc}") from None
+        chunk = max(1, _CHUNK_ELEMENTS // (n2 * n3))
+        step = max(1, _FILL_ELEMENTS // (n2 * n3))
+        buf = np.empty((min(chunk, n1), n2, n3))
+        res = []
+        for g in members:
+            acc, evaluated = 0.0, 0
+            for lo in range(0, n1, chunk):
+                hi = min(lo + chunk, n1)
+                G = buf[:hi - lo]
+                # a few rows at a time, so the evaluation planes, the mask
+                # and the products stay in cache; each value is ((g * mask)
+                # * w_1) * w_23, as it is when the whole chunk is built at
+                # once
+                for r in range(lo, hi, step):
+                    e = min(r + step, hi)
+                    block = G[r - lo:e - lo]
+                    i1 = wins[0][r:e, None, None]
+                    mask = (i1 != wins[1][None, :, None]) & neq23
+                    mask &= i1 != wins[2][None, None, :]
+                    if g is None:
+                        # 1.0 * mask is the mask
+                        block[...] = mask
+                    else:
+                        block[...] = _tuples_eval(g, ys[0][r:e], ys[1], ys[2])
+                        np.multiply(block, mask, out=block)
+                    np.multiply(block, w1[r:e, None, None], out=block)
+                    np.multiply(block, w23[None, :, :], out=block)
+                    evaluated += int(np.count_nonzero(mask))
+                acc += float(np.sum(G))
+            res.append(self._vectorized(acc, evaluated, total, q, k))
+        return res
 
 
 def u_stat_windowed(spec, s):
@@ -508,11 +502,12 @@ def u_stat_windowed(spec, s):
 
     Only tuples whose every coordinate lies inside the closed kernel window
     are enumerated; the distinct-index constraint is enforced during the
-    Cartesian enumeration. This is the one-point WindowGrid. Cells without
-    a finite sum raise NonFiniteSum: on the exact path, terms whose exact sum
-    is inf - inf or overflows; on the vectorized path, a non-finite total.
+    Cartesian enumeration. This is the one-member, one-point WindowGrid.
+    Cells without a finite sum raise NonFiniteSum: on the exact path, terms
+    whose exact sum is inf - inf or overflows; on the vectorized path, a
+    non-finite total.
     """
-    return WindowGrid(s, [spec.h], [spec.t], spec.kernel).u_stats(spec.g)[0][0]
+    return WindowGrid(s, [spec.h], [spec.t], spec.kernel).u_stats([spec.g])[0][0][0]
 
 
 def symmetrize(H, m):

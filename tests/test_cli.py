@@ -1,11 +1,17 @@
+import contextlib
 import copy
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import condu.cli
 from condu.cli import main
@@ -102,6 +108,88 @@ class TestConfigErrors:
             section = section[key]
         section[path[-1]] = value
         assert_simulate_schema_error(doc, tmp_path, capsys)
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("regime", "c"), math.nan),
+            (("dgp", "noise_param"), math.nan),
+            (("function_class", "regime", "M"), math.nan),
+            (("function_class", "regime", "M"), -1.0),
+            (("function_class", "regime", "M"), math.inf),
+            (("experiment", "epsilon"), math.inf),
+            (("function_class", "regime"), {"kind": "unbounded", "p": math.nan}),
+        ],
+        ids=["c-nan", "noise_param-nan", "M-nan", "M-negative", "M-inf", "epsilon-inf",
+             "p-nan"],
+    )
+    def test_non_finite_or_nonpositive_value_is_a_schema_error(
+        self, tmp_path, capsys, path, value
+    ):
+        doc = copy.deepcopy(BASE_DOC)
+        doc["dgp"] = {"id": "uniform_linear", "noise": "uniform", "noise_param": 0.25}
+        doc["function_class"]["regime"] = {"kind": "bounded", "M": 2.0}
+        section = doc
+        for key in path[:-1]:
+            section = section[key]
+        section[path[-1]] = value
+        assert_simulate_schema_error(doc, tmp_path, capsys)
+
+    @pytest.mark.parametrize(
+        "path, value, named",
+        [
+            (("function_class", "m"), 2.5, "function_class.m"),
+            (("function_class", "m"), 0, "function_class.m"),
+            (("experiment", "reps"), 2.5, "experiment.reps"),
+            (("experiment", "n_list"), [400.9], "experiment.n_list"),
+            (("grids", "points_per_axis"), True, "grids.points_per_axis"),
+            (("function_class", "members"), [{"poly": "abc"}], "poly"),
+            (("function_class", "members"), [{"poly": [[1.0]]}], "poly"),
+            (("function_class", "members"), None, "function_class.members"),
+            (("function_class", "members"), [{"id": [1], "poly": [[1.0, [1]]]}],
+             "function_class.members"),
+            (("dgp", "id"), [], "dgp id"),
+            (("kernel", "id"), [], "kernel id"),
+            (("dgp",), None, "dgp"),
+        ],
+        ids=["m-fraction", "m-zero", "reps-fraction", "n_list-fraction",
+             "points_per_axis-bool", "poly-string", "poly-short-term", "members-null",
+             "poly-id-list", "dgp-id-list", "kernel-id-list", "section-null"],
+    )
+    def test_malformed_field_is_a_schema_error_naming_it(
+        self, tmp_path, capsys, path, value, named
+    ):
+        doc = copy.deepcopy(BASE_DOC)
+        section = doc
+        for key in path[:-1]:
+            section = section[key]
+        section[path[-1]] = value
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(doc))
+        rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "s.csv")])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "SchemaError"
+        assert named in err["message"]
+
+    @pytest.mark.parametrize("table", [True, 2])
+    def test_kernel_table_must_be_a_path(self, tmp_path, table):
+        # run in a child: a number reaching open() is a file descriptor, and
+        # the child's own stdout or stderr would be read and closed
+        doc = copy.deepcopy(BASE_DOC)
+        doc["kernel"] = {"table": table}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        res = subprocess.run(
+            [sys.executable, "-m", "condu.cli", "simulate", "--config", str(cfg),
+             "--out", str(tmp_path / "s.csv")],
+            env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True,
+            timeout=60,
+        )
+        assert res.returncode == 1
+        err = json.loads(res.stderr)
+        assert err["error"] == "SchemaError"
+        assert "kernel.table" in err["message"]
 
     def test_non_numeric_table_kappa_is_a_schema_error(self, tmp_path, capsys):
         table = tmp_path / "k.csv"
@@ -450,3 +538,94 @@ def test_rates_bytes_do_not_depend_on_blas_threads(tmp_path):
         outs.append(out)
     for name in ("deviations.csv", "report.json"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+FUZZ_DOCS = [
+    {
+        "dgp": {"id": "uniform_linear", "noise": "gaussian", "noise_param": 0.3},
+        "kernel": {"id": "uniform"},
+        "function_class": {"m": 1, "members": ["identity_j:1"],
+                           "regime": {"kind": "unbounded", "p": 3.0}},
+        "regime": {"c": 0.5, "b0": 0.4},
+        "grids": {"interval": [0.3, 0.7], "points_per_axis": 2, "bn_rule": "fixed",
+                  "quad_order": 8},
+        "experiment": {"n_list": [24], "reps": 1, "seed": 7, "epsilon": 1.0},
+    },
+    {
+        "dgp": {"id": "uniform_linear", "noise": "uniform", "noise_param": 0.25},
+        "kernel": {"id": "epanechnikov-rescaled"},
+        "function_class": {"m": 2, "members": ["sum", {"id": "sq", "poly": [[1.0, [2, 0]]]}],
+                           "regime": {"kind": "bounded", "M": 2.5}},
+        "regime": {"c": 1.0, "b0": 0.5},
+        "grids": {"interval": [0.3, 0.7], "points_per_axis": 2, "bn_rule": "decaying",
+                  "quad_order": 6},
+        "experiment": {"n_list": [12, 16], "reps": 1, "seed": 3},
+    },
+]
+# fields whose value sizes an allocation or a loop get no huge integer;
+# grids.quad_order is not mutated at all (a huge order allocates its rule)
+SIZING = {("function_class", "m"), ("grids", "points_per_axis"), ("experiment", "n_list"),
+          ("experiment", "reps")}
+ODD_VALUES = [None, True, False, "abc", [], {}, [1.0], 0, -1, 2.5, math.nan, math.inf,
+              -math.inf]
+
+
+def _paths(doc, prefix=()):
+    for key, value in doc.items():
+        path = prefix + (key,)
+        if path != ("grids", "quad_order"):
+            yield path
+        if isinstance(value, dict):
+            yield from _paths(value, path)
+
+
+@st.composite
+def mutated_config(draw):
+    """A fuzz document with one to three fields dropped or replaced by a
+    value of the wrong type, a non-finite number or an empty list."""
+    doc = copy.deepcopy(draw(st.sampled_from(FUZZ_DOCS)))
+    for _ in range(draw(st.integers(1, 3))):
+        paths = sorted(_paths(doc))
+        if not paths:
+            break
+        path = draw(st.sampled_from(paths))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        values = ODD_VALUES if path in SIZING else ODD_VALUES + [10 ** 30]
+        mutation = draw(st.sampled_from(["drop"] + values))
+        if mutation == "drop":
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = mutation
+    return doc
+
+
+def _run_cli(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return rc, err.getvalue()
+
+
+@settings(max_examples=40, deadline=None)
+@given(doc=mutated_config())
+def test_mutated_configs_run_or_exit_one_with_json(doc):
+    """simulate, estimate and rates either succeed with every output file or
+    exit 1 with a JSON error on stderr; never exit 2."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        runs = [
+            (["simulate", "--out", f"{tmp}/s.csv"], ["s.csv"]),
+            (["estimate", "--out", f"{tmp}/e.csv"], ["e.csv"]),
+            (["rates", "--out", f"{tmp}/r"],
+             ["r/deviations.csv", "r/report.json", "r/config_echo.json"]),
+        ]
+        for argv, outputs in runs:
+            rc, err = _run_cli(argv[:1] + ["--config", str(cfg)] + argv[1:])
+            assert rc in (0, 1), err
+            if rc == 0:
+                assert all((Path(tmp) / name).is_file() for name in outputs)
+            else:
+                assert set(json.loads(err)) == {"error", "message"}

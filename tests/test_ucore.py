@@ -561,7 +561,7 @@ class TestNonFiniteSum:
             u_stat_windowed(spec, s)
         grid = WindowGrid(s, [0.5], [(0.45,) * m, (0.5,) * m], get_kernel("uniform"))
         with pytest.raises(NonFiniteSum):
-            grid.u_stats(member)
+            grid.u_stats([member])
 
 
 def frozen_windows(h, t, s):
@@ -677,6 +677,7 @@ class TestWindowGrid:
     @given(data=st.data())
     def test_grid_is_the_per_point_formula_bit_for_bit(self, m, data):
         s, hs, points, phi, kernel = data.draw(grid_case(m))
+        members = [phi] + data.draw(st.lists(oracle_member(m, poly=True), max_size=2))
         band = data.draw(st.sampled_from([1, 40, 700, 6000, 2 ** 19]))
         fill = data.draw(st.sampled_from([1, 30, 2 ** 15]))
         chunk = data.draw(st.sampled_from([1, 50, 700, 4_000_000]))
@@ -685,19 +686,23 @@ class TestWindowGrid:
             patch.setattr(condu.ucore, "_FILL_ELEMENTS", fill)
             patch.setattr(condu.ucore, "_CHUNK_ELEMENTS", chunk)
             grid = WindowGrid(s, hs, points, kernel)
-            got = grid.u_stats(phi)
+            dens, *got = grid.u_stats([None, *members])
             # frozen_cell splits its m = 3 sum at the patched chunk size too
             expected = [[frozen_cell(UKernelSpec(phi, h, t, kernel), s) for t in points]
                         for h in hs]
-            dens = grid.denominators()
-            ones = grid.u_stats(builtin_member("one", m))
-        assert len(got) == len(dens) == len(hs)
-        for h_got, h_expected, h_dens, h_ones in zip(got, expected, dens, ones):
+            alone = [grid.u_stats([g])[0] for g in members]
+            ones = grid.u_stats([builtin_member("one", m)])[0]
+        assert len(got[0]) == len(dens) == len(hs)
+        for h_got, h_expected in zip(got[0], expected):
             assert len(h_got) == len(points)
             for res, (value, evaluated) in zip(h_got, h_expected):
                 assert np.float64(res.value).tobytes() == np.float64(value).tobytes()
                 assert res.tuples_evaluated == evaluated
                 assert res.tuples_total == count_indices(s.n, m)
+        for g_got, g_alone in zip(got, alone):
+            for h_got, h_alone in zip(g_got, g_alone):
+                assert_same_results(h_got, h_alone)
+        for h_dens, h_ones in zip(dens, ones):
             assert_same_results(h_dens, h_ones)
 
     @pytest.mark.parametrize("m, n", [(1, 1500), (2, 300)])
@@ -708,11 +713,12 @@ class TestWindowGrid:
         # the wider windows start lower: a shared band's rows differ by cell
         hs = [0.3, 0.45]
         points = list(itertools.product(np.linspace(0.3, 0.7, 5), repeat=m))
-        for phi in all_members(m):
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(condu.ucore, "_BAND_ELEMENTS", band)
-                patch.setattr(condu.ucore, "_FILL_ELEMENTS", fill)
-                got = WindowGrid(s, hs, points, k).u_stats(phi)
+        members = all_members(m)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(condu.ucore, "_BAND_ELEMENTS", band)
+            patch.setattr(condu.ucore, "_FILL_ELEMENTS", fill)
+            results = WindowGrid(s, hs, points, k).u_stats(members)
+        for phi, got in zip(members, results):
             for h, h_got in zip(hs, got):
                 for t, res in zip(points, h_got):
                     spec = UKernelSpec(phi, h, t, k)
@@ -738,7 +744,7 @@ class TestWindowGrid:
         s, spec = two_chunk_cell
         spec = dataclasses.replace(spec, g=builtin_member(member, 3))
         value, evaluated = frozen_cell(spec, s)
-        got = WindowGrid(s, [spec.h], [spec.t], spec.kernel).u_stats(spec.g)[0][0]
+        got = WindowGrid(s, [spec.h], [spec.t], spec.kernel).u_stats([spec.g])[0][0][0]
         assert np.float64(got.value).tobytes() == np.float64(value).tobytes()
         assert got.tuples_evaluated == evaluated
         assert got == u_stat_windowed(spec, s)
@@ -758,16 +764,17 @@ class TestWindowGrid:
         assert peak <= 40e6
 
     def test_two_chunk_denominator_is_the_one_member_in_one_chunk_buffer(self, two_chunk_cell):
+        # the denominator and a member share the cell's one chunk buffer
         s, spec = two_chunk_cell
         grid = WindowGrid(s, [spec.h], [spec.t], spec.kernel)
         tracemalloc.start()
         try:
-            dens = grid.denominators()
+            dens, _ = grid.u_stats([None, builtin_member("product", 3)])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 40e6
-        assert_same_results(dens[0], grid.u_stats(builtin_member("one", 3))[0])
+        assert_same_results(dens[0], grid.u_stats([builtin_member("one", 3)])[0][0])
 
     def test_pair_bands_of_all_bandwidths_keep_one_band_alive(self, monkeypatch):
         # every cell is banded and fits a band; with one band alive at a time
@@ -783,11 +790,28 @@ class TestWindowGrid:
         phi = builtin_member("sum_clipped:2.5", 2)
         tracemalloc.start()
         try:
-            grid.u_stats(phi)
+            grid.u_stats([None, phi])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert 8 * band * 0.5 < peak <= 8 * band * 1.25
+
+    @pytest.mark.parametrize("members", [0, 1, 3])
+    def test_pair_diagonal_is_found_once_per_banded_cell(self, monkeypatch, members):
+        calls = []
+
+        def counted(r1, r2, order):
+            calls.append((r1, r2))
+            return _common_positions(r1, r2, order)
+
+        monkeypatch.setattr(condu.ucore, "_common_positions", counted)
+        s = random_sample(make_rng(29), 300)
+        points = list(itertools.product(np.linspace(0.3, 0.7, 3), repeat=2))
+        grid = WindowGrid(s, [0.2, 0.3], points, get_kernel("uniform"))
+        widths = [hi - lo for ranges in grid.ranges for lo, hi in ranges]
+        assert min(widths) ** 2 > EXACT_PATH_MAX
+        grid.u_stats([None] + all_members(2)[:members])
+        assert len(calls) == len(grid.hs) * len(points)
 
     @pytest.mark.parametrize("h, t", [(0.0, 0.5), (-1.0, 0.5), (math.nan, 0.5),
                                       (math.inf, 0.5), (0.3, math.nan), (0.3, -math.inf)])
@@ -800,4 +824,4 @@ class TestWindowGrid:
         s = random_sample(make_rng(25), 10)
         grid = WindowGrid(s, [0.3], [(0.5, 0.5)], get_kernel("uniform"))
         with pytest.raises(SchemaError):
-            grid.u_stats(builtin_member("sum", 1))
+            grid.u_stats([builtin_member("sum", 1)])
