@@ -22,7 +22,6 @@ from .errors import ConduError
 from .estimator import (
     DgpSpec,
     EstimateCell,
-    bias_sup,
     centering,
     convolve,
     estimate,
@@ -37,7 +36,6 @@ from .function_class import (
     FunctionSpec,
     Unbounded,
     builtin_member,
-    envelope_check,
     envelope_tilde,
     make_function_class,
     polynomial_member,
@@ -66,7 +64,6 @@ from .ucore import (
     incomplete_u,
     read_sample_csv,
     symmetrize,
-    u_process,
     u_stat_brute,
     u_stat_windowed,
     ukernel_scalar,

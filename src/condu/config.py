@@ -16,11 +16,18 @@ from .function_class import (
     Bounded,
     FunctionClass,
     Unbounded,
+    as_integer,
     builtin_member,
     make_function_class,
     polynomial_member,
 )
 from .kernels import Kernel1D, get_kernel, load_table_kernel
+
+
+# most points a centering quadrature may use: the tensor rule has up to
+# (3 quad_order)^m points, each axis split into at most three panels by the
+# support's two breakpoints; the default 64 at m = 3 is 192^3 = 7.08e6
+_QUAD_POINTS_BUDGET = 10 ** 7
 
 
 @dataclass(frozen=True)
@@ -66,19 +73,9 @@ def _field(section, key, where, conv=float, default=_REQUIRED):
         raise SchemaError(f"config field {where}.{key} cannot hold {value!r}") from None
 
 
-def _integer(value):
-    """value as an int; a bool, a non-number or a number with a fractional
-    part raises TypeError or ValueError (inf: OverflowError)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(value)
-    if value != int(value):
-        raise ValueError(value)
-    return int(value)
-
-
 def _count(section, key, where, default, least=1):
     """section[key] (default when absent) as an int of at least `least`."""
-    value = _field(section, key, where, _integer, default)
+    value = _field(section, key, where, as_integer, default)
     if value < least:
         raise SchemaError(f"{where}.{key} must be >= {least}")
     return value
@@ -89,7 +86,7 @@ def _floats(values):
 
 
 def _ints(values):
-    return tuple(_integer(v) for v in values)
+    return tuple(as_integer(v) for v in values)
 
 
 def _section(parent, name):
@@ -176,6 +173,13 @@ def parse_config(doc):
     epsilon = _field(e, "epsilon", "experiment", default=1.0)
     if not 0 < epsilon < math.inf:
         raise SchemaError("experiment.epsilon must be finite and > 0")
+    quad_order, points = _count(g, "quad_order", "grids", 64), 1
+    for _ in range(m):  # stops within 15 rounds: each round at least triples
+        points *= 3 * quad_order
+        if points > _QUAD_POINTS_BUDGET:
+            raise SchemaError(f"grids.quad_order {quad_order} at m = {m} needs up to "
+                              f"(3 * quad_order)^m quadrature points, over the "
+                              f"budget of {_QUAD_POINTS_BUDGET:,}")
 
     return ExperimentConfig(
         dgp=dgp,
@@ -189,7 +193,7 @@ def parse_config(doc):
         bn_rule=bn_rule,
         seed=_count(e, "seed", "experiment", 0, least=0),
         epsilon=epsilon,
-        quad_order=_count(g, "quad_order", "grids", 64),
+        quad_order=quad_order,
         raw=doc,
     )
 

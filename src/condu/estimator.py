@@ -243,35 +243,6 @@ def true_regression(dgp, phi, t):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def conditional_mean_fixed(dgp, phi, xs_free, slot, y):
-    """E[phi(Y_1..Y_m) | Y_slot = y, X_i = x_i for the other slots].
-
-    xs_free has shape (..., m-1): the x-coordinates of the non-fixed slots,
-    in slot order. Vectorized over the leading axes.
-    """
-    xs_free = np.asarray(xs_free, dtype=float)
-    kind, c = member_kind(phi.id)
-    r = dgp.regression
-    if kind == "one":
-        return np.ones(xs_free.shape[:-1])
-    if kind == "const":
-        return np.full(xs_free.shape[:-1], c)
-    if kind == "sum":
-        return y + np.sum(r(xs_free), axis=-1)
-    if kind == "product":
-        return y * np.prod(r(xs_free), axis=-1)
-    if kind == "identity_j":
-        j = c - 1
-        if j == slot:
-            return np.full(xs_free.shape[:-1], y)
-        free_pos = j if j < slot else j - 1
-        return r(xs_free[..., free_pos])
-    if kind == "indicator_leq":
-        others = np.prod(dgp.noise.cdf(c - r(xs_free)), axis=-1)
-        return (1.0 if y <= c else 0.0) * others
-    raise NoClosedFormConditional(f"no closed-form conditional mean for {phi.id!r}")
-
-
 def convolve(phi, kernel, h, z, quad_order=64, breakpoints=None):
     """(phi * K~_h)(z) = h^{-d} integral of phi(x) prod_j K((z_j - x_j)/h) dx.
 
@@ -343,14 +314,3 @@ def centering(phi, h, t, dgp, kernel, quad_order=64):
     num = expected_u(dgp, phi, kernel, h, t, quad_order)
     return centering_ratio(num, den, h, t)
 
-
-def bias_sup(dgp, fc, h, t_grid, kernel, quad_order=64):
-    """max over members and grid points of |E^ m^ - m_phi(t)|; a
-    zero-density grid point raises ZeroDensityWindow (see centering_ratio)."""
-    worst = 0.0
-    for phi in fc.members:
-        for t in t_grid:
-            cent = centering(phi, h, t, dgp, kernel, quad_order)
-            truth = true_regression(dgp, phi, np.asarray(t, dtype=float))
-            worst = max(worst, abs(cent - truth))
-    return worst

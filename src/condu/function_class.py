@@ -107,22 +107,35 @@ def builtin_member(spec_id, m):
     raise SchemaError(f"unknown function member id {spec_id!r}")
 
 
+def as_integer(value):
+    """value as an int; a bool, a non-number or a number with a fractional
+    part raises TypeError or ValueError (inf: OverflowError)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(value)
+    if value != int(value):
+        raise ValueError(value)
+    return int(value)
+
+
 def polynomial_member(spec_id, m, terms):
     """Member of the form sum_k c_k * prod_j y_j^{e_kj}.
 
-    ``terms`` is a list of (coefficient, exponents) with len(exponents) == m.
-    The id may not be a built-in id: results are keyed and dispatched by id.
+    ``terms`` is a list of (coefficient, exponents) with len(exponents) == m
+    and integer exponents >= 0. The id may not be a built-in id: results are
+    keyed and dispatched by id.
     """
     if member_kind(spec_id)[0] is not None:
         raise SchemaError(f"polynomial member id {spec_id!r} is a built-in id")
     try:
-        terms = [(float(c), tuple(int(e) for e in es)) for c, es in terms]
-    except (TypeError, ValueError):
+        terms = [(float(c), tuple(as_integer(e) for e in es)) for c, es in terms]
+    except (TypeError, ValueError, OverflowError):
         raise SchemaError(f"polynomial member {spec_id!r} needs a list of "
-                          "[coefficient, exponents] terms") from None
+                          "[coefficient, integer exponents] terms") from None
     for _, es in terms:
         if len(es) != m:
             raise SchemaError("polynomial exponent tuple length must equal m")
+        if any(e < 0 for e in es):
+            raise SchemaError(f"polynomial member {spec_id!r}: exponents must be >= 0")
 
     def _eval(y):
         out = np.zeros(y.shape[:-1])
@@ -169,37 +182,6 @@ def make_function_class(members, regime, envelope=None):
     return FunctionClass(members=members, envelope=envelope, regime=regime)
 
 
-@dataclass(frozen=True)
-class EnvelopeReport:
-    passed: bool
-    max_violation: float
-    offending_member: Optional[str]
-    offending_point: Optional[tuple]
-
-
-def envelope_check(fc, probes):
-    """Verify envelope(y) >= |phi(y)| for every member on every probe point."""
-    probes = np.asarray(probes, dtype=float)
-    if probes.size == 0:
-        raise ValueError("probes must be nonempty")
-    env = np.asarray(fc.envelope(probes), dtype=float)
-    worst = -np.inf
-    who, where = None, None
-    for f in fc.members:
-        viol = np.abs(f.eval(probes)) - env
-        i = int(np.argmax(viol))
-        if viol.flat[i] > worst:
-            worst = float(viol.flat[i])
-            who = f.id
-            where = tuple(probes.reshape(-1, fc.m)[i])
-    return EnvelopeReport(
-        passed=worst <= 0.0,
-        max_violation=worst,
-        offending_member=who,
-        offending_point=where,
-    )
-
-
 def envelope_tilde(fc, kappa, y):
     """Symmetrized envelope kappa^m * sum over permutations sigma of F(y_sigma).
 
@@ -215,22 +197,3 @@ def envelope_tilde(fc, kappa, y):
     out = (kappa ** m) * total
     return float(out) if np.ndim(out) == 0 else out
 
-
-def conditional_moment_estimate(fc, dgp, p, x_grid, mc_reps, seed):
-    """Monte Carlo estimate of mu_p = sup over the grid of E[F^p(Y) | X = x].
-
-    The theoretical sup runs over all of R^m; restricting it to a user grid
-    is reported by the caller, not hidden here.
-    """
-    if mc_reps < 1000:
-        raise ValueError("mc_reps must be >= 1000")
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    best = -np.inf
-    for x in x_grid:
-        x = np.asarray(x, dtype=float)
-        ys = np.empty((mc_reps, fc.m))
-        for j in range(fc.m):
-            ys[:, j] = dgp.simulate_y_given_x(np.full(mc_reps, x[j]), rng)
-        fvals = np.asarray(fc.envelope(ys), dtype=float)
-        best = max(best, float(np.mean(fvals ** p)))
-    return best

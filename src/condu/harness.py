@@ -162,7 +162,7 @@ def sweep_cells(cfg, s, n, rep, hs, tgrid, cache):
 def bias_from_cache(cfg, hs, tgrid, cache):
     """max over members, bandwidths and grid points of |centering - truth|,
     reusing the cached convolutions; a zero-density grid point raises
-    ZeroDensityWindow (see estimator.centering_ratio), as bias_sup does."""
+    ZeroDensityWindow (see estimator.centering_ratio)."""
     worst = 0.0
     for phi in cfg.fc.members:
         for h in hs:

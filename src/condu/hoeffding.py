@@ -13,8 +13,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidProjectionOrder, MeasureTooLarge, SchemaError
-from .estimator import conditional_mean_fixed
-from .kernels import composite_rule, read_csv_columns, tensor_rule
 from .ucore import Sample, u_stat_brute
 
 _EXPANSION_BUDGET = 10 ** 7
@@ -46,11 +44,6 @@ class ReferenceMeasure:
 def empirical_measure(s):
     n = s.n
     return ReferenceMeasure(s.x, s.y, np.full(n, 1.0 / n))
-
-
-def read_measure_csv(path):
-    """Load a reference measure from CSV with header ``x,y,w``."""
-    return ReferenceMeasure(*read_csv_columns(path, "x,y,w", "measure"))
 
 
 def _integrate(L, m, fixed, Q):
@@ -169,38 +162,6 @@ def projection_variance_check(L, m, k, Q):
         _integrate(lambda xs, ys: (L(xs, ys) - mean) ** 2, m, {}, Q),
         _integrate(lambda xs, ys: L(xs, ys) ** 2, m, {}, Q),
     )
-
-
-def eval_linear_kernel(spec, dgp, x, y, quad_order=64):
-    """Linear-term kernel S(x, y) = m h^m E[Gbar | (X_1, Y_1) = (x, y)].
-
-    Expanded as a sum of m terms, one per slot receiving the conditioning
-    pair; each term is an (m-1)-dimensional quadrature of the closed-form
-    conditional mean against the product density, over the kernel window.
-    """
-    g, h, t, kern = spec.g, spec.h, spec.t, spec.kernel
-    m = spec.m
-    outer = [float(kern.eval(np.float64((tj - x) / h))) if abs(tj - x) <= h / 2.0 else 0.0
-             for tj in t]
-    if m == 1:
-        return outer[0] * float(g.eval(np.array([y])))
-
-    total = 0.0
-    for j in range(m):
-        if outer[j] == 0.0:
-            continue
-        free_ts = [t[i] for i in range(m) if i != j]
-        rules = [
-            composite_rule(ti - h / 2.0, ti + h / 2.0, quad_order, dgp.support)
-            for ti in free_ts
-        ]
-        pts, w = tensor_rule(rules)  # pts: (N, m-1)
-        psi = np.asarray(conditional_mean_fixed(dgp, g, pts, j, y), dtype=float)
-        dens = np.ones(pts.shape[0])
-        for i, ti in enumerate(free_ts):
-            dens *= kern.eval((ti - pts[:, i]) / h) * dgp.fx(pts[:, i])
-        total += outer[j] * float(np.dot(psi * dens, w))
-    return total
 
 
 def _u_stat_vec(Lvec, s, m):

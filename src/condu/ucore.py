@@ -523,12 +523,6 @@ def symmetrize(H, m):
     return Hbar
 
 
-def u_process(spec, s, expected):
-    """sqrt(n) (U_n(g, h, t) - expected), with U_n from the windowed path."""
-    res = u_stat_windowed(spec, s)
-    return math.sqrt(s.n) * (res.value - expected)
-
-
 def _unrank_tuples(ranks, n, m):
     """Map ranks in [0, n!/(n-m)!) to ordered tuples of distinct indices."""
     ranks = np.asarray(ranks, dtype=np.int64)

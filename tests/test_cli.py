@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 
 import condu.cli
 from condu.cli import main
+from condu.config import parse_config
+from condu.errors import SchemaError
 from condu.estimator import estimate
 from test_harness import BASE_DOC
 
@@ -151,10 +153,14 @@ class TestConfigErrors:
             (("dgp", "id"), [], "dgp id"),
             (("kernel", "id"), [], "kernel id"),
             (("dgp",), None, "dgp"),
+            (("function_class", "members"), [{"id": "frac", "poly": [[1.0, [2.5]]]}],
+             "'frac'"),
+            (("grids", "quad_order"), 10 ** 9, "grids.quad_order"),
         ],
         ids=["m-fraction", "m-zero", "reps-fraction", "n_list-fraction",
              "points_per_axis-bool", "poly-string", "poly-short-term", "members-null",
-             "poly-id-list", "dgp-id-list", "kernel-id-list", "section-null"],
+             "poly-id-list", "dgp-id-list", "kernel-id-list", "section-null",
+             "poly-fractional-exponent", "quad_order-over-budget"],
     )
     def test_malformed_field_is_a_schema_error_naming_it(
         self, tmp_path, capsys, path, value, named
@@ -171,6 +177,15 @@ class TestConfigErrors:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "SchemaError"
         assert named in err["message"]
+
+    def test_quad_order_budget_admits_the_default_at_m_3(self):
+        doc = copy.deepcopy(BASE_DOC)
+        doc["function_class"].update(m=3, members=["sum"])
+        del doc["grids"]["quad_order"]
+        assert parse_config(doc).quad_order == 64  # 192^3 points
+        doc["grids"]["quad_order"] = 72  # 216^3 points, over the budget
+        with pytest.raises(SchemaError, match="grids.quad_order 72 at m = 3"):
+            parse_config(doc)
 
     @pytest.mark.parametrize("table", [True, 2])
     def test_kernel_table_must_be_a_path(self, tmp_path, table):
@@ -563,7 +578,7 @@ FUZZ_DOCS = [
     },
 ]
 # fields whose value sizes an allocation or a loop get no huge integer;
-# grids.quad_order is not mutated at all (a huge order allocates its rule)
+# grids.quad_order gets one, which its budget rejects at parse time
 SIZING = {("function_class", "m"), ("grids", "points_per_axis"), ("experiment", "n_list"),
           ("experiment", "reps")}
 ODD_VALUES = [None, True, False, "abc", [], {}, [1.0], 0, -1, 2.5, math.nan, math.inf,
@@ -573,8 +588,7 @@ ODD_VALUES = [None, True, False, "abc", [], {}, [1.0], 0, -1, 2.5, math.nan, mat
 def _paths(doc, prefix=()):
     for key, value in doc.items():
         path = prefix + (key,)
-        if path != ("grids", "quad_order"):
-            yield path
+        yield path
         if isinstance(value, dict):
             yield from _paths(value, path)
 
@@ -629,3 +643,46 @@ def test_mutated_configs_run_or_exit_one_with_json(doc):
                 assert all((Path(tmp) / name).is_file() for name in outputs)
             else:
                 assert set(json.loads(err)) == {"error", "message"}
+
+
+# finite values, with ties, a signed zero, huge and subnormal numbers, and
+# entries the reader must reject
+SAMPLE_NUMBERS = ["0.5", "0.4", "0.6", "0.45", "1", "-0", "1e308", "-1e308", "5e-324"]
+SAMPLE_ODD = ["nan", "inf", "-inf", "", "abc"]
+
+
+@st.composite
+def sample_csv(draw):
+    """Sample-CSV bytes at the boundary: a missing, extra or BOM-prefixed
+    header, CRLF line ends, ragged rows, non-finite, huge and subnormal
+    values, tied x values, no rows or a few, and non-UTF-8 bytes."""
+    header = draw(st.sampled_from(["x,y", "x,y", " x , y ", "x,y,z", "\ufeffx,y", None]))
+    pair = st.lists(st.sampled_from(SAMPLE_NUMBERS), min_size=2, max_size=2)
+    rows = draw(st.lists(pair, max_size=40))
+    odd = st.lists(st.sampled_from(SAMPLE_NUMBERS + SAMPLE_ODD), min_size=1, max_size=3)
+    for row in draw(st.lists(odd, max_size=2)):
+        rows.insert(draw(st.integers(0, len(rows))), row)
+    lines = ([] if header is None else [header]) + [",".join(row) for row in rows]
+    data = draw(st.sampled_from(["\n", "\r\n"])).join(lines).encode()
+    if draw(st.integers(0, 3)) == 3:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
+@settings(max_examples=60, deadline=None)
+@given(doc=st.sampled_from(FUZZ_DOCS), data=sample_csv())
+def test_sample_csvs_estimate_or_exit_one_with_json(doc, data):
+    """estimate --data either writes its output file or exits 1 with a JSON
+    error on stderr; never exit 2."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, sample, out = (Path(tmp) / name for name in ("cfg.json", "s.csv", "e.csv"))
+        cfg.write_text(json.dumps(doc))
+        sample.write_bytes(data)
+        rc, err = _run_cli(["estimate", "--config", str(cfg), "--data", str(sample),
+                            "--out", str(out)])
+        assert rc in (0, 1), err
+        if rc == 0:
+            assert out.is_file()
+        else:
+            assert set(json.loads(err)) == {"error", "message"}

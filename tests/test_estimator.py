@@ -1,5 +1,6 @@
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,9 +15,7 @@ from condu.errors import (
     ZeroDensityWindow,
 )
 from condu.estimator import (
-    bias_sup,
     centering,
-    conditional_mean_fixed,
     convolve,
     estimate,
     estimate_grid,
@@ -27,6 +26,7 @@ from condu.estimator import (
     true_regression,
 )
 from condu.function_class import Bounded, builtin_member, make_function_class
+from condu.harness import bias_from_cache, expectation_cache
 from condu.kernels import get_kernel
 from condu.ucore import Sample, UKernelSpec, u_stat_windowed
 from conftest import make_rng, random_sample
@@ -205,26 +205,6 @@ class TestTrueRegression:
             assert true_regression(d, phi, tuple(row)) == pytest.approx(v, rel=1e-14)
 
 
-class TestConditionalMeanFixed:
-    def test_fixed_slot_identity_returns_y(self):
-        d = make_dgp("uniform_linear", "gaussian", 0.5)
-        phi = builtin_member("identity_j:1", 2)
-        v = conditional_mean_fixed(d, phi, np.array([[0.3]]), 0, 2.5)
-        assert float(v[0]) ==2.5
-
-    def test_sum_splits_into_fixed_plus_regression(self):
-        d = make_dgp("uniform_quadratic", "gaussian", 0.5)
-        phi = builtin_member("sum", 2)
-        v = conditional_mean_fixed(d, phi, np.array([[0.4]]), 0, 1.5)
-        assert float(v[0]) ==pytest.approx(1.5 + 0.16, rel=1e-14)
-
-    def test_product_scales_by_y(self):
-        d = make_dgp("uniform_linear", "gaussian", 0.5)
-        phi = builtin_member("product", 2)
-        v = conditional_mean_fixed(d, phi, np.array([[0.4]]), 1, 3.0)
-        assert float(v[0]) ==pytest.approx(1.2, rel=1e-14)
-
-
 class TestConvolve:
     def test_constant_is_a_fixed_point(self):
         for kern in (UNIF, EPA):
@@ -307,7 +287,9 @@ class TestBiasSup:
         d = make_dgp("uniform_quadratic", "gaussian", 0.5)
         fc = make_function_class([builtin_member("identity_j:1", 1)], Bounded(2.0))
         grid = [(t,) for t in np.linspace(0.35, 0.65, 5)]
-        b = {h: bias_sup(d, fc, h, grid, UNIF) for h in (0.2, 0.1)}
+        cfg = SimpleNamespace(dgp=d, fc=fc, m=1, kernel=UNIF, quad_order=64)
+        cache = expectation_cache(cfg, None, (0.2, 0.1), grid)
+        b = {h: bias_from_cache(cfg, (h,), grid, cache) for h in (0.2, 0.1)}
         assert 3.5 <= b[0.2] / b[0.1] <= 4.5
         for h, v in b.items():
             assert 1 / 24 <= v / h ** 2 <= 1 / 6

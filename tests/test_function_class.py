@@ -7,14 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from condu.errors import DimensionMismatch, SchemaError
-from condu.estimator import make_dgp
 from condu.function_class import (
     Bounded,
-    FunctionSpec,
     Unbounded,
     builtin_member,
-    conditional_moment_estimate,
-    envelope_check,
     envelope_tilde,
     make_function_class,
     member_kind,
@@ -80,50 +76,26 @@ class TestBuiltinMembers:
         f = polynomial_member("q", 2, [(2.0, (1, 1)), (1.0, (2, 0))])
         assert f(np.array([3.0, 4.0])) == 33.0
 
+    @pytest.mark.parametrize("exponent", [2.5, -1, True, math.inf, "2"])
+    def test_polynomial_exponent_must_be_a_nonnegative_integer(self, exponent):
+        with pytest.raises(SchemaError, match="'q'"):
+            polynomial_member("q", 1, [(1.0, (exponent,))])
+
+    def test_polynomial_exponent_may_be_an_integral_float(self):
+        assert polynomial_member("q", 1, [(1.0, (2.0,))])(np.array([3.0])) == 9.0
+
     def test_wrong_trailing_dimension_raises(self):
         with pytest.raises(DimensionMismatch):
             builtin_member("sum", 2)(np.array([1.0, 2.0, 3.0]))
 
 
 class TestEnvelope:
-    def test_triangle_inequality_family_passes(self, rng):
-        members = [
-            FunctionSpec("plus", lambda y: y[..., 0] + y[..., 1], 2),
-            FunctionSpec("minus", lambda y: y[..., 0] - y[..., 1], 2),
-        ]
-        fc = make_function_class(
-            members, Bounded(2.0),
-            envelope=lambda y: np.abs(y[..., 0]) + np.abs(y[..., 1]),
-        )
-        probes = rng.uniform(-1, 1, (200, 2))
-        assert envelope_check(fc, probes).passed
-
-    def test_undersized_envelope_fails_with_culprit(self):
-        fc = make_function_class(
-            [FunctionSpec("double", lambda y: 2.0 * y[..., 0], 1)],
-            Bounded(2.0),
-            envelope=lambda y: np.abs(y[..., 0]),
-        )
-        rep = envelope_check(fc, np.array([[1.0]]))
-        assert not rep.passed
-        assert rep.max_violation == pytest.approx(1.0)
-        assert rep.offending_member == "double"
-
     def test_default_envelope_is_pointwise_max(self, rng):
-        fc = make_function_class(
-            [builtin_member("sum", 2), builtin_member("product", 2)], Bounded(10.0)
-        )
-        assert envelope_check(fc, rng.uniform(-2, 2, (100, 2))).passed
-
-    def test_envelope_equal_to_abs_member_has_zero_violation(self, rng):
-        fc = make_function_class(
-            [builtin_member("product", 2)],
-            Bounded(4.0),
-            envelope=lambda y: np.abs(y[..., 0] * y[..., 1]),
-        )
-        rep = envelope_check(fc, rng.uniform(-1, 1, (50, 2)))
-        assert rep.passed
-        assert rep.max_violation == 0.0
+        members = [builtin_member("sum", 2), builtin_member("product", 2)]
+        fc = make_function_class(members, Bounded(10.0))
+        y = rng.uniform(-2, 2, (100, 2))
+        expected = np.maximum(np.abs(y[:, 0] + y[:, 1]), np.abs(y[:, 0] * y[:, 1]))
+        assert np.array_equal(fc.envelope(y), expected)
 
 
 class TestEnvelopeTilde:
@@ -166,51 +138,6 @@ class TestEnvelopeTilde:
         y = rng.normal(0, 10, (500, m))
         ft = envelope_tilde(fc, kappa, y)
         assert np.all(ft <= kappa ** m * math.factorial(m) * M + 1e-12)
-
-
-class TestConditionalMoment:
-    def test_deterministic_link_gives_exact_power(self):
-        dgp = make_dgp("uniform_linear", "none")
-        fc = make_function_class(
-            [builtin_member("identity_j:1", 1)], Unbounded(p=3.0),
-            envelope=lambda y: np.abs(y[..., 0]),
-        )
-        v = conditional_moment_estimate(fc, dgp, 3.0, [(0.5,)], 1000, seed=1)
-        assert v == pytest.approx(0.125, abs=1e-12)
-
-    def test_constant_envelope_gives_one(self):
-        dgp = make_dgp("uniform_linear", "gaussian", 0.5)
-        fc = make_function_class(
-            [builtin_member("one", 1)], Unbounded(p=4.0),
-            envelope=lambda y: np.ones(y.shape[:-1]),
-        )
-        v = conditional_moment_estimate(fc, dgp, 4.0, [(0.2,), (0.8,)], 1000, seed=2)
-        assert v == 1.0
-
-    def test_gaussian_fourth_moment_matches_closed_form(self):
-        # oracle: E|x + sigma Z|^4 = x^4 + 6 x^2 sigma^2 + 3 sigma^4
-        sigma, x = 0.5, 0.0
-        dgp = make_dgp("uniform_linear", "gaussian", sigma)
-        fc = make_function_class(
-            [builtin_member("identity_j:1", 1)], Unbounded(p=4.0),
-            envelope=lambda y: np.abs(y[..., 0]),
-        )
-        reps = 200_000
-        v = conditional_moment_estimate(fc, dgp, 4.0, [(x,)], reps, seed=3)
-        truth = x ** 4 + 6 * x ** 2 * sigma ** 2 + 3 * sigma ** 4
-        # se of the MC mean of (x + sigma Z)^4: sd = sigma^4 sqrt(96)
-        se = sigma ** 4 * math.sqrt(96.0) / math.sqrt(reps)
-        assert abs(v - truth) <= 3 * se
-
-    def test_determinism_given_seed(self):
-        dgp = make_dgp("uniform_linear", "gaussian", 0.5)
-        fc = make_function_class(
-            [builtin_member("identity_j:1", 1)], Unbounded(p=3.0),
-            envelope=lambda y: np.abs(y[..., 0]),
-        )
-        a = conditional_moment_estimate(fc, dgp, 3.0, [(0.5,)], 2000, seed=9)
-        b = conditional_moment_estimate(fc, dgp, 3.0, [(0.5,)], 2000, seed=9)
-        assert a == b
 
 
 class TestRegimes:

@@ -9,7 +9,7 @@ from condu.bandwidth import lower_bandwidth, normalizer
 from condu.config import parse_config
 from condu.errors import BoundedClassHasNoRemainder, EmptyBandwidthRange, ZeroDensityWindow
 import condu.ucore
-from condu.estimator import bias_sup, centering, make_dgp, true_regression
+from condu.estimator import centering, make_dgp, true_regression
 from condu.function_class import builtin_member
 from condu.harness import (
     bandwidth_cap,
@@ -119,7 +119,7 @@ class TestExpectationCache:
 
 
 class TestZeroDensityRule:
-    """centering, bias_sup and bias_from_cache share one zero-density rule:
+    """centering and bias_from_cache share one zero-density rule:
     a grid point whose window misses the design density raises."""
 
     def test_every_centering_path_raises_outside_the_support(self):
@@ -132,8 +132,6 @@ class TestZeroDensityRule:
         at = r"t=\(2\.0,\)"  # plain floats, not np.float64 reprs
         with pytest.raises(ZeroDensityWindow, match=at):
             centering(phi, hs[0], tgrid[0], cfg.dgp, cfg.kernel, cfg.quad_order)
-        with pytest.raises(ZeroDensityWindow, match=at):
-            bias_sup(cfg.dgp, cfg.fc, hs[0], tgrid, cfg.kernel, cfg.quad_order)
         with pytest.raises(ZeroDensityWindow, match=at):
             bias_from_cache(cfg, hs, tgrid, cache)
 

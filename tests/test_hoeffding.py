@@ -5,21 +5,17 @@ import pytest
 
 from condu.errors import InvalidProjectionOrder, MeasureTooLarge, SchemaError
 from condu.estimator import make_dgp
-from condu.function_class import builtin_member
 from condu.hoeffding import (
     ReferenceMeasure,
     decomposition_check,
     degeneracy_check,
     empirical_measure,
-    eval_linear_kernel,
     nesting_check,
     project,
     projection_variance_check,
-    read_measure_csv,
     variance_bound_check,
 )
-from condu.kernels import get_kernel
-from condu.ucore import Sample, UKernelSpec, symmetrize
+from condu.ucore import Sample, symmetrize
 from conftest import make_rng, random_sample
 
 
@@ -38,13 +34,6 @@ class TestReferenceMeasure:
         s = Sample(np.array([0.1, 0.2]), np.array([1.0, 2.0]))
         Q = empirical_measure(s)
         assert np.allclose(Q.weights, 0.5)
-
-    def test_csv_roundtrip(self, tmp_path):
-        path = tmp_path / "q.csv"
-        path.write_text("x,y,w\n0.0,1.0,0.25\n0.5,2.0,0.75\n")
-        Q = read_measure_csv(str(path))
-        assert Q.natoms == 2
-        assert Q.weights[1] == 0.75
 
 
 class TestProject:
@@ -177,35 +166,6 @@ class TestProjectionVariance:
         )
         assert lhs <= mid + 1e-12
         assert mid <= rhs + 1e-12
-
-
-class TestLinearTermKernel:
-    def test_m1_is_outer_kernel_times_function(self):
-        dgp = make_dgp("uniform_linear", "gaussian", 0.5)
-        k = get_kernel("epanechnikov-rescaled")
-        spec = UKernelSpec(builtin_member("identity_j:1", 1), 0.4, (0.5,), k)
-        x, y = 0.45, 2.0
-        expected = float(k((0.5 - x) / 0.4)) * y
-        assert eval_linear_kernel(spec, dgp, x, y) == pytest.approx(expected, rel=1e-12)
-
-    def test_constant_function_integrates_kernel_mass(self):
-        # g=1, uniform f_X, t interior: each term is K((t_j - x)/h) * h
-        dgp = make_dgp("uniform_linear", "none")
-        k = get_kernel("uniform")
-        h, t = 0.1, (0.4, 0.6)
-        spec = UKernelSpec(builtin_member("one", 2), h, t, k)
-        x, y = 0.42, 0.5
-        expected = sum(
-            float(k((tj - x) / h)) * h if abs(tj - x) <= h / 2 else 0.0 for tj in t
-        )
-        assert eval_linear_kernel(spec, dgp, x, y) == pytest.approx(expected, abs=1e-8)
-
-    def test_remote_x_vanishes(self):
-        dgp = make_dgp("uniform_linear", "none")
-        spec = UKernelSpec(
-            builtin_member("sum", 2), 0.1, (0.4, 0.6), get_kernel("uniform")
-        )
-        assert eval_linear_kernel(spec, dgp, 0.9, 1.0) == 0.0
 
 
 class TestVarianceBound:

@@ -8,7 +8,6 @@ from numpy.polynomial.legendre import leggauss
 
 from condu.errors import InvalidBandwidth, SchemaError
 from condu.function_class import builtin_member
-from condu.hoeffding import read_measure_csv
 from condu.kernels import (
     Kernel1D,
     _leggauss,
@@ -17,6 +16,7 @@ from condu.kernels import (
     gauss_legendre_panels,
     get_kernel,
     load_table_kernel,
+    read_csv_columns,
     table_kernel,
     validate_kernel,
 )
@@ -166,8 +166,14 @@ class TestTableKernels:
             load_table_kernel(str(path))
 
 
+def read_measure_csv(path):
+    """A width-3 reader, the shape of a reference-measure CSV."""
+    return read_csv_columns(path, "x,y,w", "measure")
+
+
 class TestCsvRows:
-    """The one numeric row reader behind the kernel, sample and measure CSVs."""
+    """The one numeric row reader behind the kernel and sample CSVs, and a
+    width-3 case."""
 
     LOADERS = [
         (load_table_kernel, "u,k", "-0.5,1\n0.5,1"),

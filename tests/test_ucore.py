@@ -34,7 +34,6 @@ from condu.ucore import (
     incomplete_u,
     read_sample_csv,
     symmetrize,
-    u_process,
     u_stat_brute,
     u_stat_windowed,
     ukernel_scalar,
@@ -407,22 +406,6 @@ class TestSymmetrize:
         a = u_stat_brute(H, s, 2).value
         b = u_stat_brute(symmetrize(H, 2), s, 2).value
         assert a == pytest.approx(b, abs=1e-12)
-
-
-class TestUProcess:
-    def test_centered_at_own_value_is_zero(self):
-        rng = make_rng(14)
-        s = random_sample(rng, 25)
-        spec = UKernelSpec(
-            builtin_member("sum", 2), 0.4, (0.5, 0.5), get_kernel("uniform")
-        )
-        u = u_stat_windowed(spec, s).value
-        assert u_process(spec, s, u) == 0.0
-
-    def test_empty_window_gives_minus_sqrt_n_expected(self):
-        s = Sample(np.array([0.0, 0.1, 0.2]), np.array([1.0, 1.0, 1.0]))
-        spec = UKernelSpec(builtin_member("one", 1), 0.1, (9.0,), get_kernel("uniform"))
-        assert u_process(spec, s, 0.25) == pytest.approx(-math.sqrt(3) * 0.25)
 
 
 class TestIncompleteU:
