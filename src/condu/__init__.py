@@ -37,7 +37,6 @@ from .function_class import (
     Unbounded,
     builtin_member,
     envelope_tilde,
-    make_function_class,
     polynomial_member,
 )
 from .harness import (

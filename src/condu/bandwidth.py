@@ -40,7 +40,6 @@ class RateRegime:
 
 @dataclass(frozen=True)
 class DyadicGrid:
-    ell: int
     n_ell: int
     anchors: tuple
     L: int
@@ -48,7 +47,6 @@ class DyadicGrid:
 
 @dataclass(frozen=True)
 class TruncationSplit:
-    threshold: float
     truncated: Callable
     remainder: Callable
 
@@ -87,7 +85,7 @@ def dyadic_grid(regime, ell):
             f"c={regime.c}"
         )
     anchors = tuple(dyadic_bandwidths(a0, regime.m, 2.0 * regime.b0))
-    return DyadicGrid(ell=ell, n_ell=n_ell, anchors=anchors, L=len(anchors) - 1)
+    return DyadicGrid(n_ell=n_ell, anchors=anchors, L=len(anchors) - 1)
 
 
 def gamma_threshold(ell, epsilon, p):
@@ -131,4 +129,4 @@ def truncate_split(gbar, ftilde, threshold):
     def remainder(xs, ys):
         return gbar(xs, ys) * (ftilde(ys) > threshold)
 
-    return TruncationSplit(threshold=threshold, truncated=truncated, remainder=remainder)
+    return TruncationSplit(truncated=truncated, remainder=remainder)

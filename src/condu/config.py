@@ -18,7 +18,6 @@ from .function_class import (
     Unbounded,
     as_integer,
     builtin_member,
-    make_function_class,
     polynomial_member,
 )
 from .kernels import Kernel1D, get_kernel, load_table_kernel
@@ -148,7 +147,7 @@ def parse_config(doc):
         )
     else:
         raise SchemaError(f"unknown regime kind {kind!r}")
-    fc = make_function_class(members, regime_fc)
+    fc = FunctionClass(members, regime_fc)
 
     rate = RateRegime(
         kind=kind,

@@ -108,10 +108,10 @@ def make_dgp(dgp_id, noise_kind="none", noise_param=0.0):
     return dgp
 
 
-def _validate_density(dgp, tol=1e-8):
+def _validate_density(dgp):
     lo, hi = dgp.support
     total = composite_integral(dgp.fx, np.linspace(lo, hi, 33), 64)
-    if abs(total - 1.0) > tol:
+    if abs(total - 1.0) > 1e-8:
         raise SchemaError(
             f"dgp {dgp.id!r}: density integrates to {total:.12g} over support"
         )
@@ -306,11 +306,12 @@ def centering_ratio(eu, eu1, h, t):
     return eu / eu1
 
 
-def centering(phi, h, t, dgp, kernel, quad_order=64):
-    """E^ m^ = E U_n(phi, h, t) / E U_n(1, h, t), both by quadrature; a
-    zero-density window raises ZeroDensityWindow (see centering_ratio)."""
+def centering(phi, h, t, dgp, kernel):
+    """E^ m^ = E U_n(phi, h, t) / E U_n(1, h, t), both by quadrature at the
+    default order; a zero-density window raises ZeroDensityWindow (see
+    centering_ratio)."""
     t = np.asarray(t, dtype=float)
-    den = expected_u_one(dgp, phi.m, kernel, h, t, quad_order)
-    num = expected_u(dgp, phi, kernel, h, t, quad_order)
+    den = expected_u_one(dgp, phi.m, kernel, h, t)
+    num = expected_u(dgp, phi, kernel, h, t)
     return centering_ratio(num, den, h, t)
 

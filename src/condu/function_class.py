@@ -22,15 +22,6 @@ class FunctionSpec:
     eval: Callable[[np.ndarray], np.ndarray]
     m: int
 
-    def __call__(self, y):
-        y = np.asarray(y, dtype=float)
-        if y.shape[-1] != self.m:
-            raise DimensionMismatch(
-                f"{self.id}: expected trailing dimension {self.m}, got {y.shape}"
-            )
-        out = self.eval(y)
-        return float(out) if np.ndim(out) == 0 else np.asarray(out, dtype=float)
-
 
 @dataclass(frozen=True)
 class Bounded:
@@ -153,10 +144,10 @@ def polynomial_member(spec_id, m, terms):
 @dataclass(frozen=True)
 class FunctionClass:
     members: tuple
-    envelope: Callable[[np.ndarray], np.ndarray]
     regime: Regime
 
     def __post_init__(self):
+        object.__setattr__(self, "members", tuple(self.members))
         if not self.members:
             raise SchemaError("function class must have at least one member")
         ms = {f.m for f in self.members}
@@ -170,16 +161,9 @@ class FunctionClass:
     def m(self):
         return self.members[0].m
 
-
-def make_function_class(members, regime, envelope=None):
-    members = tuple(members)
-    if envelope is None:
-        # smallest valid envelope for a finite family: pointwise max of |phi|
-        def envelope(y, _members=members):
-            y = np.asarray(y, dtype=float)
-            return np.max(np.stack([np.abs(f.eval(y)) for f in _members]), axis=0)
-
-    return FunctionClass(members=members, envelope=envelope, regime=regime)
+    def envelope(self, y):
+        """The smallest envelope of a finite family: the pointwise max of |phi|."""
+        return np.max(np.stack([np.abs(f.eval(y)) for f in self.members]), axis=0)
 
 
 def envelope_tilde(fc, kappa, y):
@@ -193,7 +177,7 @@ def envelope_tilde(fc, kappa, y):
         raise DimensionMismatch(f"expected trailing dimension {m}, got {y.shape}")
     total = np.zeros(y.shape[:-1])
     for sigma in itertools.permutations(range(m)):
-        total = total + np.asarray(fc.envelope(y[..., sigma]), dtype=float)
+        total = total + fc.envelope(y[..., sigma])
     out = (kappa ** m) * total
     return float(out) if np.ndim(out) == 0 else out
 

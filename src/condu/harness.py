@@ -192,31 +192,22 @@ def remainder_member(phi, fc, kappa, threshold):
     return FunctionSpec(f"{phi.id}|remainder", lambda y: split.remainder(None, y), phi.m)
 
 
-def remainder_diagnostic(cfg, ell, rep=0, mc_draws=50_000, p=None):
+def remainder_diagnostic(cfg, ell, rep=0):
     """Normalized supremum of the truncation-remainder U-process at block ell.
 
     Works at the block sample size n = 2^ell with the truncation level
-    eps * (n / log n)^{1/p}. The expectation of the remainder U-statistic has
-    no closed form, so it is estimated by shared Monte Carlo draws; the
-    returned mc_se quantifies that error at the supremum cell.
+    eps * (n / log n)^{1/p}; a bounded class has no p, and raises
+    BoundedClassHasNoRemainder. The expectation of the remainder
+    U-statistic has no closed form, so it is estimated by 50,000 shared
+    Monte Carlo draws; the returned mc_se quantifies that error at the
+    supremum cell.
     """
-    m = cfg.m
-    if p is None:
-        p = getattr(cfg.fc.regime, "p", None)
+    m, mc_draws = cfg.m, 50_000
     if isinstance(cfg.fc.regime, Bounded):
-        bound = (cfg.kernel.kappa ** m) * math.factorial(m) * cfg.fc.regime.M
-        if p is None:
-            raise BoundedClassHasNoRemainder(
-                "bounded class: supply p explicitly to form a truncation level"
-            )
-        _, threshold = gamma_threshold(ell, cfg.epsilon, p)
-        if threshold >= bound:
-            raise BoundedClassHasNoRemainder(
-                f"truncation level {threshold:.6g} >= envelope bound {bound:.6g}; "
-                "the remainder is identically zero for this bounded class"
-            )
-    else:
-        _, threshold = gamma_threshold(ell, cfg.epsilon, p)
+        raise BoundedClassHasNoRemainder(
+            "bounded class: no moment order p to form a truncation level"
+        )
+    _, threshold = gamma_threshold(ell, cfg.epsilon, cfg.fc.regime.p)
 
     n = 2 ** ell
     hs = bandwidths(cfg, n)

@@ -152,9 +152,8 @@ def nesting_check(L, m, k, l, Q, probes):
 
 
 def projection_variance_check(L, m, k, Q):
-    """(E (pi_k L)^2, E (L - EL)^2, E L^2), all exact finite sums over Q."""
-    if Q.natoms ** m > _EXPANSION_BUDGET:
-        raise MeasureTooLarge("atom expansion budget exceeded")
+    """(E (pi_k L)^2, E (L - EL)^2, E L^2), all exact finite sums over Q;
+    project raises MeasureTooLarge over the expansion budget."""
     pk = project(L, m, k, Q)
     mean = _integrate(L, m, {}, Q)
     return (
@@ -180,12 +179,14 @@ def _u_stat_vec(Lvec, s, m):
     raise ValueError("vectorized U-statistic supports m in {1, 2}")
 
 
-def variance_bound_check(Lvec, m, dgp, n, reps, seed, mc_draws=200_000):
-    """Empirical Var(U_n) against the classical bound (m/n) E L^2.
+def variance_bound_check(Lvec, m, dgp, n, reps, seed):
+    """Empirical Var(U_n) against the classical bound (m/n) E L^2, the bound
+    from 200,000 Monte Carlo draws.
 
     Lvec must be vectorized: Lvec(xs, ys) with arrays of shape (N, m).
     Returns (emp_var, bound, mc_se).
     """
+    mc_draws = 200_000
     if reps < 500:
         raise ValueError("reps must be >= 500")
     if n < m:

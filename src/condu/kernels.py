@@ -80,8 +80,10 @@ def get_kernel(kernel_id):
     return _BUILTINS[kernel_id]()
 
 
-def table_kernel(u_nodes, k_values, kappa=None, kernel_id="user-table"):
-    """Kernel given by a sampled table on [-1/2, 1/2], linearly interpolated."""
+def table_kernel(u_nodes, k_values, kappa=None):
+    """Kernel given by a sampled table on [-1/2, 1/2], linearly interpolated;
+    its sup-bound kappa (default: the table's max |k|) must be finite and at
+    least that max."""
     u_nodes = np.asarray(u_nodes, dtype=float)
     k_values = np.asarray(k_values, dtype=float)
     if u_nodes.ndim != 1 or u_nodes.shape != k_values.shape:
@@ -90,14 +92,17 @@ def table_kernel(u_nodes, k_values, kappa=None, kernel_id="user-table"):
         raise SchemaError("kernel table abscissae must be strictly increasing")
     if u_nodes[0] < -0.5 - 1e-12 or u_nodes[-1] > 0.5 + 1e-12:
         raise SchemaError("kernel table abscissae must lie in [-0.5, 0.5]")
-    if kappa is None:
-        kappa = float(np.max(np.abs(k_values)))
+    sup = float(np.max(np.abs(k_values)))
+    kappa = sup if kappa is None else kappa
+    if not sup <= kappa < np.inf:
+        raise SchemaError(f"kernel kappa must be finite and at least the table's "
+                          f"max |k| = {sup:.17g}, got {kappa!r}")
 
     def _eval(u):
         out = np.interp(u, u_nodes, k_values, left=0.0, right=0.0)
         return np.where(np.abs(u) <= 0.5, out, 0.0)
 
-    return Kernel1D(kernel_id, _eval, kappa=float(kappa))
+    return Kernel1D("user-table", _eval, kappa=float(kappa))
 
 
 def read_csv_columns(path, header, what):
@@ -210,21 +215,18 @@ def tensor_rule(rules):
     return np.stack([mm.ravel() for mm in mesh], axis=-1), w
 
 
-def validate_kernel(k, probe_points=1001, quad_order=64):
-    """Check the kernel contracts: support, boundedness, unit integral.
+def validate_kernel(k):
+    """Check the kernel contracts on 1001 probe points inside the support and
+    1000 outside: support, boundedness, unit integral by a 64-point composite
+    rule.
 
     Failures are reported in the returned :class:`ValidationReport`, never
     raised.
     """
-    if probe_points < 100:
-        raise ValueError("probe_points must be >= 100")
-    if quad_order < 16:
-        raise ValueError("quad_order must be >= 16")
-
-    inside = np.linspace(-0.5, 0.5, probe_points)
+    inside = np.linspace(-0.5, 0.5, 1001)
     outside = np.concatenate(
-        [np.linspace(-2.0, -0.5, probe_points // 2, endpoint=False),
-         -np.linspace(-2.0, -0.5, probe_points // 2, endpoint=False)]
+        [np.linspace(-2.0, -0.5, 500, endpoint=False),
+         -np.linspace(-2.0, -0.5, 500, endpoint=False)]
     )
     vals_in = k(inside)
     vals_out = k(outside)
@@ -235,7 +237,7 @@ def validate_kernel(k, probe_points=1001, quad_order=64):
         if v != 0.0 and abs(u) > 0.5
     ]
     sup_abs = float(np.max(np.abs(vals_in)))
-    integral = composite_integral(k, np.linspace(-0.5, 0.5, 9), quad_order)
+    integral = composite_integral(k, np.linspace(-0.5, 0.5, 9), 64)
     signed = bool(np.any(vals_in < 0.0))
 
     passed = (

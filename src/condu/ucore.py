@@ -350,8 +350,8 @@ class WindowGrid:
                     res = self._exact(members, q, k, gy, base, total)
                 elif m == 1:
                     (a, b), w = wins[0], self.weights[q][cell[0]]
-                    res = [self._vectorized(float(np.dot(v[a - base:b - base], w)),
-                                            b - a, total, q, k) for v in gy]
+                    res = [self._result(float(np.dot(v[a - base:b - base], w)),
+                                        b - a, total, q, k) for v in gy]
                 elif m == 2:
                     banded.setdefault(cell[0], []).append(((q, k), *wins))
                     continue
@@ -373,17 +373,15 @@ class WindowGrid:
                         i, j = self.cells[k]
                         G = band[lo - r_lo:hi - r_lo, a - c_lo:b - c_lo]
                         acc = float(self.weights[q][i] @ (G @ self.weights[q][j]))
-                        out[gi][q][k] = self._vectorized(acc - sums[gi], G.size - common,
-                                                         total, q, k)
+                        out[gi][q][k] = self._result(acc - sums[gi], G.size - common,
+                                                     total, q, k)
                     del band, G  # one band alive at a time: freed before the next fill
         return out
 
-    def _vectorized(self, acc, evaluated, total, q, k):
-        """The result of a BLAS or np.sum total; a non-finite one raises."""
+    def _result(self, acc, evaluated, total, q, k):
+        """The result of a cell's total on any path; a non-finite one raises."""
         if not math.isfinite(acc):
-            raise NonFiniteSum(
-                f"cell h={self.hs[q]}, t={self.points[k]}: vectorized sum is {acc}"
-            )
+            raise NonFiniteSum(f"cell h={self.hs[q]}, t={self.points[k]}: sum is {acc}")
         return UStatResult(acc / total, evaluated, total, "windowed")
 
     def _exact(self, members, q, k, gy, base, total):
@@ -418,10 +416,10 @@ class WindowGrid:
             values = [v[wins[0][0] - base:wins[0][1] - base][keep] for v in gy]
         w = w[keep]
         try:
-            return [UStatResult(math.fsum((v * w).tolist()) / total, count, total, "windowed")
-                    for v in values]
+            sums = [math.fsum((v * w).tolist()) for v in values]
         except (ValueError, OverflowError) as exc:  # no finite exact sum
             raise NonFiniteSum(f"cell h={h}, t={t}: {exc}") from None
+        return [self._result(acc, count, total, q, k) for acc in sums]
 
     def _diagonal(self, members, q, k):
         """Per member, the terms of an m = 2 cell's tuples (i, i), which
@@ -493,7 +491,7 @@ class WindowGrid:
                     np.multiply(block, w23[None, :, :], out=block)
                     evaluated += int(np.count_nonzero(mask))
                 acc += float(np.sum(G))
-            res.append(self._vectorized(acc, evaluated, total, q, k))
+            res.append(self._result(acc, evaluated, total, q, k))
         return res
 
 
@@ -504,8 +502,8 @@ def u_stat_windowed(spec, s):
     are enumerated; the distinct-index constraint is enforced during the
     Cartesian enumeration. This is the one-member, one-point WindowGrid.
     Cells without a finite sum raise NonFiniteSum: on the exact path, terms
-    whose exact sum is inf - inf or overflows; on the vectorized path, a
-    non-finite total.
+    whose exact sum is inf - inf or overflows; on every path, a non-finite
+    total.
     """
     return WindowGrid(s, [spec.h], [spec.t], spec.kernel).u_stats([spec.g])[0][0][0]
 

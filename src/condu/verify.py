@@ -10,7 +10,7 @@ import numpy as np
 
 from .bandwidth import RateRegime, dyadic_grid, normalizer, truncate_split
 from .estimator import centering, convolve, make_dgp
-from .function_class import Bounded, builtin_member, envelope_tilde, make_function_class
+from .function_class import Bounded, FunctionClass, builtin_member, envelope_tilde
 from .hoeffding import (
     decomposition_check,
     degeneracy_check,
@@ -115,7 +115,7 @@ def check_normalizer(seed):
 
 def check_truncation_partition(seed):
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    fc = make_function_class([builtin_member("sum", 2)], Bounded(M=10.0))
+    fc = FunctionClass([builtin_member("sum", 2)], Bounded(M=10.0))
 
     def gbar(xs, ys):
         return ys[0] + ys[1]

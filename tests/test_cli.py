@@ -213,6 +213,15 @@ class TestConfigErrors:
         doc["kernel"] = {"table": str(table), "kappa": "abc"}
         assert_simulate_schema_error(doc, tmp_path, capsys)
 
+    @pytest.mark.parametrize("kappa", [-1.0, 0.0, 0.5, float("1e999")])
+    def test_table_kappa_below_the_table_max_or_infinite_is_a_schema_error(
+            self, tmp_path, capsys, kappa):
+        table = tmp_path / "k.csv"
+        table.write_text("u,k\n-0.5,1\n0.5,1\n")  # max |k| = 1
+        doc = copy.deepcopy(BASE_DOC)
+        doc["kernel"] = {"table": str(table), "kappa": kappa}
+        assert_simulate_schema_error(doc, tmp_path, capsys)
+
     def test_invalid_json_exits_one(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
@@ -316,6 +325,24 @@ class TestMemberIds:
         rc = main(["estimate", "--config", str(cfg), "--data", str(data), "--out", str(out)])
         assert rc == 1
         assert json.loads(capsys.readouterr().err)["error"] == "NonFiniteSum"
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_exact_cell_whose_terms_overflow_exits_one(self, tmp_path, capsys):
+        # each term y K_h = 1e308 / h overflows alone, so no term is finite
+        data = tmp_path / "s.csv"
+        data.write_text("x,y\n" + "".join(f"{i / 29!r},1e308\n" for i in range(30)))
+        doc = copy.deepcopy(BASE_DOC)
+        doc["kernel"] = {"id": "uniform"}
+        doc["function_class"]["members"] = ["identity_j:1"]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "cells.csv"
+        rc = main(["estimate", "--config", str(cfg), "--data", str(data), "--out", str(out)])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "NonFiniteSum"
+        assert "sum is inf" in err["message"]
         assert not out.exists()
 
 

@@ -25,7 +25,7 @@ from condu.estimator import (
     product_density,
     true_regression,
 )
-from condu.function_class import Bounded, builtin_member, make_function_class
+from condu.function_class import Bounded, FunctionClass, builtin_member
 from condu.harness import bias_from_cache, expectation_cache
 from condu.kernels import get_kernel
 from condu.ucore import Sample, UKernelSpec, u_stat_windowed
@@ -285,7 +285,7 @@ class TestExpectedU:
 class TestBiasSup:
     def test_quadratic_scaling_and_constant(self):
         d = make_dgp("uniform_quadratic", "gaussian", 0.5)
-        fc = make_function_class([builtin_member("identity_j:1", 1)], Bounded(2.0))
+        fc = FunctionClass([builtin_member("identity_j:1", 1)], Bounded(2.0))
         grid = [(t,) for t in np.linspace(0.35, 0.65, 5)]
         cfg = SimpleNamespace(dgp=d, fc=fc, m=1, kernel=UNIF, quad_order=64)
         cache = expectation_cache(cfg, None, (0.2, 0.1), grid)

@@ -131,7 +131,7 @@ class TestZeroDensityRule:
         phi = cfg.fc.members[0]
         at = r"t=\(2\.0,\)"  # plain floats, not np.float64 reprs
         with pytest.raises(ZeroDensityWindow, match=at):
-            centering(phi, hs[0], tgrid[0], cfg.dgp, cfg.kernel, cfg.quad_order)
+            centering(phi, hs[0], tgrid[0], cfg.dgp, cfg.kernel)
         with pytest.raises(ZeroDensityWindow, match=at):
             bias_from_cache(cfg, hs, tgrid, cache)
 
@@ -240,16 +240,16 @@ class TestRemainderDiagnostic:
             function_class__regime={"kind": "bounded", "M": 2.0},
         )
         with pytest.raises(BoundedClassHasNoRemainder):
-            remainder_diagnostic(cfg, ell=10, p=3.0)
+            remainder_diagnostic(cfg, ell=10)
 
     def test_huge_epsilon_gates_everything_out(self):
         cfg = make_cfg(experiment__epsilon=1e6)
-        diag = remainder_diagnostic(cfg, ell=7, mc_draws=2000)
+        diag = remainder_diagnostic(cfg, ell=7)
         assert diag["sup_normalized"] == 0.0
         assert diag["n"] == 128
 
     def test_diagnostic_is_deterministic(self):
         cfg = make_cfg()
-        a = remainder_diagnostic(cfg, ell=7, mc_draws=2000)
-        b = remainder_diagnostic(cfg, ell=7, mc_draws=2000)
+        a = remainder_diagnostic(cfg, ell=7)
+        b = remainder_diagnostic(cfg, ell=7)
         assert a == b

@@ -172,8 +172,7 @@ class TestVarianceBound:
     def test_constant_kernel_zero_variance(self):
         dgp = make_dgp("uniform_linear", "none")
         emp, bound, se = variance_bound_check(
-            lambda xs, ys: np.full(xs.shape[:-1], 3.0), 2, dgp, 50, 500, seed=1,
-            mc_draws=10_000,
+            lambda xs, ys: np.full(xs.shape[:-1], 3.0), 2, dgp, 50, 500, seed=1
         )
         assert emp == 0.0
         assert bound == pytest.approx((2 / 50) * 9.0, rel=1e-12)
@@ -183,7 +182,7 @@ class TestVarianceBound:
         dgp = make_dgp("uniform_linear", "none")
         n = 50
         emp, bound, se = variance_bound_check(
-            lambda xs, ys: ys[..., 0], 1, dgp, n, 2000, seed=2, mc_draws=50_000
+            lambda xs, ys: ys[..., 0], 1, dgp, n, 2000, seed=2
         )
         assert emp == pytest.approx(1.0 / (12 * n), rel=0.2)
         assert bound == pytest.approx(1.0 / (3 * n), rel=0.05)

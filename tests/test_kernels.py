@@ -88,13 +88,6 @@ class TestValidateKernel:
         assert rep.passed
         assert abs(rep.integral - 1.0) <= 1e-10
 
-    def test_probe_and_quadrature_minimums_enforced(self):
-        k = get_kernel("uniform")
-        with pytest.raises(ValueError):
-            validate_kernel(k, probe_points=10)
-        with pytest.raises(ValueError):
-            validate_kernel(k, quad_order=4)
-
 
 class TestScaledEvaluation:
     def test_uniform_scaled_center_is_inverse_bandwidth(self):

@@ -55,3 +55,60 @@ def test_every_top_level_name_has_a_caller():
                         for word in re.findall(r"\w+", node.value))
     uncalled = sorted(q for name, q in defined.items() if name not in used)
     assert not uncalled, f"top-level names without a caller: {uncalled}"
+
+
+def _optional_parameters(tree):
+    """(function name, parameter, positional index or None) for every
+    parameter with a default; a method's index counts from after self."""
+    methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+               for f in c.body if isinstance(f, ast.FunctionDef)}
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        args = fn.args
+        positional = args.posonlyargs + args.args
+        skip = 1 if id(fn) in methods else 0
+        for i, arg in enumerate(positional):
+            if i >= len(positional) - len(args.defaults):
+                yield fn.name, arg.arg, i - skip
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield fn.name, arg.arg, None
+
+
+def _passed(tree):
+    """(callee name, keyword) and (callee name, positional index) for every
+    argument passed in a call by name or attribute."""
+    out = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        out.update((name, kw.arg) for kw in node.keywords if kw.arg is not None)
+        for i, arg in enumerate(node.args):
+            if isinstance(arg, ast.Starred):
+                break
+            out.add((name, i))
+    return out
+
+
+def test_every_optional_parameter_is_set_by_a_caller():
+    """Every parameter with a default of a function in src/condu is passed,
+    by keyword or by position, by some call in the package, a demo, a
+    benchmark script or the acceptance tests: a default that no caller
+    overrides is a constant. Parameters named with a leading underscore
+    capture closure values and are exempt."""
+    optional, passed = [], set()
+    for path in sorted((ROOT / "src" / "condu").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        optional += [(path.stem, *p) for p in _optional_parameters(tree)]
+        passed |= _passed(tree)
+    for path in [*sorted((ROOT / "demos").glob("*.py")),
+                 *sorted((ROOT / "benchmarks").glob("*.py")),
+                 ROOT / "tests" / "test_acceptance.py"]:
+        passed |= _passed(ast.parse(path.read_text()))
+    unset = sorted(f"{module}.{fn}({param}=)" for module, fn, param, index in optional
+                   if not param.startswith("_")
+                   and (fn, param) not in passed and (fn, index) not in passed)
+    assert not unset, f"optional parameters no caller sets: {unset}"

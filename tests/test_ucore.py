@@ -186,9 +186,7 @@ class TestUKernelSpecValidation:
 
 
 # piecewise-linear table kernel that turns negative near the support edges
-SIGNED_TABLE = table_kernel(
-    [-0.5, -0.25, 0.0, 0.25, 0.5], [-0.5, 1.0, 2.0, 1.0, -0.5], kernel_id="signed"
-)
+SIGNED_TABLE = table_kernel([-0.5, -0.25, 0.0, 0.25, 0.5], [-0.5, 1.0, 2.0, 1.0, -0.5])
 ORACLE_KERNELS = [get_kernel("uniform"), get_kernel("epanechnikov-rescaled"), SIGNED_TABLE]
 ORACLE_MEMBERS = ["sum", "product", "max", "one", "const:2", "indicator_leq:0.5",
                   "sum_clipped:1.5", "identity_j:1"]
@@ -531,6 +529,17 @@ class TestNonFiniteSum:
             u_stat_windowed(spec, s)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_terms_that_each_overflow(self):
+        # h < 1: every term 1e308 * K_h = 2e308 is inf on its own, and the
+        # fsum of infinite terms is inf without an error
+        s = Sample(np.array([0.4, 0.6]), np.array([1e308, 1e308]))
+        spec = UKernelSpec(builtin_member("identity_j:1", 1), 0.5, (0.5,),
+                           get_kernel("uniform"))
+        assert window_tuples(spec, s) <= EXACT_PATH_MAX
+        with pytest.raises(NonFiniteSum, match="sum is inf"):
+            u_stat_windowed(spec, s)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     @pytest.mark.parametrize("m, member", [(1, CUBE), (2, builtin_member("product", 2))])
     def test_vectorized_path_raises_on_a_non_finite_sum(self, m, member):
@@ -540,7 +549,7 @@ class TestNonFiniteSum:
         s = Sample(x, y)
         spec = UKernelSpec(member, 0.5, (0.5,) * m, get_kernel("uniform"))
         assert window_tuples(spec, s) > EXACT_PATH_MAX
-        with pytest.raises(NonFiniteSum, match="vectorized sum is nan"):
+        with pytest.raises(NonFiniteSum, match="sum is nan"):
             u_stat_windowed(spec, s)
         grid = WindowGrid(s, [0.5], [(0.45,) * m, (0.5,) * m], get_kernel("uniform"))
         with pytest.raises(NonFiniteSum):
