@@ -31,10 +31,8 @@ from .estimator import (
     true_regression,
 )
 from .function_class import (
-    Bounded,
     FunctionClass,
     FunctionSpec,
-    Unbounded,
     builtin_member,
     envelope_tilde,
     polynomial_member,

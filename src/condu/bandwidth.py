@@ -21,6 +21,9 @@ from .errors import (
 
 @dataclass(frozen=True)
 class RateRegime:
+    """The function class's regime, bounded or with a finite p-th moment
+    (p > 2): it fixes the rate anchor and the remainder's truncation level."""
+
     kind: str  # "bounded" | "unbounded"
     c: float
     m: int
@@ -115,7 +118,7 @@ def normalizer(n, h, m):
 
 
 def truncate_split(gbar, ftilde, threshold):
-    """Split a symmetrized U-kernel at the envelope level.
+    """Split a symmetrized kernel of y at the envelope level.
 
     truncated fires on F~(y) <= threshold (boundary included), remainder on
     the complement; the two add back to gbar pointwise.
@@ -123,10 +126,10 @@ def truncate_split(gbar, ftilde, threshold):
     if threshold <= 0:
         raise ValueError("threshold must be positive")
 
-    def truncated(xs, ys):
-        return gbar(xs, ys) * (ftilde(ys) <= threshold)
+    def truncated(ys):
+        return gbar(ys) * (ftilde(ys) <= threshold)
 
-    def remainder(xs, ys):
-        return gbar(xs, ys) * (ftilde(ys) > threshold)
+    def remainder(ys):
+        return gbar(ys) * (ftilde(ys) > threshold)
 
     return TruncationSplit(truncated=truncated, remainder=remainder)

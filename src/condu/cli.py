@@ -41,8 +41,15 @@ def _load(args):
         except ValueError:
             raise SchemaError(f"CONDU_SEED must be an integer, got {env!r}") from None
     if seed is not None:
-        cfg = dataclasses.replace(cfg, seed=_at_least(seed, 0, name))
+        cfg = _override(cfg, seed=_at_least(seed, 0, name))
     return cfg
+
+
+def _override(cfg, **fields):
+    """cfg with experiment fields replaced, in the parsed config and in the
+    raw document that config_echo.json echoes alike."""
+    raw = dict(cfg.raw, experiment=dict(cfg.raw["experiment"], **fields))
+    return dataclasses.replace(cfg, raw=raw, **fields)
 
 
 def cmd_simulate(args):
@@ -87,7 +94,7 @@ def _restrict_to_n(cfg, n):
         return cfg
     if n not in cfg.n_list:
         raise ConduError(f"--n {n} is not in the config n_list {cfg.n_list}")
-    return dataclasses.replace(cfg, n_list=(n,))
+    return _override(cfg, n_list=(n,))
 
 
 def cmd_sweep(args):

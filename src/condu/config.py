@@ -12,14 +12,7 @@ from dataclasses import dataclass, field
 from .bandwidth import RateRegime
 from .errors import InputFileError, SchemaError
 from .estimator import DgpSpec, make_dgp
-from .function_class import (
-    Bounded,
-    FunctionClass,
-    Unbounded,
-    as_integer,
-    builtin_member,
-    polynomial_member,
-)
+from .function_class import FunctionClass, as_integer, builtin_member, polynomial_member
 from .kernels import Kernel1D, get_kernel, load_table_kernel
 
 
@@ -135,27 +128,18 @@ def parse_config(doc):
             members.append(polynomial_member(spec.get("id", "poly"), m, spec["poly"]))
         else:
             raise SchemaError(f"unrecognized function member spec {spec!r}")
-    rg = _section(f, "function_class.regime")
-    kind = _require(rg, "kind", "function_class.regime")
-    if kind == "bounded":
-        regime_fc = Bounded(M=_field(rg, "M", "function_class.regime"))
-    elif kind == "unbounded":
-        regime_fc = Unbounded(
-            p=_field(rg, "p", "function_class.regime"),
-            mu_p=None if rg.get("mu_p") is None
-            else _field(rg, "mu_p", "function_class.regime"),
-        )
-    else:
-        raise SchemaError(f"unknown regime kind {kind!r}")
-    fc = FunctionClass(members, regime_fc)
-
-    rate = RateRegime(
-        kind=kind,
-        c=_field(r, "c", "regime"),
-        m=m,
-        b0=_field(r, "b0", "regime"),
-        p=regime_fc.p if kind == "unbounded" else None,
-    )
+    # M and mu_p are checked and echoed; no computation reads them
+    where, p = "function_class.regime", None
+    rg = _section(f, where)
+    kind = _require(rg, "kind", where)
+    if kind == "bounded" and not 0 < _field(rg, "M", where) < math.inf:
+        raise SchemaError("bounded regime requires a finite M > 0")
+    if kind == "unbounded":
+        p = _field(rg, "p", where)
+        if rg.get("mu_p") is not None:
+            _field(rg, "mu_p", where)
+    rate = RateRegime(kind=kind, c=_field(r, "c", "regime"), m=m,
+                      b0=_field(r, "b0", "regime"), p=p)
 
     interval = _field(g, "interval", "grids", _floats)
     if len(interval) != 2 or not -math.inf < interval[0] < interval[1] < math.inf:
@@ -182,7 +166,7 @@ def parse_config(doc):
 
     return ExperimentConfig(
         dgp=dgp,
-        fc=fc,
+        fc=FunctionClass(members),
         kernel=kernel,
         regime=rate,
         n_list=n_list,

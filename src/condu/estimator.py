@@ -184,10 +184,8 @@ def _max_uniform_expectation(centers, a):
     centers = np.asarray(centers, dtype=float)
     if a == 0.0:
         return float(np.max(centers))
-    lo = float(np.min(centers) - a)
-    hi = float(np.max(centers) + a)
-    cuts = np.unique(np.concatenate([centers - a, centers + a, [lo, hi]]))
-    cuts = cuts[(cuts >= lo) & (cuts <= hi)]
+    cuts = np.unique(np.concatenate([centers - a, centers + a]))
+    lo = float(cuts[0])
 
     def survival(v):
         cdf = np.prod(

@@ -1,4 +1,4 @@
-"""Finite families of m-argument functions with envelopes and moment regimes.
+"""Finite families of m-argument functions with their envelopes.
 
 The theory's supremum over a function class is realized here as a maximum
 over an explicit finite family, which is what the simulation harness needs.
@@ -7,9 +7,8 @@ return arrays of shape (...).
 """
 
 import itertools
-import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable
 
 import numpy as np
 
@@ -21,28 +20,6 @@ class FunctionSpec:
     id: str
     eval: Callable[[np.ndarray], np.ndarray]
     m: int
-
-
-@dataclass(frozen=True)
-class Bounded:
-    M: float
-
-    def __post_init__(self):
-        if not 0 < self.M < math.inf:
-            raise SchemaError("bounded regime requires a finite M > 0")
-
-
-@dataclass(frozen=True)
-class Unbounded:
-    p: float
-    mu_p: Optional[float] = None
-
-    def __post_init__(self):
-        if not 2 < self.p < math.inf:
-            raise SchemaError("unbounded regime requires a finite p > 2")
-
-
-Regime = Union[Bounded, Unbounded]
 
 
 _PARAM_KINDS = {"const": float, "identity_j": int, "indicator_leq": float,
@@ -144,7 +121,6 @@ def polynomial_member(spec_id, m, terms):
 @dataclass(frozen=True)
 class FunctionClass:
     members: tuple
-    regime: Regime
 
     def __post_init__(self):
         object.__setattr__(self, "members", tuple(self.members))

@@ -30,7 +30,7 @@ from .estimator import (
     expected_u_one,
     true_regression,
 )
-from .function_class import Bounded, FunctionSpec, envelope_tilde
+from .function_class import FunctionSpec, envelope_tilde
 from .kernels import atomic_write, eval_scaled, format_float
 from .ucore import Sample, WindowGrid
 
@@ -184,12 +184,8 @@ def bias_at_cap(cfg, n, tgrid):
 def remainder_member(phi, fc, kappa, threshold):
     """phi gated to the region where the symmetrized envelope exceeds the
     truncation level; its U-statistic is the remainder term of the split."""
-    split = truncate_split(
-        lambda xs, ys: np.asarray(phi.eval(ys), dtype=float),
-        lambda ys: np.asarray(envelope_tilde(fc, kappa, ys), dtype=float),
-        threshold,
-    )
-    return FunctionSpec(f"{phi.id}|remainder", lambda y: split.remainder(None, y), phi.m)
+    split = truncate_split(phi.eval, lambda ys: envelope_tilde(fc, kappa, ys), threshold)
+    return FunctionSpec(f"{phi.id}|remainder", split.remainder, phi.m)
 
 
 def remainder_diagnostic(cfg, ell, rep=0):
@@ -203,11 +199,11 @@ def remainder_diagnostic(cfg, ell, rep=0):
     supremum cell.
     """
     m, mc_draws = cfg.m, 50_000
-    if isinstance(cfg.fc.regime, Bounded):
+    if cfg.regime.kind == "bounded":
         raise BoundedClassHasNoRemainder(
             "bounded class: no moment order p to form a truncation level"
         )
-    _, threshold = gamma_threshold(ell, cfg.epsilon, cfg.fc.regime.p)
+    _, threshold = gamma_threshold(ell, cfg.epsilon, cfg.regime.p)
 
     n = 2 ** ell
     hs = bandwidths(cfg, n)
@@ -321,7 +317,7 @@ def rate_experiment(cfg, out_dir=None, threads=1, include_remainder=False):
             finite = [v for v in sups if not math.isnan(v)]
             entry[key] = max(finite) if finite else float("nan")
             entry[f"{key}_mean"] = float(np.mean(finite)) if finite else float("nan")
-        if include_remainder and not isinstance(cfg.fc.regime, Bounded):
+        if include_remainder and cfg.regime.kind != "bounded":
             ell = max(2, math.ceil(math.log2(n)))
             diag = remainder_diagnostic(cfg, ell)
             entry["remainder_sup"] = diag["sup_normalized"]

@@ -31,6 +31,12 @@ class Kernel1D:
     kappa: float
     support_halfwidth: float = SUPPORT_HALFWIDTH
 
+    def __post_init__(self):
+        # every window and weight cuts at +-1/2; no other half-width is supported
+        if self.support_halfwidth != SUPPORT_HALFWIDTH:
+            raise SchemaError(f"kernel support half-width must be {SUPPORT_HALFWIDTH}, "
+                              f"got {self.support_halfwidth!r}")
+
     def __call__(self, u):
         return self.eval(np.asarray(u, dtype=float))
 

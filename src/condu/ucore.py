@@ -176,11 +176,8 @@ def u_stat_brute(H, s, k):
             f"n^k = {n ** k} exceeds the brute-force budget; "
             "use u_stat_windowed or incomplete_u"
         )
-    x, y = s.x, s.y
-    terms = (
-        H(tuple(x[list(idx)]), tuple(y[list(idx)]))
-        for idx in itertools.permutations(range(n), k)
-    )
+    pairs = list(zip(s.x, s.y))
+    terms = (H(*zip(*tup)) for tup in itertools.permutations(pairs, k))
     value = math.fsum(terms) / total
     return UStatResult(value, total, total, "brute")
 

@@ -10,7 +10,7 @@ import numpy as np
 
 from .bandwidth import RateRegime, dyadic_grid, normalizer, truncate_split
 from .estimator import centering, convolve, make_dgp
-from .function_class import Bounded, FunctionClass, builtin_member, envelope_tilde
+from .function_class import FunctionClass, builtin_member, envelope_tilde
 from .hoeffding import (
     decomposition_check,
     degeneracy_check,
@@ -115,20 +115,16 @@ def check_normalizer(seed):
 
 def check_truncation_partition(seed):
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    fc = FunctionClass([builtin_member("sum", 2)], Bounded(M=10.0))
+    fc = FunctionClass([builtin_member("sum", 2)])
 
-    def gbar(xs, ys):
+    def gbar(ys):
         return ys[0] + ys[1]
 
     split = truncate_split(gbar, lambda ys: envelope_tilde(fc, 1.0, np.asarray(ys)), 2.5)
     worst = 0.0
     for _ in range(50):
-        xs = tuple(rng.uniform(0, 1, 2))
         ys = tuple(rng.normal(0, 2, 2))
-        worst = max(
-            worst,
-            abs(split.truncated(xs, ys) + split.remainder(xs, ys) - gbar(xs, ys)),
-        )
+        worst = max(worst, abs(split.truncated(ys) + split.remainder(ys) - gbar(ys)))
     return worst == 0.0, worst, "truncated + remainder reproduces the kernel exactly"
 
 

@@ -18,6 +18,7 @@ from condu.errors import (
     EmptyBandwidthRange,
     InvalidBandwidth,
     SampleTooSmall,
+    SchemaError,
 )
 
 
@@ -152,48 +153,48 @@ class TestNormalizer:
 
 class TestTruncateSplit:
     def setup_method(self):
-        self.gbar = lambda xs, ys: ys[0] + ys[1]
+        self.gbar = lambda ys: ys[0] + ys[1]
         self.ftilde = lambda ys: abs(ys[0]) + abs(ys[1])
 
     def test_partition_identity_and_disjoint_supports(self, rng):
         split = truncate_split(self.gbar, self.ftilde, 1.5)
         for _ in range(100):
-            xs = tuple(rng.uniform(0, 1, 2))
             ys = tuple(rng.normal(0, 2, 2))
-            t, r = split.truncated(xs, ys), split.remainder(xs, ys)
-            assert t + r == self.gbar(xs, ys)
+            t, r = split.truncated(ys), split.remainder(ys)
+            assert t + r == self.gbar(ys)
             assert t * r == 0.0
 
     def test_boundary_goes_to_truncated(self):
         split = truncate_split(self.gbar, self.ftilde, 3.0)
-        xs, ys = (0.0, 0.0), (1.0, 2.0)  # ftilde = 3.0 exactly
-        assert split.truncated(xs, ys) == 3.0
-        assert split.remainder(xs, ys) == 0.0
+        ys = (1.0, 2.0)  # ftilde = 3.0 exactly
+        assert split.truncated(ys) == 3.0
+        assert split.remainder(ys) == 0.0
 
     def test_huge_threshold_kills_remainder(self, rng):
         split = truncate_split(self.gbar, self.ftilde, 1e9)
         for _ in range(20):
             ys = tuple(rng.normal(0, 2, 2))
-            assert split.remainder((0.0, 0.0), ys) == 0.0
+            assert split.remainder(ys) == 0.0
 
     def test_tiny_threshold_kills_truncated(self, rng):
         split = truncate_split(self.gbar, self.ftilde, 1e-12)
         for _ in range(20):
             ys = tuple(rng.normal(3, 0.1, 2))
-            assert split.truncated((0.0, 0.0), ys) == 0.0
+            assert split.truncated(ys) == 0.0
 
     @given(thr=st.floats(0.1, 10.0), y1=st.floats(-5, 5), y2=st.floats(-5, 5))
     @settings(max_examples=50, deadline=None)
     def test_partition_property(self, thr, y1, y2):
         split = truncate_split(self.gbar, self.ftilde, thr)
-        xs, ys = (0.0, 0.0), (y1, y2)
-        assert split.truncated(xs, ys) + split.remainder(xs, ys) == self.gbar(xs, ys)
+        ys = (y1, y2)
+        assert split.truncated(ys) + split.remainder(ys) == self.gbar(ys)
 
 
 class TestRateRegimeValidation:
     def test_unbounded_needs_p(self):
-        with pytest.raises(ValueError):
-            RateRegime("unbounded", c=1.0, m=1, b0=0.5)
+        for p in (None, 2.0):
+            with pytest.raises(SchemaError, match="finite p > 2"):
+                RateRegime("unbounded", c=1.0, m=1, b0=0.5, p=p)
 
     def test_b0_range(self):
         with pytest.raises(ValueError):

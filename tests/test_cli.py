@@ -533,6 +533,28 @@ class TestSweepAndRates:
         for f in ("deviations.csv", "report.json", "config_echo.json"):
             assert (a / f).read_bytes() == (b / f).read_bytes()
 
+    @pytest.mark.parametrize("argv, env", [
+        (["rates", "--seed", "5"], None),
+        (["rates"], "9"),
+        (["sweep", "--n", "128"], None),
+    ], ids=["seed-flag", "condu-seed", "sweep-n"])
+    def test_the_echo_reruns_an_overridden_run(self, cfg_path, tmp_path, monkeypatch,
+                                               argv, env):
+        monkeypatch.delenv("CONDU_SEED", raising=False)
+        plain, run, rerun = tmp_path / "plain", tmp_path / "run", tmp_path / "rerun"
+        assert main(["rates", "--config", cfg_path, "--out", str(plain)]) == 0
+        if env is not None:
+            monkeypatch.setenv("CONDU_SEED", env)
+        assert main(argv[:1] + ["--config", cfg_path, "--out", str(run)] + argv[1:]) == 0
+        monkeypatch.delenv("CONDU_SEED", raising=False)
+        echo = str(run / "config_echo.json")
+        assert main(["rates", "--config", echo, "--out", str(rerun)]) == 0
+        csv = run / "deviations.csv"
+        assert csv.read_bytes() != (plain / "deviations.csv").read_bytes()
+        assert csv.read_bytes() == (rerun / "deviations.csv").read_bytes()
+        # the plain run echoes its config file unchanged
+        assert json.loads((plain / "config_echo.json").read_text()) == BASE_DOC
+
     def test_rates_with_remainder_adds_the_block(self, cfg_path, tmp_path):
         out = tmp_path / "rr"
         assert main(["rates", "--config", cfg_path, "--out", str(out), "--remainder"]) == 0

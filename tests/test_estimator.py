@@ -25,9 +25,9 @@ from condu.estimator import (
     product_density,
     true_regression,
 )
-from condu.function_class import Bounded, FunctionClass, builtin_member
+from condu.function_class import FunctionClass, builtin_member
 from condu.harness import bias_from_cache, expectation_cache
-from condu.kernels import get_kernel
+from condu.kernels import composite_integral, get_kernel
 from condu.ucore import Sample, UKernelSpec, u_stat_windowed
 from conftest import make_rng, random_sample
 
@@ -184,6 +184,33 @@ class TestTrueRegression:
             b = expected_u(d, builtin_member("one", m), k, h, t, 16)
             assert np.float64(a).tobytes() == np.float64(b).tobytes()
 
+    def test_max_cut_points_need_no_end_points_or_filter(self):
+        # the rule with the end points lo and hi added to the cuts and the
+        # cuts filtered to [lo, hi]: both steps change no bit
+        def with_bounds(centers, a):
+            lo, hi = float(np.min(centers) - a), float(np.max(centers) + a)
+            cuts = np.unique(np.concatenate([centers - a, centers + a, [lo, hi]]))
+            cuts = cuts[(cuts >= lo) & (cuts <= hi)]
+
+            def survival(v):
+                cdf = np.prod(np.clip((v[:, None] - centers[None, :] + a) / (2.0 * a),
+                                      0.0, 1.0), axis=1)
+                return 1.0 - cdf
+
+            return lo + composite_integral(survival, cuts, centers.size + 2)
+
+        rng = make_rng(46)
+        for _ in range(20_000):
+            a = float(rng.choice([0.1, 0.25, 0.4, rng.uniform(0.01, 1.0)]))
+            size = int(rng.integers(1, 5))
+            # centers on a grid of step a/2: ties, and panels that touch
+            if rng.random() < 0.5:
+                centers = rng.integers(-4, 5, size) * (a / 2.0)
+            else:
+                centers = rng.uniform(-1.0, 2.0, size)
+            got = condu.estimator._max_uniform_expectation(centers, a)
+            assert np.float64(got).tobytes() == np.float64(with_bounds(centers, a)).tobytes()
+
     def test_max_under_gaussian_noise_has_no_closed_form(self):
         d = make_dgp("uniform_linear", "gaussian", 0.5)
         with pytest.raises(NoClosedFormConditional):
@@ -285,7 +312,7 @@ class TestExpectedU:
 class TestBiasSup:
     def test_quadratic_scaling_and_constant(self):
         d = make_dgp("uniform_quadratic", "gaussian", 0.5)
-        fc = FunctionClass([builtin_member("identity_j:1", 1)], Bounded(2.0))
+        fc = FunctionClass([builtin_member("identity_j:1", 1)])
         grid = [(t,) for t in np.linspace(0.35, 0.65, 5)]
         cfg = SimpleNamespace(dgp=d, fc=fc, m=1, kernel=UNIF, quad_order=64)
         cache = expectation_cache(cfg, None, (0.2, 0.1), grid)

@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 
 from condu.errors import DimensionMismatch, SchemaError
 from condu.function_class import (
-    Bounded,
     FunctionClass,
-    Unbounded,
     builtin_member,
     envelope_tilde,
     member_kind,
@@ -46,7 +44,7 @@ class TestMemberKind:
         members = [builtin_member("sum", 1), polynomial_member("q", 1, [(5.0, (0,))]),
                    polynomial_member("q", 1, [(1.0, (1,))])]
         with pytest.raises(SchemaError, match="duplicate"):
-            FunctionClass(members, Bounded(5.0))
+            FunctionClass(members)
 
 
 class TestBuiltinMembers:
@@ -88,7 +86,7 @@ class TestBuiltinMembers:
 class TestEnvelope:
     def test_default_envelope_is_pointwise_max(self, rng):
         members = [builtin_member("sum", 2), builtin_member("product", 2)]
-        fc = FunctionClass(members, Bounded(10.0))
+        fc = FunctionClass(members)
         y = rng.uniform(-2, 2, (100, 2))
         expected = np.maximum(np.abs(y[:, 0] + y[:, 1]), np.abs(y[:, 0] * y[:, 1]))
         assert np.array_equal(fc.envelope(y), expected)
@@ -96,15 +94,15 @@ class TestEnvelope:
 
 class TestEnvelopeTilde:
     def test_two_permutations_sum(self):
-        fc = FunctionClass([builtin_member("sum", 2)], Bounded(3.0))
+        fc = FunctionClass([builtin_member("sum", 2)])
         assert envelope_tilde(fc, 1.0, np.array([1.0, 2.0])) == 6.0
 
     def test_m1_scales_by_kappa(self):
-        fc = FunctionClass([builtin_member("identity_j:1", 1)], Bounded(3.0))
+        fc = FunctionClass([builtin_member("identity_j:1", 1)])
         assert envelope_tilde(fc, 2.0, np.array([3.0])) == 6.0
 
     def test_symmetric_envelope_collapses_to_factorial_multiple(self, rng):
-        fc = FunctionClass([builtin_member("product", 2)], Bounded(1.0))
+        fc = FunctionClass([builtin_member("product", 2)])
         y = rng.uniform(-1, 1, (20, 2))
         expected = 2.0 * np.abs(y[:, 0] * y[:, 1])
         assert np.allclose(envelope_tilde(fc, 1.0, y), expected, atol=1e-15)
@@ -114,7 +112,7 @@ class TestEnvelopeTilde:
     )
     @settings(max_examples=50, deadline=None)
     def test_permutation_invariance_and_lower_bound(self, y1, y2, kappa):
-        fc = FunctionClass([builtin_member("sum", 2)], Bounded(6.0))
+        fc = FunctionClass([builtin_member("sum", 2)])
         a = envelope_tilde(fc, kappa, np.array([y1, y2]))
         b = envelope_tilde(fc, kappa, np.array([y2, y1]))
         assert a == b
@@ -122,21 +120,13 @@ class TestEnvelopeTilde:
 
     def test_bounded_class_global_bound(self, rng):
         M, kappa, m = 5.0, 1.5, 2
-        fc = FunctionClass(
-            [builtin_member("sum_clipped:5", m)], Bounded(M)
-        )
+        fc = FunctionClass([builtin_member("sum_clipped:5", m)])
         y = rng.normal(0, 10, (500, m))
         ft = envelope_tilde(fc, kappa, y)
         assert np.all(ft <= kappa ** m * math.factorial(m) * M + 1e-12)
 
 
 class TestRegimes:
-    def test_unbounded_requires_p_above_two(self):
-        with pytest.raises(ValueError):
-            Unbounded(p=2.0)
-
     def test_members_must_agree_on_arity(self):
         with pytest.raises(DimensionMismatch):
-            FunctionClass(
-                [builtin_member("sum", 2), builtin_member("sum", 3)], Bounded(1.0)
-            )
+            FunctionClass([builtin_member("sum", 2), builtin_member("sum", 3)])

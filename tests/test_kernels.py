@@ -70,6 +70,13 @@ class TestBuiltinCatalog:
 
 
 class TestValidateKernel:
+    @pytest.mark.parametrize("halfwidth", [0.25, 1.0, math.nan])
+    def test_a_support_half_width_other_than_one_half_is_a_schema_error(self, halfwidth):
+        uniform = get_kernel("uniform")
+        assert uniform.support_halfwidth == 0.5
+        with pytest.raises(SchemaError, match="half-width"):
+            Kernel1D("uniform", uniform.eval, 1.0, halfwidth)
+
     def test_too_wide_support_fails_with_violations_listed(self):
         wide = Kernel1D("wide", lambda u: np.where(np.abs(u) <= 1.0, 1.0, 0.0), 1.0)
         rep = validate_kernel(wide)

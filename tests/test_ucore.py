@@ -20,9 +20,10 @@ from condu.errors import (
     UnsupportedOrder,
 )
 from condu.function_class import FunctionSpec, builtin_member, polynomial_member
-from condu.kernels import eval_scaled, get_kernel, table_kernel
+from condu.kernels import builtin_kernel_ids, eval_scaled, get_kernel, table_kernel
 import condu.ucore
 from condu.ucore import (
+    BRUTE_TUPLE_BUDGET,
     EXACT_PATH_MAX,
     Sample,
     UKernelSpec,
@@ -229,6 +230,57 @@ def oracle_case(draw, m, n_lo, n_hi, poly=False):
 
 def window_tuples(spec, s):
     return math.prod(hi - lo for lo, hi in _windows(spec, s))
+
+
+def index_brute(H, s, k):
+    """The brute oracle as it enumerated index tuples and fancy-indexed the
+    sample for each one; u_stat_brute must give H the same arguments in the
+    same order, and so the same bits."""
+    n = s.n
+    if k > n:
+        raise DegenerateSample(f"order k={k} exceeds sample size n={n}")
+    total = count_indices(n, k)
+    if n ** k > BRUTE_TUPLE_BUDGET:
+        raise BruteForceBudgetExceeded(f"n^k = {n ** k} exceeds the brute-force budget")
+    x, y = s.x, s.y
+    terms = (
+        H(tuple(x[list(idx)]), tuple(y[list(idx)]))
+        for idx in itertools.permutations(range(n), k)
+    )
+    return math.fsum(terms) / total
+
+
+def brute_outcome(brute, spec, s):
+    """(the value's bits or the error's type and text, H's arguments as
+    (type, bits) per coordinate in call order)."""
+    H, calls = ukernel_scalar(spec), []
+
+    def logged(xs, ys):
+        calls.append(tuple((type(v), np.float64(v).tobytes()) for v in xs + ys))
+        return H(xs, ys)
+
+    try:
+        value = brute(logged, s, spec.m)
+        result = np.float64(getattr(value, "value", value)).tobytes()
+    except (ValueError, OverflowError) as exc:
+        result = (type(exc), str(exc))
+    return result, calls
+
+
+class TestBruteEnumeration:
+    """u_stat_brute against the index enumeration it replaced."""
+
+    @pytest.mark.parametrize("m, n_hi", [(1, 12), (2, 8), (3, 6)])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_same_terms_in_the_same_order(self, m, n_hi, data):
+        spec, s = data.draw(oracle_case(m, m, n_hi, poly=True))
+        kernels = [get_kernel(k) for k in builtin_kernel_ids()] + [SIGNED_TABLE]
+        spec = dataclasses.replace(spec, kernel=data.draw(st.sampled_from(kernels)))
+        if data.draw(st.booleans()):  # terms that overflow, or sums that do
+            s = Sample(s.x, s.y * 1e306)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert brute_outcome(u_stat_brute, spec, s) == brute_outcome(index_brute, spec, s)
 
 
 class TestWindowedOracleProperties:
@@ -515,8 +567,9 @@ class TestNonFiniteSum:
         with np.errstate(over="ignore"):
             with pytest.raises(NonFiniteSum, match="inf") as windowed:
                 u_stat_windowed(spec, s)
-            with pytest.raises(ValueError) as brute:
+            with pytest.raises(ValueError, match="-inf \\+ inf in fsum") as brute:
                 u_stat_brute(ukernel_scalar(spec), s, 1)
+            assert brute_outcome(index_brute, spec, s) == brute_outcome(u_stat_brute, spec, s)
         # both are ValueErrors; the oracle keeps math.fsum's own error
         assert isinstance(windowed.value, ValueError)
         assert not isinstance(brute.value, NonFiniteSum)
