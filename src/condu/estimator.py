@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import NoClosedFormConditional, SchemaError, ZeroDensityWindow
 from .function_class import builtin_member, member_kind
-from .kernels import composite_integral, composite_rule, tensor_rule
+from .kernels import _leggauss, composite_integral, composite_rule, tensor_rule
 from .ucore import WindowGrid
 
 
@@ -178,23 +178,41 @@ def product_density(dgp, t):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def _max_uniform_expectation(centers, a):
-    """E max_j (c_j + U_j) with U_j iid Uniform(-a, a); exact by piecewise
-    Gauss-Legendre (the CDF product is piecewise polynomial)."""
-    centers = np.asarray(centers, dtype=float)
+# rows of centers that _max_uniform_expectation takes at a time
+_MAX_ROWS = 4096
+
+
+def _max_uniform_expectation(rows, a):
+    """Per row of centers c (shape (N, m)), E max_j (c_j + U_j) with U_j iid
+    Uniform(-a, a); exact by piecewise Gauss-Legendre of order m + 2 (the
+    CDF product is piecewise polynomial) over the panels between the row's
+    distinct cuts c_j -+ a. The rows' cuts are sorted together, but each
+    panel keeps its own np.dot and a row adds its panels in order, so each
+    row gets the bits of composite_integral over its cuts alone."""
+    rows = np.asarray(rows, dtype=float)
     if a == 0.0:
-        return float(np.max(centers))
-    cuts = np.unique(np.concatenate([centers - a, centers + a]))
-    lo = float(cuts[0])
-
-    def survival(v):
-        cdf = np.prod(
-            np.clip((v[:, None] - centers[None, :] + a) / (2.0 * a), 0.0, 1.0),
-            axis=1,
-        )
-        return 1.0 - cdf
-
-    return lo + composite_integral(survival, cuts, centers.size + 2)
+        return np.max(rows, axis=1)
+    nodes, weights = _leggauss(rows.shape[1] + 2)
+    out = np.empty(len(rows))
+    for start in range(0, len(rows), _MAX_ROWS):
+        block = rows[start:start + _MAX_ROWS]
+        cuts = np.sort(np.concatenate([block - a, block + a], axis=1), axis=1)
+        fresh = np.ones(cuts.shape, dtype=bool)
+        fresh[:, 1:] = cuts[:, 1:] != cuts[:, :-1]
+        row, col = np.nonzero(fresh)
+        flat = cuts[row, col]
+        # panel p runs from flat[p] to flat[p + 1], two cuts of one row
+        p = np.flatnonzero(row[1:] == row[:-1])
+        lo, hi = flat[p], flat[p + 1]
+        half = 0.5 * (hi - lo)
+        x = (0.5 * (lo + hi))[:, None] + half[:, None] * nodes
+        c = block[row[p], None, :]
+        cdf = np.prod(np.clip((x[:, :, None] - c + a) / (2.0 * a), 0.0, 1.0), axis=2)
+        totals = [0.0] * len(block)
+        for i, hp, survival in zip(row[p].tolist(), half.tolist(), 1.0 - cdf):
+            totals[i] += hp * float(np.dot(weights, survival))
+        out[start:start + len(block)] = cuts[:, 0] + totals
+    return out
 
 
 def true_regression(dgp, phi, t):
@@ -233,8 +251,7 @@ def true_regression(dgp, phi, t):
     elif kind == "max":
         if dgp.noise.kind == "gaussian":
             raise NoClosedFormConditional("max has no closed form under gaussian noise")
-        rows = r(t).reshape(-1, m)
-        out = np.array([_max_uniform_expectation(row, dgp.noise.param) for row in rows])
+        out = _max_uniform_expectation(r(t).reshape(-1, m), dgp.noise.param)
         out = out.reshape(t.shape[:-1])
     else:
         raise NoClosedFormConditional(f"no closed-form regression for {phi.id!r}")

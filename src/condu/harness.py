@@ -9,9 +9,11 @@ files regardless of thread count.
 import itertools
 import json
 import math
+import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,7 +33,7 @@ from .estimator import (
     true_regression,
 )
 from .function_class import FunctionSpec, envelope_tilde
-from .kernels import atomic_write, eval_scaled, format_float
+from .kernels import atomic_write, eval_scaled
 from .ucore import Sample, WindowGrid
 
 # importable from here only for the benchmark's tracer, which rebinds them;
@@ -86,8 +88,7 @@ def bandwidths(cfg, n):
     return tuple(dyadic_bandwidths(a, cfg.m, limit))
 
 
-@dataclass(frozen=True)
-class DeviationRow:
+class DeviationRow(NamedTuple):
     stat: str  # "process" | "est_centering" | "est_truth"
     n: int
     rep: int
@@ -327,29 +328,41 @@ def rate_experiment(cfg, out_dir=None, threads=1, include_remainder=False):
             }
         per_n[n] = entry
 
-    all_rows.sort(key=lambda r: r.sort_key)
+    # DeviationRow.sort_key, without a Python call per row
+    all_rows.sort(key=operator.itemgetter(0, 1, 2, 3, 4, 5))
     report = RateReport(per_n=per_n, rows=tuple(all_rows), config=cfg.raw)
     if out_dir is not None:
         write_outputs(report, cfg, out_dir)
     return report
 
 
-def deviations_csv_text(report, m):
+# deviations.csv is formatted and written this many rows at a time, so the
+# file's text is never held whole
+_WRITE_ROWS = 1024
+
+
+def _deviation_batches(rows, m):
+    """deviations.csv as its header and then pieces of at most _WRITE_ROWS
+    rows. Floats take 17 significant digits (kernels.format_float); the
+    text of h and t is formatted once per grid cell (h, t) and kept."""
     tcols = ",".join(f"t_{j + 1}" for j in range(m))
-    lines = [f"stat,n,rep,h,{tcols},phi,raw_dev,normalized_dev,status"]
-    for r in report.rows:
-        ts = ",".join(format_float(v) for v in r.t)
-        lines.append(
-            f"{r.stat},{r.n},{r.rep},{format_float(r.h)},{ts},{r.phi},"
-            f"{format_float(r.raw)},{format_float(r.normalized)},{r.status}"
-        )
-    return "\n".join(lines) + "\n"
+    yield f"stat,n,rep,h,{tcols},phi,raw_dev,normalized_dev,status\n"
+    cells = {}
+    for start in range(0, len(rows), _WRITE_ROWS):
+        lines = []
+        for stat, n, rep, h, t, phi, raw, normalized, status in rows[start:start + _WRITE_ROWS]:
+            cell = cells.get((h, t))
+            if cell is None:
+                cell = cells[h, t] = ",".join(["%.17g" % v for v in (h, *t)])
+            lines.append("%s,%s,%s,%s,%s,%.17g,%.17g,%s\n"
+                         % (stat, n, rep, cell, phi, raw, normalized, status))
+        yield "".join(lines)
 
 
 def write_outputs(report, cfg, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     atomic_write(
-        os.path.join(out_dir, "deviations.csv"), deviations_csv_text(report, cfg.m)
+        os.path.join(out_dir, "deviations.csv"), _deviation_batches(report.rows, cfg.m)
     )
     doc = {"per_n": {str(n): v for n, v in report.per_n.items()}}
     atomic_write(

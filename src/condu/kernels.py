@@ -151,14 +151,15 @@ def format_float(x):
 
 
 def atomic_write(path, text):
-    """Write via a temp file in the same directory, then rename into place;
-    an OSError becomes OutputFileError, and the temp file is removed."""
+    """Write text, a str or an iterable of str pieces written in turn, via a
+    temp file in the same directory, then rename into place; an OSError
+    becomes OutputFileError, and the temp file is removed."""
     d = os.path.dirname(os.path.abspath(path))
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException as exc:
         if tmp is not None and os.path.exists(tmp):

@@ -237,6 +237,11 @@ def _common_positions(r1, r2, order):
     return order[lo:hi][perm], perm + (lo - r1[0]), perm + (lo - r2[0])
 
 
+def _shared(*ranges):
+    """The number of positions in every one of the half-open ranges."""
+    return max(0, min(hi for _, hi in ranges) - max(lo for lo, _ in ranges))
+
+
 def _band_groups(cells):
     """Split the banded m=2 cells of one t_1 value over every bandwidth, a
     list of (key, (lo, hi), (a, b)) row and column windows, into runs whose
@@ -264,11 +269,11 @@ class WindowGrid:
     evaluating each (g, h, t) on its own.
 
     Per bandwidth, each distinct coordinate value gets its window (a
-    half-open range of positions in the stable x-sort) and its kernel
-    weights once. u_stats(members) walks the (h, t) cells once, and each
-    cell's geometry serves every member; a member None is the constant 1,
-    the estimator's denominator, computed without calling any member. Each
-    cell takes one path:
+    half-open range of positions in the stable x-sort), its kernel weights
+    and its closed-window mask once. u_stats(members) walks the (h, t)
+    cells once, and each cell's geometry serves every member; a member
+    None is the constant 1, the estimator's denominator, computed without
+    calling any member. Each cell takes one path:
 
     * empty, when a window holds no point: 0.
     * exact, at most EXACT_PATH_MAX window tuples, any m: the brute
@@ -283,10 +288,11 @@ class WindowGrid:
       values at a time; one band is alive at a time. Each cell reads its
       rows and columns of the band as a view: w_1 @ (G @ w_2), less the
       terms of the tuples that repeat an index, found once per cell.
-    * m = 3: the windows, w_2 w_3, the pair mask and one chunk buffer once
-      per cell. The tuples are split along the first axis into chunks of
-      at most _CHUNK_ELEMENTS, each summed by one np.sum over the buffer,
-      filled about _FILL_ELEMENTS values at a time with
+    * m = 3: the windows, w_2 w_3, the planes of coordinates 2 and 3, their
+      distinct-index mask, the count of distinct triples and one chunk
+      buffer once per cell. The tuples are split along the first axis into
+      chunks of at most _CHUNK_ELEMENTS, each summed by one np.sum over the
+      buffer, filled about _FILL_ELEMENTS values at a time with
       ((g * distinct-index mask) * w_1) * w_2 w_3.
 
     The constant 1 takes ones for the values of g, and at m = 3 the mask
@@ -307,16 +313,27 @@ class WindowGrid:
         values = sorted({v for t in self.points for v in t})
         column = {v: i for i, v in enumerate(values)}
         self.cells = [tuple(column[v] for v in t) for t in self.points]
-        # per bandwidth: each value's window and kernel weights
-        self.ranges, self.weights = [], []
+        # per bandwidth: each value's window, kernel weights and closed-window
+        # mask |v - x| <= h/2, from one kernel call over the offsets v - x of
+        # every value's window laid end to end (both are elementwise, so each
+        # value gets the bits of a call of its own)
+        self.ranges, self.weights, self.inside = [], [], []
         for h in self.hs:
             lo, hi = _window_bounds(s.x_sorted, h, values)
-            ranges = list(zip(lo.tolist(), hi.tolist()))
-            self.ranges.append(ranges)
-            self.weights.append([eval_scaled(kernel, h, v - s.x_sorted[a:b])
-                                 for v, (a, b) in zip(values, ranges)])
+            sizes = hi - lo
+            starts = np.cumsum(sizes) - sizes
+            z = (np.repeat(values, sizes)
+                 - s.x_sorted[np.arange(sizes.sum()) + np.repeat(lo - starts, sizes)])
+            w, inside = eval_scaled(kernel, h, z), np.abs(z) <= h / 2.0
+            pieces = [slice(a, a + k) for a, k in zip(starts.tolist(), sizes.tolist())]
+            self.ranges.append(list(zip(lo.tolist(), hi.tolist())))
+            self.weights.append([w[p] for p in pieces])
+            self.inside.append([inside[p] for p in pieces])
         self.y_sorted = s.y[s.sort_index]
 
+    # a term or total that overflows ends in NonFiniteSum, so NumPy's
+    # warnings on the way would only print ahead of that error
+    @np.errstate(over="ignore", invalid="ignore")
     def u_stats(self, members):
         """Per member, per bandwidth, one UStatResult per point, in the
         order of the members, the bandwidths and the points. A member None
@@ -394,10 +411,10 @@ class WindowGrid:
         h, t, cell = self.hs[q], self.points[k], self.cells[k]
         wins = [self.ranges[q][i] for i in cell]
         axes = []
-        for j, (i, (a, b)) in enumerate(zip(cell, wins)):
+        for j, i in enumerate(cell):
             axes.append((1,) * j + (-1,) + (1,) * (len(cell) - 1 - j))
             wj = self.weights[q][i].reshape(axes[j])
-            inside = (np.abs(t[j] - self.s.x_sorted[a:b]) <= h / 2.0).reshape(axes[j])
+            inside = self.inside[q][i].reshape(axes[j])
             w, keep = (wj, inside) if j == 0 else (w * wj, keep & inside)
         count = w.size
         if len(cell) > 1:
@@ -451,42 +468,53 @@ class WindowGrid:
         return band
 
     def _triples(self, members, q, k, total):
-        """One m = 3 cell, its chunk buffer and mask shared by the members."""
-        ranges = [self.ranges[q][i] for i in self.cells[k]]
-        wins = [self.s.sort_index[lo:hi] for lo, hi in ranges]
+        """One m = 3 cell; its chunk buffer, the planes of coordinates 2 and
+        3 and the mask of distinct indices 2 and 3 are built once and
+        shared by the members and the row blocks."""
+        (a1, b1), (a2, b2), (a3, b3) = ranges = [self.ranges[q][i] for i in self.cells[k]]
         ys = [self.y_sorted[lo:hi] for lo, hi in ranges]
         w1, w2, w3 = [self.weights[q][i] for i in self.cells[k]]
-        n1, n2, n3 = [w.size for w in wins]
+        n1, n2, n3 = b1 - a1, b2 - a2, b3 - a3
         w23 = np.outer(w2, w3)
-        neq23 = wins[1][:, None] != wins[2][None, :]
+        # a sorted position is an index, so two coordinates repeat an index
+        # exactly where their positions meet
+        neq23 = (np.arange(a2, b2)[:, None] != np.arange(a3, b3)).astype(float)
+        # the distinct triples, by inclusion-exclusion over the positions
+        # that two or three windows share
+        r1, r2, r3 = ranges
+        evaluated = (n1 * n2 * n3 - _shared(r1, r2) * n3 - _shared(r1, r3) * n2
+                     - _shared(r2, r3) * n1 + 2 * _shared(r1, r2, r3))
         chunk = max(1, _CHUNK_ELEMENTS // (n2 * n3))
         step = max(1, _FILL_ELEMENTS // (n2 * n3))
         buf = np.empty((min(chunk, n1), n2, n3))
+        planes = np.empty((3, min(step, n1), n2, n3))
+        planes[1], planes[2] = ys[1][:, None], ys[2]
         res = []
         for g in members:
-            acc, evaluated = 0.0, 0
+            acc = 0.0
             for lo in range(0, n1, chunk):
                 hi = min(lo + chunk, n1)
                 G = buf[:hi - lo]
-                # a few rows at a time, so the evaluation planes, the mask
-                # and the products stay in cache; each value is ((g * mask)
-                # * w_1) * w_23, as it is when the whole chunk is built at
-                # once
+                # a few rows at a time, so the evaluation planes and the
+                # products stay in cache; each value is ((g * mask) * w_1)
+                # * w_23, as it is when the whole chunk is built at once
                 for r in range(lo, hi, step):
                     e = min(r + step, hi)
                     block = G[r - lo:e - lo]
-                    i1 = wins[0][r:e, None, None]
-                    mask = (i1 != wins[1][None, :, None]) & neq23
-                    mask &= i1 != wins[2][None, None, :]
                     if g is None:
-                        # 1.0 * mask is the mask
-                        block[...] = mask
+                        block[...] = neq23
                     else:
-                        block[...] = _tuples_eval(g, ys[0][r:e], ys[1], ys[2])
-                        np.multiply(block, mask, out=block)
+                        p = planes[:, :e - r]
+                        p[0] = ys[0][r:e, None, None]
+                        block[...] = g.eval(np.moveaxis(p, 0, -1))
+                        np.multiply(block, neq23, out=block)
+                    # the row's own index: times 0.0, so g * 0 keeps its
+                    # sign, and a NaN stays NaN, as g * False does
+                    for view, a, b in [(block, a2, b2), (block.swapaxes(1, 2), a3, b3)]:
+                        at = np.arange(max(a1 + r, a), min(a1 + e, b))
+                        view[at - (a1 + r), at - a] *= 0.0
                     np.multiply(block, w1[r:e, None, None], out=block)
                     np.multiply(block, w23[None, :, :], out=block)
-                    evaluated += int(np.count_nonzero(mask))
                 acc += float(np.sum(G))
             res.append(self._result(acc, evaluated, total, q, k))
         return res

@@ -313,7 +313,6 @@ class TestMemberIds:
         assert "max" in err["message"]
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_non_finite_cell_sum_exits_one(self, tmp_path, capsys):
         data = tmp_path / "s.csv"
         data.write_text("x,y\n0.49,1e200\n0.51,-1e200\n0.50,1\n0.2,0\n0.8,0\n")
@@ -327,7 +326,6 @@ class TestMemberIds:
         assert json.loads(capsys.readouterr().err)["error"] == "NonFiniteSum"
         assert not out.exists()
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_exact_cell_whose_terms_overflow_exits_one(self, tmp_path, capsys):
         # each term y K_h = 1e308 / h overflows alone, so no term is finite
         data = tmp_path / "s.csv"

@@ -208,8 +208,41 @@ class TestTrueRegression:
                 centers = rng.integers(-4, 5, size) * (a / 2.0)
             else:
                 centers = rng.uniform(-1.0, 2.0, size)
-            got = condu.estimator._max_uniform_expectation(centers, a)
+            got = condu.estimator._max_uniform_expectation(centers[None, :], a)[0]
             assert np.float64(got).tobytes() == np.float64(with_bounds(centers, a)).tobytes()
+
+    @staticmethod
+    def frozen_max_uniform_expectation(centers, a):
+        """The max truth of one row as it was before rows were batched: its
+        own np.unique of the cuts and composite_integral."""
+        centers = np.asarray(centers, dtype=float)
+        if a == 0.0:
+            return float(np.max(centers))
+        cuts = np.unique(np.concatenate([centers - a, centers + a]))
+        lo = float(cuts[0])
+
+        def survival(v):
+            cdf = np.prod(
+                np.clip((v[:, None] - centers[None, :] + a) / (2.0 * a), 0.0, 1.0),
+                axis=1,
+            )
+            return 1.0 - cdf
+
+        return lo + composite_integral(survival, cuts, centers.size + 2)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), m=st.integers(1, 3), rows=st.integers(1, 40),
+           a=st.sampled_from([0.0, 0.1, 0.25]) | st.floats(0.01, 1.0))
+    def test_batched_max_truth_is_the_row_by_row_rule_bit_for_bit(self, data, m, rows, a):
+        # half the draws put centers on a grid of step a/2: equal centers,
+        # and cuts c_i + a that meet cuts c_j - a
+        on_grid = st.integers(-4, 4).map(lambda k: k * (a / 2.0))
+        values = st.one_of(on_grid, st.floats(-1.0, 2.0)) if a else st.floats(-1.0, 2.0)
+        centers = np.array(data.draw(st.lists(values, min_size=rows * m, max_size=rows * m)),
+                           dtype=float).reshape(rows, m)
+        got = condu.estimator._max_uniform_expectation(centers, a)
+        want = [self.frozen_max_uniform_expectation(row, a) for row in centers]
+        assert got.tobytes() == np.array(want, dtype=float).tobytes()
 
     def test_max_under_gaussian_noise_has_no_closed_form(self):
         d = make_dgp("uniform_linear", "gaussian", 0.5)

@@ -1,6 +1,8 @@
 import copy
 import dataclasses
 import math
+import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,10 +10,13 @@ import pytest
 from condu.bandwidth import lower_bandwidth, normalizer
 from condu.config import parse_config
 from condu.errors import BoundedClassHasNoRemainder, EmptyBandwidthRange, ZeroDensityWindow
+import condu.harness
 import condu.ucore
 from condu.estimator import centering, make_dgp, true_regression
 from condu.function_class import builtin_member
 from condu.harness import (
+    DeviationRow,
+    RateReport,
     bandwidth_cap,
     bias_from_cache,
     bandwidths,
@@ -22,7 +27,9 @@ from condu.harness import (
     remainder_diagnostic,
     simulate,
     sweep_cells,
+    write_outputs,
 )
+from condu.kernels import format_float
 from condu.ucore import UKernelSpec, u_stat_windowed
 
 
@@ -225,6 +232,70 @@ class TestOutputDeterminism:
                 }
             )
         assert outs[0] == outs[1]
+
+    @staticmethod
+    def frozen_deviations_csv_text(rows, m):
+        """deviations.csv as it was built before it was streamed: the whole
+        text at once, five format_float calls per row."""
+        tcols = ",".join(f"t_{j + 1}" for j in range(m))
+        lines = [f"stat,n,rep,h,{tcols},phi,raw_dev,normalized_dev,status"]
+        for r in rows:
+            ts = ",".join(format_float(v) for v in r.t)
+            lines.append(
+                f"{r.stat},{r.n},{r.rep},{format_float(r.h)},{ts},{r.phi},"
+                f"{format_float(r.raw)},{format_float(r.normalized)},{r.status}"
+            )
+        return "\n".join(lines) + "\n"
+
+    def test_streamed_csv_is_the_frozen_text_of_the_frozen_sort(self, tmp_path):
+        # m = 2 at n = 16: small-h windows are empty, so some rows are NaN
+        # with a non-ok status; the file spans several write batches
+        doc = copy.deepcopy(BASE_DOC)
+        doc["function_class"] = {"m": 2, "members": ["sum", "identity_j:2"],
+                                 "regime": {"kind": "unbounded", "p": 3.0}}
+        doc["regime"]["c"] = 0.1
+        doc["grids"].update(points_per_axis=5, quad_order=8)
+        doc["experiment"].update(n_list=[16, 64], reps=3)
+        cfg = parse_config(doc)
+        rep = rate_experiment(cfg, out_dir=str(tmp_path))
+        assert len(rep.rows) > 2 * condu.harness._WRITE_ROWS
+        assert {r.status for r in rep.rows} > {"ok"}
+        assert any(math.isnan(r.raw) for r in rep.rows)
+        shuffled = list(rep.rows)
+        random.Random(3).shuffle(shuffled)
+        resorted = sorted(shuffled, key=lambda r: r.sort_key)
+        assert all(a is b for a, b in zip(resorted, rep.rows))
+        want = self.frozen_deviations_csv_text(resorted, cfg.m).encode()
+        assert (tmp_path / "deviations.csv").read_bytes() == want
+
+    def test_writing_thirteen_thousand_rows_holds_no_whole_text(self, tmp_path):
+        # the shape of an m = 1 sweep: 2 sizes x 10 reps x 8 bandwidths x
+        # 21 points, two process rows (member and one) and one row for each
+        # estimator statistic per cell
+        cfg = make_cfg()
+        rng = np.random.default_rng(5)
+        hs = {n: sorted(rng.uniform(0.01, 0.4, 8).tolist()) for n in (500, 4000)}
+        rows = tuple(
+            DeviationRow(stat, n, rep, h, (t,), phi, raw, 3.0 * raw, "ok")
+            for stat, phis in (("est_centering", ["identity_j:1"]),
+                               ("est_truth", ["identity_j:1"]),
+                               ("process", ["identity_j:1", "one"]))
+            for n in hs
+            for rep in range(10)
+            for h in hs[n]
+            for t in np.linspace(0.3, 0.7, 21).tolist()
+            for phi, raw in zip(phis, rng.uniform(0.0, 0.1, 2).tolist())
+        )
+        assert len(rows) == 13_440
+        report = RateReport(per_n={}, rows=rows, config=cfg.raw)
+        tracemalloc.start()
+        try:
+            write_outputs(report, cfg, str(tmp_path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "deviations.csv").stat().st_size > 1_000_000
+        assert peak <= 1_500_000
 
     def test_csv_header_matches_arity(self, tmp_path):
         cfg = make_cfg()

@@ -581,7 +581,6 @@ class TestNonFiniteSum:
         with pytest.raises(NonFiniteSum, match="overflow"):
             u_stat_windowed(spec, s)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_terms_that_each_overflow(self):
         # h < 1: every term 1e308 * K_h = 2e308 is inf on its own, and the
         # fsum of infinite terms is inf without an error
@@ -592,8 +591,6 @@ class TestNonFiniteSum:
         with pytest.raises(NonFiniteSum, match="sum is inf"):
             u_stat_windowed(spec, s)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     @pytest.mark.parametrize("m, member", [(1, CUBE), (2, builtin_member("product", 2))])
     def test_vectorized_path_raises_on_a_non_finite_sum(self, m, member):
         x = np.linspace(0.3, 0.7, 500)
@@ -607,6 +604,22 @@ class TestNonFiniteSum:
         grid = WindowGrid(s, [0.5], [(0.45,) * m, (0.5,) * m], get_kernel("uniform"))
         with pytest.raises(NonFiniteSum):
             grid.u_stats([member])
+
+    def test_m3_terms_that_repeat_an_index_reach_the_total(self):
+        # y_1 y_2 overflows only on the tuples whose first two indices are
+        # both that of y = 1e200; the chunked path evaluates them and zeroes
+        # them by a product, so inf * 0 = nan reaches its total, as in the
+        # frozen formula
+        y = np.ones(12)
+        y[5] = 1e200
+        s = Sample(np.linspace(0.3, 0.7, 12), y)
+        spec = UKernelSpec(polynomial_member("y1y2", 3, [(1.0, (1, 1, 0))]), 0.5,
+                           (0.5,) * 3, get_kernel("uniform"))
+        assert window_tuples(spec, s) > EXACT_PATH_MAX
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert math.isnan(frozen_cell(spec, s)[0])
+        with pytest.raises(NonFiniteSum, match="sum is nan"):
+            u_stat_windowed(spec, s)
 
 
 def frozen_windows(h, t, s):
