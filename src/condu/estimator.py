@@ -258,21 +258,15 @@ def true_regression(dgp, phi, t):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def convolve(phi, kernel, h, z, quad_order=64, breakpoints=None):
+def convolve(phi, kernel, h, z):
     """(phi * K~_h)(z) = h^{-d} integral of phi(x) prod_j K((z_j - x_j)/h) dx.
 
     phi must be vectorized over batches of shape (N, d). Computed in the
     kernel's own coordinates, so the integration box is always the support
-    cube regardless of h.
+    cube regardless of h. The rule is of order 64 per axis, unsplit.
     """
     z = np.asarray(z, dtype=float).ravel()
-    # per axis, panels split where the mapped point z_j - h*u crosses a
-    # density breakpoint b, i.e. at u = (z_j - b) / h
-    cuts = tuple(
-        tuple(sorted({u for u in ((zj - b) / h for b in breakpoints or ()) if -0.5 < u < 0.5}))
-        for zj in z
-    )
-    U, w, kw = _kernel_rule(kernel, quad_order, cuts)
+    U, w, kw = _kernel_rule(kernel, 64, ((),) * z.size)
     pts = z[None, :] - h * U
     vals = np.asarray(phi(pts), dtype=float)
     return float(np.dot(vals * kw, w))
@@ -293,21 +287,60 @@ def _kernel_rule(kernel, quad_order, cuts):
     return U, w, kw
 
 
-def expected_u(dgp, phi, kernel, h, t, quad_order=64):
-    """E U_n(phi, h, t) = (m_phi * f~) convolved with the scaled product kernel."""
-    def integrand(pts):
-        return np.asarray(true_regression(dgp, phi, pts), dtype=float) * product_density(
-            dgp, pts
-        )
+# E U_n over a grid maps at most this many quadrature points z - h*U at a
+# time (a single point whose rule is longer gets a block of its own)
+_BLOCK_POINTS = 8192
 
-    return convolve(
-        integrand, kernel, h, np.asarray(t, dtype=float),
-        quad_order=quad_order, breakpoints=list(dgp.support),
-    )
+
+def expected_u_grid(dgp, members, kernel, h, points, quad_order):
+    """E U_n(1, h, t) and each member's E U_n(phi, h, t) at every point t of
+    a grid, at one bandwidth: an array of the denominators and one array
+    per member, in the order of the points.
+
+    E U_n(phi, h, t) is (m_phi * f~) convolved with the scaled product
+    kernel, by the tensor rule split at t's cuts. The points that share
+    their cuts share the rule, and are mapped to z - h*U in blocks of
+    _BLOCK_POINTS; a block takes one density evaluation for the
+    denominator and every member, and each point keeps its own np.dot over
+    its own rule. Every operation is elementwise or that dot, so each value
+    has the bits of the point evaluated on its own.
+    """
+    points = np.asarray(points, dtype=float).reshape(len(points), -1)
+    den, nums = np.empty(len(points)), np.empty((len(members), len(points)))
+    # per point and axis, the rule's panels split where the mapped point
+    # z_j - h*u crosses a density breakpoint b, i.e. at u = (z_j - b) / h
+    groups = {}
+    for k, z in enumerate(points.tolist()):
+        cuts = tuple(
+            tuple(sorted({u for u in ((zj - b) / h for b in dgp.support) if -0.5 < u < 0.5}))
+            for zj in z
+        )
+        groups.setdefault(cuts, []).append(k)
+    for cuts, group in groups.items():
+        U, w, kw = _kernel_rule(kernel, quad_order, cuts)
+        step = max(1, _BLOCK_POINTS // w.size)
+        for start in range(0, len(group), step):
+            rows = group[start:start + step]
+            pts = points[rows][:, None, :] - h * U
+            dens = product_density(dgp, pts)
+            # the member "one" gives ones * density, the density's own bits
+            den[rows] = [np.dot(v, w) for v in dens * kw]
+            for out, phi in zip(nums, members):
+                vals = np.asarray(true_regression(dgp, phi, pts), dtype=float)
+                out[rows] = [np.dot(v, w) for v in (vals * dens) * kw]
+            # one block's arrays alive at a time: freed before the next's
+            pts = dens = vals = None
+    return den, nums
+
+
+def expected_u(dgp, phi, kernel, h, t, quad_order=64):
+    """E U_n(phi, h, t) at one point; see expected_u_grid."""
+    return float(expected_u_grid(dgp, [phi], kernel, h, [t], quad_order)[1][0, 0])
 
 
 def expected_u_one(dgp, m, kernel, h, t, quad_order=64):
-    """E U_n(1, h, t) = f~ convolved with the scaled product kernel."""
+    """E U_n(1, h, t) = E U_n of the member "one" at one point; see
+    expected_u_grid."""
     return expected_u(dgp, builtin_member("one", m), kernel, h, t, quad_order)
 
 
@@ -326,7 +359,5 @@ def centering(phi, h, t, dgp, kernel):
     default order; a zero-density window raises ZeroDensityWindow (see
     centering_ratio)."""
     t = np.asarray(t, dtype=float)
-    den = expected_u_one(dgp, phi.m, kernel, h, t)
-    num = expected_u(dgp, phi, kernel, h, t)
-    return centering_ratio(num, den, h, t)
-
+    den, nums = expected_u_grid(dgp, [phi], kernel, h, [t], 64)
+    return centering_ratio(float(nums[0, 0]), float(den[0]), h, t)

@@ -25,19 +25,15 @@ from .bandwidth import (
     truncate_split,
 )
 from .errors import BoundedClassHasNoRemainder, EmptyBandwidthRange
-from .estimator import (
-    centering_ratio,
-    estimate_grid,
-    expected_u,
-    expected_u_one,
-    true_regression,
-)
+from .estimator import centering_ratio, estimate_grid, expected_u_grid, true_regression
 from .function_class import FunctionSpec, envelope_tilde
 from .kernels import atomic_write, eval_scaled
-from .ucore import Sample, WindowGrid
+from .ucore import Sample, WindowGrid, _window_bounds
 
 # importable from here only for the benchmark's tracer, which rebinds them;
-# the sweeps evaluate whole grids through estimate_grid and WindowGrid
+# the sweeps evaluate whole grids through estimate_grid and WindowGrid, and
+# the expectation cache through expected_u_grid
+from .estimator import expected_u, expected_u_one  # noqa: F401
 from .function_class import builtin_member  # noqa: F401
 from .ucore import u_stat_windowed  # noqa: F401
 
@@ -112,18 +108,20 @@ def expectation_cache(cfg, n, hs, tgrid):
     form raises NoClosedFormConditional here, before any convolution.
     """
     cache = {}
-    for t in tgrid:
-        for phi in cfg.fc.members:
-            cache[("m", phi.id, t)] = float(true_regression(cfg.dgp, phi, np.asarray(t)))
+    grid = np.asarray(tgrid, dtype=float)
+    truths = [true_regression(cfg.dgp, phi, grid).tolist() for phi in cfg.fc.members]
+    for k, t in enumerate(tgrid):
+        for phi, values in zip(cfg.fc.members, truths):
+            cache[("m", phi.id, t)] = values[k]
     for h in hs:
-        for t in tgrid:
-            cache[("EU1", h, t)] = expected_u_one(
-                cfg.dgp, cfg.m, cfg.kernel, h, t, cfg.quad_order
-            )
-            for phi in cfg.fc.members:
-                cache[("EU", phi.id, h, t)] = expected_u(
-                    cfg.dgp, phi, cfg.kernel, h, t, cfg.quad_order
-                )
+        den, nums = expected_u_grid(
+            cfg.dgp, cfg.fc.members, cfg.kernel, h, tgrid, cfg.quad_order
+        )
+        den, nums = den.tolist(), nums.tolist()
+        for k, t in enumerate(tgrid):
+            cache[("EU1", h, t)] = den[k]
+            for phi, values in zip(cfg.fc.members, nums):
+                cache[("EU", phi.id, h, t)] = values[k]
     return cache
 
 
@@ -225,14 +223,26 @@ def remainder_diagnostic(cfg, ell, rep=0):
         g.id: np.asarray(g.eval(ys), dtype=float) for g in members
     }
 
+    # a draw outside the first coordinate's window weighs 0.0, so each cell
+    # evaluates the kernel only on the draws inside it, found in the draws
+    # sorted by that coordinate. The weights are those of every draw's own
+    # product up to the sign of a zero (a signed kernel times 0.0), which
+    # cannot reach dev or mc_se.
+    order = np.argsort(xs[:, 0], kind="stable")
+    x0 = xs[order, 0]
+
     us = WindowGrid(s, hs, tgrid, cfg.kernel).u_stats(members)
     sup_val, sup_se, cells = 0.0, 0.0, []
     for q, h in enumerate(hs):
         norm = normalizer(n, h, m)
+        lo, hi = _window_bounds(x0, h, [t[0] for t in tgrid])
         for k, t in enumerate(tgrid):
-            w = np.ones(mc_draws)
+            inside = order[lo[k]:hi[k]]
+            wk = np.ones(inside.size)
             for j in range(m):
-                w *= eval_scaled(cfg.kernel, h, t[j] - xs[:, j])
+                wk *= eval_scaled(cfg.kernel, h, t[j] - xs[inside, j])
+            w = np.zeros(mc_draws)
+            w[inside] = wk
             for g, g_us in zip(members, us):
                 u = g_us[q][k].value
                 samples = gated[g.id] * w

@@ -287,7 +287,8 @@ class WindowGrid:
       windows, of at most _BAND_ELEMENTS values, filled _FILL_ELEMENTS
       values at a time; one band is alive at a time. Each cell reads its
       rows and columns of the band as a view: w_1 @ (G @ w_2), less the
-      terms of the tuples that repeat an index, found once per cell.
+      terms of the tuples that repeat an index, found once per cell and
+      read from g on the pairs (y, y), evaluated once per sample.
     * m = 3: the windows, w_2 w_3, the planes of coordinates 2 and 3, their
       distinct-index mask, the count of distinct triples and one chunk
       buffer once per cell. The tuples are split along the first axis into
@@ -378,9 +379,16 @@ class WindowGrid:
                     )
                 for g_out, r in zip(out, res):
                     g_out[q][k] = r
+        if banded:
+            # g on the pairs (y, y) of the sorted y, over the span of the
+            # banded cells' first windows, where their repeated indices lie
+            rows = [r for row in banded.values() for _, r, _ in row]
+            d_base = min(a for a, _ in rows)
+            y = self.y_sorted[d_base:max(b for _, b in rows)]
+            gd = [_eval_rows(g, np.stack([y, y], axis=-1)) for g in members]
         for row in banded.values():
             for r_lo, r_hi, c_lo, c_hi, run in _band_groups(row):
-                diagonals = [self._diagonal(members, q, k) for (q, k), _, _ in run]
+                diagonals = [self._diagonal(gd, d_base, q, k) for (q, k), _, _ in run]
                 for gi, g in enumerate(members):
                     band = self._band(g, r_lo, r_hi, c_lo, c_hi)
                     for ((q, k), (lo, hi), (a, b)), (sums, common) in zip(run, diagonals):
@@ -435,19 +443,19 @@ class WindowGrid:
             raise NonFiniteSum(f"cell h={h}, t={t}: {exc}") from None
         return [self._result(acc, count, total, q, k) for acc in sums]
 
-    def _diagonal(self, members, q, k):
+    def _diagonal(self, gd, base, q, k):
         """Per member, the terms of an m = 2 cell's tuples (i, i), which
-        w_1 @ (G @ w_2) counts and the cell must not, summed; and their
-        number."""
+        w_1 @ (G @ w_2) counts and the cell must not, summed in ascending
+        index order; and their number. gd holds each member's g(y, y) on
+        the sorted y from position base on."""
         i, j = self.cells[k]
         w0, w1 = self.weights[q][i], self.weights[q][j]
-        common, i1, i2 = _common_positions(self.ranges[q][i], self.ranges[q][j],
-                                           self.s.sort_index)
+        r1 = self.ranges[q][i]
+        common, i1, i2 = _common_positions(r1, self.ranges[q][j], self.s.sort_index)
         if not common.size:
-            return [0.0] * len(members), 0
-        y = self.s.y[common]
-        ys = np.stack([y, y], axis=-1)
-        return [float(np.sum(_eval_rows(g, ys) * w0[i1] * w1[i2])) for g in members], common.size
+            return [0.0] * len(gd), 0
+        at = i1 + (r1[0] - base)
+        return [float(np.sum(v[at] * w0[i1] * w1[i2])) for v in gd], common.size
 
     def _band(self, g, lo, hi, c_lo, c_hi):
         """g over y[lo:hi] x y[c_lo:c_hi] (sorted positions), filled

@@ -200,6 +200,7 @@ class TestTrueRegression:
             return lo + composite_integral(survival, cuts, centers.size + 2)
 
         rng = make_rng(46)
+        cases = []
         for _ in range(20_000):
             a = float(rng.choice([0.1, 0.25, 0.4, rng.uniform(0.01, 1.0)]))
             size = int(rng.integers(1, 5))
@@ -208,8 +209,19 @@ class TestTrueRegression:
                 centers = rng.integers(-4, 5, size) * (a / 2.0)
             else:
                 centers = rng.uniform(-1.0, 2.0, size)
-            got = condu.estimator._max_uniform_expectation(centers[None, :], a)[0]
-            assert np.float64(got).tobytes() == np.float64(with_bounds(centers, a)).tobytes()
+            cases.append((a, centers))
+        # one batched call per (a, size); each row keeps the bits of a call
+        # of its own (the batched max truth property below)
+        groups, got = {}, [None] * len(cases)
+        for i, (a, centers) in enumerate(cases):
+            groups.setdefault((a, centers.size), []).append(i)
+        for (a, _), rows in groups.items():
+            values = condu.estimator._max_uniform_expectation(
+                np.array([cases[i][1] for i in rows]), a)
+            for i, v in zip(rows, values):
+                got[i] = v
+        for (a, centers), v in zip(cases, got):
+            assert np.float64(v).tobytes() == np.float64(with_bounds(centers, a)).tobytes()
 
     @staticmethod
     def frozen_max_uniform_expectation(centers, a):
@@ -263,6 +275,108 @@ class TestTrueRegression:
         batch = true_regression(d, phi, grid)
         for row, v in zip(grid, batch):
             assert true_regression(d, phi, tuple(row)) == pytest.approx(v, rel=1e-14)
+
+
+def frozen_expected_u(dgp, phi, kernel, h, t, quad_order):
+    """E U_n(phi, h, t) as it was computed point by point before the grid
+    routine: the point's cuts at the support ends, its tensor rule, the
+    integrand m_phi * f~ at z - h*U, and one np.dot."""
+    z = np.asarray(t, dtype=float).ravel()
+    cuts = tuple(
+        tuple(sorted({u for u in ((zj - b) / h for b in list(dgp.support)) if -0.5 < u < 0.5}))
+        for zj in z
+    )
+    U, w, kw = condu.estimator._kernel_rule(kernel, quad_order, cuts)
+    pts = z[None, :] - h * U
+    vals = np.asarray(true_regression(dgp, phi, pts), dtype=float) * product_density(dgp, pts)
+    return float(np.dot(vals * kw, w))
+
+
+# (dgp id, noise, noise parameter); normal_linear's support ends at -+6 cut
+# only the points near them, so its grids split into several cut groups
+GRID_DGPS = [("uniform_linear", "uniform", 0.25), ("uniform_quadratic", "gaussian", 0.3),
+             ("normal_linear", "uniform", 0.3), ("normal_linear", "gaussian", 0.5),
+             ("uniform_linear", "none", 0.0)]
+# per m, orders whose tensor rule is below and above one block of 8,192
+# mapped points (an axis cut at a support end doubles its nodes)
+GRID_ORDERS = {1: [3, 32, 64], 2: [4, 20, 91], 3: [3, 12, 21]}
+
+
+def grid_members(dgp, m):
+    """Every built-in member with a closed-form truth under the dgp."""
+    ids = ["sum", "product", "one", "const:-1.5", "indicator_leq:0.3", "sum_clipped:50"]
+    ids += [f"identity_j:{j}" for j in range(1, m + 1)]
+    if dgp.noise.kind != "gaussian":
+        ids.append("max")
+    return [builtin_member(i, m) for i in ids if i != "sum_clipped:50" or dgp.noise.bound is not None]
+
+
+class TestExpectedUGrid:
+    """expected_u_grid against the per-point rule it replaced, bit for bit."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_grid_is_the_per_point_rule_bit_for_bit(self, m, data):
+        dgp = make_dgp(*data.draw(st.sampled_from(GRID_DGPS)))
+        kernel = get_kernel(data.draw(st.sampled_from(
+            ["uniform", "epanechnikov-rescaled", "triweight-rescaled"])))
+        h = data.draw(st.sampled_from([0.05, 0.3, 0.999]) | st.floats(0.01, 2.0))
+        quad_order = data.draw(st.sampled_from(GRID_ORDERS[m]))
+        block = data.draw(st.sampled_from([1, 50, condu.estimator._BLOCK_POINTS]))
+        lo, hi = dgp.support
+        # points on and near the support ends, where the cuts fall, and inside
+        near_end = st.tuples(st.sampled_from([lo, hi]), st.floats(-0.6, 0.6)).map(sum)
+        coord = near_end | st.sampled_from([lo, hi, 0.5]) | st.floats(lo - 0.5, hi + 0.5)
+        points = data.draw(st.lists(st.tuples(*[coord] * m), min_size=1, max_size=6))
+        members = grid_members(dgp, m)
+        if quad_order != GRID_ORDERS[m][0]:
+            # the max truth costs up to 50 ms per point at the larger rules,
+            # on each side; its rows are independent at any batch size (the
+            # batched max truth property above)
+            members = [phi for phi in members if phi.id != "max"]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(condu.estimator, "_BLOCK_POINTS", block)
+            den, nums = condu.estimator.expected_u_grid(dgp, members, kernel, h, points,
+                                                         quad_order)
+        one = builtin_member("one", m)
+        want = [frozen_expected_u(dgp, one, kernel, h, t, quad_order) for t in points]
+        assert den.tobytes() == np.array(want).tobytes()
+        for phi, got in zip(members, nums):
+            want = [frozen_expected_u(dgp, phi, kernel, h, t, quad_order) for t in points]
+            assert got.tobytes() == np.array(want).tobytes(), phi.id
+        t, phi = points[0], members[-1]
+        assert np.float64(expected_u(dgp, phi, kernel, h, t, quad_order)).tobytes() == (
+            np.float64(nums[-1][0]).tobytes())
+        assert np.float64(expected_u_one(dgp, m, kernel, h, t, quad_order)).tobytes() == (
+            np.float64(den[0]).tobytes())
+
+    @pytest.mark.parametrize("m, members", [
+        (1, ["identity_j:1", "max", "indicator_leq:0.5"]),
+        (2, ["sum", "max", "product"]),
+        (3, ["sum", "max", "identity_j:2"]),
+    ])
+    def test_expectation_cache_is_the_per_point_cache_bit_for_bit(self, m, members):
+        dgp = make_dgp("normal_linear", "uniform", 0.25)
+        fc = FunctionClass([builtin_member(i, m) for i in members])
+        cfg = SimpleNamespace(dgp=dgp, fc=fc, m=m, kernel=EPA, quad_order=6)
+        axis = (-5.9, 0.4, 5.95)
+        grid = list(itertools.product(axis, repeat=m))
+        hs = (0.2, 0.7)
+        want = {}
+        for t in grid:
+            for phi in fc.members:
+                want[("m", phi.id, t)] = float(true_regression(dgp, phi, np.asarray(t)))
+        for h in hs:
+            for t in grid:
+                want[("EU1", h, t)] = frozen_expected_u(dgp, builtin_member("one", m), EPA,
+                                                        h, t, 6)
+                for phi in fc.members:
+                    want[("EU", phi.id, h, t)] = frozen_expected_u(dgp, phi, EPA, h, t, 6)
+        got = expectation_cache(cfg, None, hs, grid)
+        assert list(got) == list(want)
+        assert all(type(v) is float for v in got.values())
+        assert np.array(list(got.values())).tobytes() == np.array(list(want.values())).tobytes()
 
 
 class TestConvolve:

@@ -388,6 +388,22 @@ def stacked_pair_value(spec, s):
     return acc / count_indices(s.n, 2)
 
 
+def frozen_diagonal(grid, members, q, k):
+    """An m = 2 cell's diagonal as WindowGrid found it before g on (y, y)
+    was evaluated once per sample: g on the cell's own stacked pairs of
+    common indices, times w_1 and w_2, summed by np.sum."""
+    i, j = grid.cells[k]
+    w0, w1 = grid.weights[q][i], grid.weights[q][j]
+    common, i1, i2 = _common_positions(grid.ranges[q][i], grid.ranges[q][j],
+                                       grid.s.sort_index)
+    if not common.size:
+        return [0.0] * len(members), 0
+    y = grid.s.y[common]
+    ys = np.stack([y, y], axis=-1)
+    return [float(np.sum((np.ones(y.size) if g is None else g.eval(ys)) * w0[i1] * w1[i2]))
+            for g in members], common.size
+
+
 class TestPairDiagonal:
     """The m=2 diagonal correction, read off the overlap of the two windows'
     position ranges, against np.intersect1d and the brute enumerator."""
@@ -400,6 +416,45 @@ class TestPairDiagonal:
         assume(window_tuples(spec, s) > EXACT_PATH_MAX)
         got = np.float64(u_stat_windowed(spec, s).value)
         assert got.tobytes() == np.float64(stacked_pair_value(spec, s)).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_diagonal_is_the_per_cell_rule_bit_for_bit(self, data):
+        # wide windows, so most cells are banded; a few y of 1e160 make
+        # y_1 y_2 and the polynomials overflow on the diagonal only
+        n = data.draw(st.integers(40, 160))
+        rng = make_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        x = rng.uniform(0.0, 1.0, n)
+        ties = data.draw(st.integers(0, n // 4))
+        x[n - ties:] = x[:ties]
+        y = np.round(rng.normal(0.5, 1.0, n), 1)
+        y[rng.permutation(n)[:data.draw(st.integers(0, 3))]] = 1e160
+        hs = data.draw(st.lists(st.sampled_from([0.35, 0.5, 0.7, 0.999]),
+                                min_size=1, max_size=3, unique=True))
+        axis = data.draw(st.lists(st.floats(0.25, 0.75), min_size=1, max_size=3, unique=True))
+        points = list(itertools.product(axis, repeat=2))
+        kernel = data.draw(st.sampled_from(ORACLE_KERNELS))
+        members = [None, builtin_member("product", 2),
+                   *data.draw(st.lists(oracle_member(2, poly=True), max_size=2))]
+        grid = WindowGrid(Sample(x, y), hs, points, kernel)
+        calls, diagonal = [], WindowGrid._diagonal
+
+        def recorded(self, gd, base, q, k):
+            out = diagonal(self, gd, base, q, k)
+            calls.append((q, k, out))
+            return out
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(WindowGrid, "_diagonal", recorded)
+            try:
+                grid.u_stats(members)
+            except NonFiniteSum:
+                pass
+        with np.errstate(over="ignore", invalid="ignore"):
+            for q, k, (sums, count) in calls:
+                want, want_count = frozen_diagonal(grid, members, q, k)
+                assert count == want_count
+                assert np.array(sums).tobytes() == np.array(want).tobytes()
 
     @pytest.mark.parametrize(
         "t, h, layout",
