@@ -9,7 +9,6 @@ own support test.
 """
 
 import os
-import tempfile
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -157,7 +156,11 @@ def atomic_write(path, text):
     d = os.path.dirname(os.path.abspath(path))
     tmp = None
     try:
-        fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
+        # mode 0o666 less the umask, as open(path, "w") gives a new file
+        # (mkstemp's files are 0o600 under any umask)
+        name = os.path.join(d, f"tmp{os.urandom(8).hex()}.tmp")
+        fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        tmp = name
         with os.fdopen(fd, "w") as fh:
             fh.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)

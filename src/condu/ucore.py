@@ -14,9 +14,10 @@ coordinate's window and kernel weights once per bandwidth, and its
 u_stats(members) walks the (h, t) cells once, evaluating every member, and
 the constant 1 of the estimator's denominator without calling any member,
 over each cell's shared geometry (m = 1: g once per sample; m = 2: g once
-per band of window pairs, shared by every bandwidth; m = 3 in chunks filled
-a few rows at a time). u_stat_windowed is its one-member, one-bandwidth,
-one-point call, so a cell gives the same bits alone as within a grid.
+per band of window pairs, shared by every bandwidth, which also holds each
+cell's pair diagonal; m = 3 in chunks filled a few rows at a time).
+u_stat_windowed is its one-member, one-bandwidth, one-point call, so a cell
+gives the same bits alone as within a grid.
 """
 
 import functools
@@ -63,8 +64,8 @@ class Sample:
 
     x: np.ndarray
     y: np.ndarray
-    _sort_index: np.ndarray = field(init=False, repr=False, compare=False)
-    _x_sorted: np.ndarray = field(init=False, repr=False, compare=False)
+    sort_index: np.ndarray = field(init=False, repr=False, compare=False)
+    x_sorted: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=float)
@@ -74,30 +75,16 @@ class Sample:
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
             bad = int(np.argmax(~(np.isfinite(x) & np.isfinite(y))))
             raise SchemaError(f"non-finite sample entry at row {bad + 1}")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        x.setflags(write=False)
-        y.setflags(write=False)
         # ties broken by original index: stable sort keeps enumeration
         # reproducible
         order = np.argsort(x, kind="stable")
-        x_sorted = x[order]
-        order.setflags(write=False)
-        x_sorted.setflags(write=False)
-        object.__setattr__(self, "_sort_index", order)
-        object.__setattr__(self, "_x_sorted", x_sorted)
+        for name, a in [("x", x), ("y", y), ("sort_index", order), ("x_sorted", x[order])]:
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
     @property
     def n(self):
         return self.x.size
-
-    @property
-    def sort_index(self):
-        return self._sort_index
-
-    @property
-    def x_sorted(self):
-        return self._x_sorted
 
 
 @dataclass(frozen=True)
@@ -205,36 +192,17 @@ def _windows(spec, s):
     return list(zip(lo.tolist(), hi.tolist()))
 
 
-def _tuples_eval(g, *coords):
-    """g over the outer grid of the coordinate vectors: entry [i, j, ...] is
-    g(coords[0][i], coords[1][j], ...); ones, without a call, when g is None
-    (the constant 1 of the denominator).
-
-    Each coordinate fills one contiguous plane, and g sees the planes as a
-    trailing axis (a view), so its sums, products and maxima over that axis
-    run plane by plane; they give the same bits as a stacked (..., m) array.
-    """
-    m = len(coords)
-    shape = tuple(c.size for c in coords)
-    if g is None:
-        return np.ones(shape)
-    planes = np.empty((m,) + shape)
-    for j, c in enumerate(coords):
-        planes[j] = c.reshape((1,) * j + (-1,) + (1,) * (m - 1 - j))
-    return g.eval(np.moveaxis(planes, 0, -1))
-
-
 def _eval_rows(g, ys):
     """g on the rows of ys, shape (..., m); ones when g is None."""
     return np.ones(ys.shape[:-1]) if g is None else g.eval(ys)
 
 
 def _common_positions(r1, r2, order):
-    """Original indices in both position ranges of the sorted order, ascending
-    (as np.intersect1d returns them), with their offsets in each window."""
+    """The offsets in each of two position ranges of the sorted order of the
+    positions in both, in ascending original index (np.intersect1d's order)."""
     lo, hi = max(r1[0], r2[0]), min(r1[1], r2[1])
     perm = np.argsort(order[lo:hi])
-    return order[lo:hi][perm], perm + (lo - r1[0]), perm + (lo - r2[0])
+    return perm + (lo - r1[0]), perm + (lo - r2[0])
 
 
 def _shared(*ranges):
@@ -286,9 +254,10 @@ class WindowGrid:
       y[min lo, max hi) x y[c_lo, c_hi) over a run of overlapping t_2
       windows, of at most _BAND_ELEMENTS values, filled _FILL_ELEMENTS
       values at a time; one band is alive at a time. Each cell reads its
-      rows and columns of the band as a view: w_1 @ (G @ w_2), less the
-      terms of the tuples that repeat an index, found once per cell and
-      read from g on the pairs (y, y), evaluated once per sample.
+      rows and columns of the band as a view G: w_1 @ (G @ w_2), less the
+      terms of the tuples (p, p) that repeat an index, found once per cell
+      and read from G, which holds g(y_p, y_p) wherever both windows hold
+      position p.
     * m = 3: the windows, w_2 w_3, the planes of coordinates 2 and 3, their
       distinct-index mask, the count of distinct triples and one chunk
       buffer once per cell. The tuples are split along the first axis into
@@ -379,24 +348,18 @@ class WindowGrid:
                     )
                 for g_out, r in zip(out, res):
                     g_out[q][k] = r
-        if banded:
-            # g on the pairs (y, y) of the sorted y, over the span of the
-            # banded cells' first windows, where their repeated indices lie
-            rows = [r for row in banded.values() for _, r, _ in row]
-            d_base = min(a for a, _ in rows)
-            y = self.y_sorted[d_base:max(b for _, b in rows)]
-            gd = [_eval_rows(g, np.stack([y, y], axis=-1)) for g in members]
         for row in banded.values():
             for r_lo, r_hi, c_lo, c_hi, run in _band_groups(row):
-                diagonals = [self._diagonal(gd, d_base, q, k) for (q, k), _, _ in run]
+                common = [_common_positions(r, c, self.s.sort_index) for _, r, c in run]
                 for gi, g in enumerate(members):
                     band = self._band(g, r_lo, r_hi, c_lo, c_hi)
-                    for ((q, k), (lo, hi), (a, b)), (sums, common) in zip(run, diagonals):
-                        i, j = self.cells[k]
+                    for ((q, k), (lo, hi), (a, b)), (i1, i2) in zip(run, common):
+                        w1, w2 = (self.weights[q][i] for i in self.cells[k])
                         G = band[lo - r_lo:hi - r_lo, a - c_lo:b - c_lo]
-                        acc = float(self.weights[q][i] @ (G @ self.weights[q][j]))
-                        out[gi][q][k] = self._result(acc - sums[gi], G.size - common,
-                                                     total, q, k)
+                        # the tuples (p, p) at G[p - lo, p - a], in ascending index order
+                        acc = (float(w1 @ (G @ w2))
+                               - float(np.sum(G[i1, i2] * w1[i1] * w2[i2])))
+                        out[gi][q][k] = self._result(acc, G.size - i1.size, total, q, k)
                     del band, G  # one band alive at a time: freed before the next fill
         return out
 
@@ -443,30 +406,24 @@ class WindowGrid:
             raise NonFiniteSum(f"cell h={h}, t={t}: {exc}") from None
         return [self._result(acc, count, total, q, k) for acc in sums]
 
-    def _diagonal(self, gd, base, q, k):
-        """Per member, the terms of an m = 2 cell's tuples (i, i), which
-        w_1 @ (G @ w_2) counts and the cell must not, summed in ascending
-        index order; and their number. gd holds each member's g(y, y) on
-        the sorted y from position base on."""
-        i, j = self.cells[k]
-        w0, w1 = self.weights[q][i], self.weights[q][j]
-        r1 = self.ranges[q][i]
-        common, i1, i2 = _common_positions(r1, self.ranges[q][j], self.s.sort_index)
-        if not common.size:
-            return [0.0] * len(gd), 0
-        at = i1 + (r1[0] - base)
-        return [float(np.sum(v[at] * w0[i1] * w1[i2])) for v in gd], common.size
-
     def _band(self, g, lo, hi, c_lo, c_hi):
-        """g over y[lo:hi] x y[c_lo:c_hi] (sorted positions), filled
-        _FILL_ELEMENTS values at a time."""
-        ys, cols = self.y_sorted, self.y_sorted[c_lo:c_hi]
-        step = max(1, _FILL_ELEMENTS // cols.size)
+        """g over y[lo:hi] x y[c_lo:c_hi] (sorted positions), ones when g is
+        None. The column plane is filled once and the row plane
+        _FILL_ELEMENTS values at a time; g sees the two planes as a trailing
+        axis (a view), and its sums, products and maxima over that axis give
+        the bits of a stacked (..., 2) array."""
+        shape = (hi - lo, c_hi - c_lo)
+        if g is None:
+            return np.ones(shape)
+        step = max(1, _FILL_ELEMENTS // shape[1])
+        planes = np.empty((2, min(step, shape[0]), shape[1]))
+        planes[1] = self.y_sorted[c_lo:c_hi]
         band = None
         for r in range(lo, hi, step):
-            part = _tuples_eval(g, ys[r:min(r + step, hi)], cols)
+            p = planes[:, :min(r + step, hi) - r]
+            p[0] = self.y_sorted[r:r + p.shape[1], None]
+            part = g.eval(np.moveaxis(p, 0, -1))
             if band is None:
-                shape = (hi - lo, cols.size)
                 # g handed back one coordinate plane (identity_j). In a
                 # stacked (k, k, 2) array that plane is a strided view, which
                 # matmul sums with NumPy's own row loop instead of BLAS; a

@@ -1,4 +1,6 @@
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -6,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 
-from condu.errors import InvalidBandwidth, SchemaError
+from condu.errors import InvalidBandwidth, OutputFileError, SchemaError
 from condu.function_class import builtin_member
 from condu.kernels import (
     Kernel1D,
     _leggauss,
+    atomic_write,
     builtin_kernel_ids,
     eval_scaled,
     gauss_legendre_panels,
@@ -204,6 +207,34 @@ class TestCsvRows:
         path.write_text(f"{header}\n\n")
         with pytest.raises(SchemaError, match="no data rows"):
             loader(str(path))
+
+
+class TestAtomicWrite:
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+    def test_file_gets_the_mode_open_gives_it(self, tmp_path, umask, mode):
+        out, ref = tmp_path / "out.csv", tmp_path / "ref.csv"
+        old = os.umask(umask)
+        try:
+            atomic_write(str(out), iter(["x,y\n", "0.5,1\n"]))
+            with open(ref, "w") as fh:
+                fh.write("x,y\n0.5,1\n")
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(out.stat().st_mode) == stat.S_IMODE(ref.stat().st_mode) == mode
+        assert out.read_bytes() == ref.read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "ref.csv"]
+
+    def test_failure_leaves_no_temp_file(self, tmp_path):
+        def pieces():
+            yield "x,y\n"
+            raise KeyError("stop")
+
+        (tmp_path / "taken").mkdir()
+        with pytest.raises(OutputFileError):
+            atomic_write(str(tmp_path / "taken"), "x,y\n")
+        with pytest.raises(KeyError):
+            atomic_write(str(tmp_path / "out.csv"), pieces())
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"]
 
 
 class TestGaussLegendreCache:

@@ -29,7 +29,6 @@ from condu.ucore import (
     UKernelSpec,
     WindowGrid,
     _common_positions,
-    _tuples_eval,
     _windows,
     count_indices,
     incomplete_u,
@@ -334,7 +333,7 @@ class TestWindowedOracleProperties:
 
 def stacked_eval(g, *coords):
     """g over the outer grid of the coordinates, from one stacked (..., m)
-    array: the evaluation _tuples_eval replaces."""
+    array: the reference for WindowGrid's bands."""
     m = len(coords)
     grids = np.broadcast_arrays(
         *(c.reshape((1,) * j + (-1,) + (1,) * (m - 1 - j)) for j, c in enumerate(coords))
@@ -358,25 +357,38 @@ TUPLE_VALUES = st.one_of(
 )
 
 
-class TestTuplesEval:
-    @pytest.mark.parametrize("m", [2, 3])
+class TestPairBand:
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())
-    def test_matches_the_stacked_evaluation_bit_for_bit(self, m, data):
-        phi = data.draw(st.sampled_from(all_members(m)))
-        coords = [
-            np.array(data.draw(st.lists(TUPLE_VALUES, min_size=1, max_size=6)))
-            for _ in range(m)
-        ]
-        new = np.ascontiguousarray(_tuples_eval(phi, *coords), dtype=float)
-        old = np.ascontiguousarray(stacked_eval(phi, *coords), dtype=float)
-        assert new.shape == old.shape == tuple(c.size for c in coords)
-        assert np.array_equal(new.view(np.int64), old.view(np.int64))
+    def test_band_is_the_stacked_evaluation_bit_for_bit(self, data):
+        # rows filled `step` at a time, the last block partial
+        phi = data.draw(st.sampled_from([None] + all_members(2)))
+        step = data.draw(st.integers(2, 4))
+        rows = data.draw(st.integers(1, 2)) * step + data.draw(st.integers(1, step - 1))
+        cols = data.draw(st.integers(1, 6))
+        y = np.array(data.draw(st.lists(TUPLE_VALUES, min_size=max(rows, cols),
+                                        max_size=max(rows, cols) + 4)))
+        x = np.array(data.draw(st.permutations(range(y.size))), dtype=float)
+        lo = data.draw(st.integers(0, y.size - rows))
+        c_lo = data.draw(st.integers(0, y.size - cols))
+        grid = WindowGrid(Sample(x, y), [1.0], [(0.5, 0.5)], get_kernel("uniform"))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(condu.ucore, "_FILL_ELEMENTS", step * cols)
+            band = grid._band(phi, lo, lo + rows, c_lo, c_lo + cols)
+        ys = grid.y_sorted
+        want = (np.ones((rows, cols)) if phi is None
+                else stacked_eval(phi, ys[lo:lo + rows], ys[c_lo:c_lo + cols]))
+        assert band.shape == want.shape == (rows, cols)
+        # identity_j hands back a strided plane; matmul's bits depend on it
+        assert band.strides == want.strides
+        assert np.array_equal(np.ascontiguousarray(band).view(np.int64),
+                              np.ascontiguousarray(want, dtype=float).view(np.int64))
 
 
 def stacked_pair_value(spec, s):
     """The m=2 vectorized sum as computed from a stacked pair array, with the
-    diagonal found by np.intersect1d: the reference for byte identity."""
+    diagonal found by np.intersect1d: the reference for byte identity. Also
+    the number of tuples of distinct indices."""
     wins = [s.sort_index[lo:hi] for lo, hi in _windows(spec, s)]
     w = [eval_scaled(spec.kernel, spec.h, tj - s.x[win]) for tj, win in zip(spec.t, wins)]
     G = stacked_eval(spec.g, s.y[wins[0]], s.y[wins[1]])
@@ -385,23 +397,7 @@ def stacked_pair_value(spec, s):
     if common.size:
         diag = spec.g.eval(np.stack([s.y[common], s.y[common]], axis=-1))
         acc -= float(np.sum(diag * w[0][i1] * w[1][i2]))
-    return acc / count_indices(s.n, 2)
-
-
-def frozen_diagonal(grid, members, q, k):
-    """An m = 2 cell's diagonal as WindowGrid found it before g on (y, y)
-    was evaluated once per sample: g on the cell's own stacked pairs of
-    common indices, times w_1 and w_2, summed by np.sum."""
-    i, j = grid.cells[k]
-    w0, w1 = grid.weights[q][i], grid.weights[q][j]
-    common, i1, i2 = _common_positions(grid.ranges[q][i], grid.ranges[q][j],
-                                       grid.s.sort_index)
-    if not common.size:
-        return [0.0] * len(members), 0
-    y = grid.s.y[common]
-    ys = np.stack([y, y], axis=-1)
-    return [float(np.sum((np.ones(y.size) if g is None else g.eval(ys)) * w0[i1] * w1[i2]))
-            for g in members], common.size
+    return acc / count_indices(s.n, 2), G.size - common.size
 
 
 class TestPairDiagonal:
@@ -414,14 +410,17 @@ class TestPairDiagonal:
         spec, s = data.draw(oracle_case(2, 50, 60))
         spec = dataclasses.replace(spec, g=data.draw(st.sampled_from(all_members(2))))
         assume(window_tuples(spec, s) > EXACT_PATH_MAX)
-        got = np.float64(u_stat_windowed(spec, s).value)
-        assert got.tobytes() == np.float64(stacked_pair_value(spec, s)).tobytes()
+        got = u_stat_windowed(spec, s)
+        value, evaluated = stacked_pair_value(spec, s)
+        assert np.float64(got.value).tobytes() == np.float64(value).tobytes()
+        assert got.tuples_evaluated == evaluated
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
-    def test_diagonal_is_the_per_cell_rule_bit_for_bit(self, data):
-        # wide windows, so most cells are banded; a few y of 1e160 make
-        # y_1 y_2 and the polynomials overflow on the diagonal only
+    def test_banded_cells_are_the_stacked_rule_bit_for_bit(self, data):
+        # wide windows, so most cells are banded, and small bands, so the
+        # runs split; a few y of 1e160 make y_1 y_2 and the polynomials
+        # overflow on the diagonal only
         n = data.draw(st.integers(40, 160))
         rng = make_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
         x = rng.uniform(0.0, 1.0, n)
@@ -436,25 +435,40 @@ class TestPairDiagonal:
         kernel = data.draw(st.sampled_from(ORACLE_KERNELS))
         members = [None, builtin_member("product", 2),
                    *data.draw(st.lists(oracle_member(2, poly=True), max_size=2))]
-        grid = WindowGrid(Sample(x, y), hs, points, kernel)
-        calls, diagonal = [], WindowGrid._diagonal
+        s = Sample(x, y)
+        grid = WindowGrid(s, hs, points, kernel)
+        calls, result = [], WindowGrid._result
 
-        def recorded(self, gd, base, q, k):
-            out = diagonal(self, gd, base, q, k)
-            calls.append((q, k, out))
-            return out
+        def recorded(self, acc, evaluated, total, q, k):
+            calls.append((q, k, acc, evaluated))
+            return result(self, acc, evaluated, total, q, k)
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(WindowGrid, "_diagonal", recorded)
-            try:
-                grid.u_stats(members)
-            except NonFiniteSum:
-                pass
-        with np.errstate(over="ignore", invalid="ignore"):
-            for q, k, (sums, count) in calls:
-                want, want_count = frozen_diagonal(grid, members, q, k)
-                assert count == want_count
-                assert np.array(sums).tobytes() == np.array(want).tobytes()
+            patch.setattr(condu.ucore, "_BAND_ELEMENTS", data.draw(st.sampled_from([500, 3000])))
+            patch.setattr(WindowGrid, "_result", recorded)
+            for g in members:
+                calls.clear()
+                try:
+                    grid.u_stats([g])
+                    raised = False
+                except NonFiniteSum:
+                    raised = True
+                # the first cell whose total is not finite raises (an exact
+                # cell may raise first, from math.fsum)
+                nonfinite = [c for c in calls if not math.isfinite(c[2])]
+                assert nonfinite in ([], calls[-1:]) and raised >= bool(nonfinite)
+                for q, k, acc, evaluated in calls:
+                    spec = UKernelSpec(g or builtin_member("one", 2), grid.hs[q],
+                                       grid.points[k], kernel)
+                    if window_tuples(spec, s) <= EXACT_PATH_MAX:
+                        continue
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        value, want = stacked_pair_value(spec, s)
+                    assert math.isfinite(acc) == math.isfinite(value)
+                    assert evaluated == want
+                    if math.isfinite(acc):
+                        got = np.float64(acc / count_indices(s.n, 2))
+                        assert got.tobytes() == np.float64(value).tobytes()
 
     @pytest.mark.parametrize(
         "t, h, layout",
@@ -479,7 +493,8 @@ class TestPairDiagonal:
         )
         w1, w2 = s.sort_index[lo1:hi1], s.sort_index[lo2:hi2]
         got = _common_positions(r1, r2, s.sort_index)
-        want = np.intersect1d(w1, w2, return_indices=True)
+        common, *want = np.intersect1d(w1, w2, return_indices=True)
+        assert len(got) == len(want) == 2
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
         res = u_stat_windowed(spec, s)
