@@ -79,7 +79,7 @@ def dyadic_bandwidths(a, m, limit):
 def dyadic_grid(regime, ell):
     """Dyadic block boundaries h_j with h_j^m = 2^j a^m, up to 2*b0."""
     if ell < 2:
-        raise ValueError("ell must be >= 2")
+        raise SampleTooSmall("ell must be >= 2")
     n_ell = 2 ** ell
     a0 = lower_bandwidth(regime, n_ell)
     if a0 > regime.b0:
@@ -94,11 +94,11 @@ def dyadic_grid(regime, ell):
 def gamma_threshold(ell, epsilon, p):
     """gamma_ell = n_ell / log n_ell and the truncation level eps*gamma^{1/p}."""
     if ell < 2:
-        raise ValueError("ell must be >= 2")
+        raise SampleTooSmall("ell must be >= 2")
     if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+        raise SchemaError("epsilon must be positive")
     if p <= 2:
-        raise ValueError("p must exceed 2")
+        raise SchemaError("p must exceed 2")
     gamma = 2.0 ** ell / (ell * math.log(2.0))
     return gamma, epsilon * gamma ** (1.0 / p)
 
@@ -124,7 +124,7 @@ def truncate_split(gbar, ftilde, threshold):
     the complement; the two add back to gbar pointwise.
     """
     if threshold <= 0:
-        raise ValueError("threshold must be positive")
+        raise SchemaError("threshold must be positive")
 
     def truncated(ys):
         return gbar(ys) * (ftilde(ys) <= threshold)

@@ -7,7 +7,7 @@ directory can echo exactly what was run.
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .bandwidth import RateRegime
 from .errors import InputFileError, SchemaError
@@ -34,9 +34,9 @@ class ExperimentConfig:
     t_points: int
     bn_rule: str  # "fixed" | "decaying"
     seed: int
-    epsilon: float = 1.0
-    quad_order: int = 64
-    raw: dict = field(default_factory=dict)
+    epsilon: float
+    quad_order: int
+    raw: dict
 
     @property
     def m(self):

@@ -12,7 +12,7 @@ import math
 import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -268,7 +268,7 @@ def remainder_diagnostic(cfg, ell, rep=0):
 class RateReport:
     per_n: dict
     rows: tuple
-    config: dict = field(default_factory=dict)
+    config: dict
 
 
 def rate_experiment(cfg, out_dir=None, threads=1, include_remainder=False):

@@ -12,7 +12,13 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidProjectionOrder, MeasureTooLarge, SchemaError
+from .errors import (
+    DegenerateSample,
+    InvalidProjectionOrder,
+    MeasureTooLarge,
+    SchemaError,
+    UnsupportedOrder,
+)
 from .ucore import Sample, u_stat_brute
 
 _EXPANSION_BUDGET = 10 ** 7
@@ -176,7 +182,7 @@ def _u_stat_vec(Lvec, s, m):
         vals = np.asarray(Lvec(xs, ys), dtype=float).reshape(n, n)
         np.fill_diagonal(vals, 0.0)
         return float(np.sum(vals)) / (n * (n - 1))
-    raise ValueError("vectorized U-statistic supports m in {1, 2}")
+    raise UnsupportedOrder("vectorized U-statistic supports m in {1, 2}")
 
 
 def variance_bound_check(Lvec, m, dgp, n, reps, seed):
@@ -188,9 +194,9 @@ def variance_bound_check(Lvec, m, dgp, n, reps, seed):
     """
     mc_draws = 200_000
     if reps < 500:
-        raise ValueError("reps must be >= 500")
+        raise SchemaError("reps must be >= 500")
     if n < m:
-        raise ValueError("need n >= m")
+        raise DegenerateSample("need n >= m")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     stats = np.empty(reps)
     for r in range(reps):

@@ -15,7 +15,8 @@ u_stats(members) walks the (h, t) cells once, evaluating every member, and
 the constant 1 of the estimator's denominator without calling any member,
 over each cell's shared geometry (m = 1: g once per sample; m = 2: g once
 per band of window pairs, shared by every bandwidth, which also holds each
-cell's pair diagonal; m = 3 in chunks filled a few rows at a time).
+cell's pair diagonal; m = 3 in chunks filled a few rows at a time, with 0.0
+for every tuple that repeats an index).
 u_stat_windowed is its one-member, one-bandwidth, one-point call, so a cell
 gives the same bits alone as within a grid.
 """
@@ -247,8 +248,8 @@ class WindowGrid:
     * exact, at most EXACT_PATH_MAX window tuples, any m: the brute
       oracle's terms from the stored weights, the closed-window mask and
       the distinct sorted positions, summed by math.fsum.
-    * m = 1: g once per sample on the sorted y over the span of all the
-      windows; a cell is np.dot of a slice and its weights.
+    * m = 1: g once per sample on the sorted y; a cell is np.dot of a
+      slice and its weights.
     * m = 2: the windows of a coordinate value nest in h, so the cells of
       every bandwidth whose points share t_1 share bands of g values,
       y[min lo, max hi) x y[c_lo, c_hi) over a run of overlapping t_2
@@ -257,17 +258,19 @@ class WindowGrid:
       rows and columns of the band as a view G: w_1 @ (G @ w_2), less the
       terms of the tuples (p, p) that repeat an index, found once per cell
       and read from G, which holds g(y_p, y_p) wherever both windows hold
-      position p.
-    * m = 3: the windows, w_2 w_3, the planes of coordinates 2 and 3, their
-      distinct-index mask, the count of distinct triples and one chunk
-      buffer once per cell. The tuples are split along the first axis into
-      chunks of at most _CHUNK_ELEMENTS, each summed by one np.sum over the
-      buffer, filled about _FILL_ELEMENTS values at a time with
-      ((g * distinct-index mask) * w_1) * w_2 w_3.
+      position p. When that total is not finite, the cell is summed once
+      more from a copy of G with those entries 0.0, since g may overflow
+      on them only.
+    * m = 3: the windows, w_2 w_3, the planes of coordinates 2 and 3, the
+      positions where they repeat an index, the count of distinct triples
+      and one chunk buffer once per cell. The tuples are split along the
+      first axis into chunks of at most _CHUNK_ELEMENTS, each summed by one
+      np.sum over the buffer, filled about _FILL_ELEMENTS values at a time
+      with (g * w_1) * w_2 w_3, where every tuple that repeats an index
+      holds 0.0 in place of g.
 
-    The constant 1 takes ones for the values of g, and at m = 3 the mask
-    itself for g * mask; both are exact, so its bits and tuple counts are
-    those of the member "one".
+    The constant 1 takes ones for the values of g, which is exact, so its
+    bits and tuple counts are those of the member "one".
     """
 
     def __init__(self, s, hs, points, kernel):
@@ -317,12 +320,7 @@ class WindowGrid:
             raise DegenerateSample(f"order m={m} exceeds sample size n={n}")
         total = count_indices(n, m)
         out = [[[None] * len(self.points) for _ in self.hs] for _ in members]
-        spans = [r for ranges in self.ranges for r in ranges if r[1] > r[0]]
-        gy, base = None, 0
-        if m == 1 and spans:
-            base = min(a for a, _ in spans)
-            gy = [_eval_rows(g, self.y_sorted[base:max(b for _, b in spans), None])
-                  for g in members]
+        gy = [_eval_rows(g, self.y_sorted[:, None]) for g in members] if m == 1 else None
         banded = {}
         for q, ranges in enumerate(self.ranges):
             for k, cell in enumerate(self.cells):
@@ -331,11 +329,11 @@ class WindowGrid:
                 if tuples == 0:
                     res = [UStatResult(0.0, 0, total, "windowed")] * len(members)
                 elif tuples <= EXACT_PATH_MAX:
-                    res = self._exact(members, q, k, gy, base, total)
+                    res = self._exact(members, q, k, gy, total)
                 elif m == 1:
                     (a, b), w = wins[0], self.weights[q][cell[0]]
-                    res = [self._result(float(np.dot(v[a - base:b - base], w)),
-                                        b - a, total, q, k) for v in gy]
+                    res = [self._result(float(np.dot(v[a:b], w)), b - a, total, q, k)
+                           for v in gy]
                 elif m == 2:
                     banded.setdefault(cell[0], []).append(((q, k), *wins))
                     continue
@@ -359,6 +357,13 @@ class WindowGrid:
                         # the tuples (p, p) at G[p - lo, p - a], in ascending index order
                         acc = (float(w1 @ (G @ w2))
                                - float(np.sum(G[i1, i2] * w1[i1] * w2[i2])))
+                        if not math.isfinite(acc):
+                            # g may overflow on those tuples only: sum again
+                            # with their entries 0.0
+                            G = G.copy()
+                            G[i1, i2] = 0.0
+                            off = float(w1 @ (G @ w2))
+                            acc = off if math.isfinite(off) else acc
                         out[gi][q][k] = self._result(acc, G.size - i1.size, total, q, k)
                     del band, G  # one band alive at a time: freed before the next fill
         return out
@@ -369,7 +374,7 @@ class WindowGrid:
             raise NonFiniteSum(f"cell h={self.hs[q]}, t={self.points[k]}: sum is {acc}")
         return UStatResult(acc / total, evaluated, total, "windowed")
 
-    def _exact(self, members, q, k, gy, base, total):
+    def _exact(self, members, q, k, gy, total):
         """The terms ukernel_scalar's H gives, built in H's order of
         operations over the outer grid of the windows: the tuples of
         distinct sorted positions are counted, and those inside every
@@ -378,7 +383,7 @@ class WindowGrid:
         member would give inf * 0 = nan). fsum is exactly rounded, so
         dropping H's zero terms and reordering the rest leave the bits of
         the sum unchanged. At m = 1 the values of g come from gy, g on the
-        sorted y from position base on."""
+        sorted y."""
         h, t, cell = self.hs[q], self.points[k], self.cells[k]
         wins = [self.ranges[q][i] for i in cell]
         axes = []
@@ -398,7 +403,7 @@ class WindowGrid:
                             axis=-1)
             values = [_eval_rows(g, rows) for g in members]
         else:
-            values = [v[wins[0][0] - base:wins[0][1] - base][keep] for v in gy]
+            values = [v[wins[0][0]:wins[0][1]][keep] for v in gy]
         w = w[keep]
         try:
             sums = [math.fsum((v * w).tolist()) for v in values]
@@ -434,7 +439,7 @@ class WindowGrid:
 
     def _triples(self, members, q, k, total):
         """One m = 3 cell; its chunk buffer, the planes of coordinates 2 and
-        3 and the mask of distinct indices 2 and 3 are built once and
+        3 and the positions where they repeat an index are found once and
         shared by the members and the row blocks."""
         (a1, b1), (a2, b2), (a3, b3) = ranges = [self.ranges[q][i] for i in self.cells[k]]
         ys = [self.y_sorted[lo:hi] for lo, hi in ranges]
@@ -443,7 +448,8 @@ class WindowGrid:
         w23 = np.outer(w2, w3)
         # a sorted position is an index, so two coordinates repeat an index
         # exactly where their positions meet
-        neq23 = (np.arange(a2, b2)[:, None] != np.arange(a3, b3)).astype(float)
+        at23 = np.arange(max(a2, a3), min(b2, b3))
+        i2, i3 = at23 - a2, at23 - a3
         # the distinct triples, by inclusion-exclusion over the positions
         # that two or three windows share
         r1, r2, r3 = ranges
@@ -461,23 +467,23 @@ class WindowGrid:
                 hi = min(lo + chunk, n1)
                 G = buf[:hi - lo]
                 # a few rows at a time, so the evaluation planes and the
-                # products stay in cache; each value is ((g * mask) * w_1)
-                # * w_23, as it is when the whole chunk is built at once
+                # products stay in cache; each value is (g * w_1) * w_23, as
+                # it is when the whole chunk is built at once
                 for r in range(lo, hi, step):
                     e = min(r + step, hi)
                     block = G[r - lo:e - lo]
                     if g is None:
-                        block[...] = neq23
+                        block.fill(1.0)
                     else:
                         p = planes[:, :e - r]
                         p[0] = ys[0][r:e, None, None]
                         block[...] = g.eval(np.moveaxis(p, 0, -1))
-                        np.multiply(block, neq23, out=block)
-                    # the row's own index: times 0.0, so g * 0 keeps its
-                    # sign, and a NaN stays NaN, as g * False does
+                    # a tuple that repeats an index is no term: 0.0, whatever g
+                    # gave (a zero term's sign never reaches acc, which starts at +0)
+                    block[:, i2, i3] = 0.0
                     for view, a, b in [(block, a2, b2), (block.swapaxes(1, 2), a3, b3)]:
                         at = np.arange(max(a1 + r, a), min(a1 + e, b))
-                        view[at - (a1 + r), at - a] *= 0.0
+                        view[at - (a1 + r), at - a] = 0.0
                     np.multiply(block, w1[r:e, None, None], out=block)
                     np.multiply(block, w23[None, :, :], out=block)
                 acc += float(np.sum(G))
@@ -541,7 +547,7 @@ def incomplete_u(spec, s, budget, seed):
     if m > n:
         raise DegenerateSample(f"order m={m} exceeds sample size n={n}")
     if budget < 1:
-        raise ValueError("budget must be >= 1")
+        raise SchemaError("budget must be >= 1")
     total = count_indices(n, m)
     if budget > total:
         raise BudgetExceedsPopulation(

@@ -1,6 +1,7 @@
 """Repository layout guards."""
 
 import ast
+import builtins
 import re
 from pathlib import Path
 
@@ -112,3 +113,26 @@ def test_every_optional_parameter_is_set_by_a_caller():
                    if not param.startswith("_")
                    and (fn, param) not in passed and (fn, index) not in passed)
     assert not unset, f"optional parameters no caller sets: {unset}"
+
+
+def test_the_package_raises_no_builtin_exception():
+    """Every raise in src/condu names a ConduError subclass (or re-raises
+    what it caught), so bad input reaches the CLI as a typed error with exit
+    code 1. function_class.as_integer is exempt: its callers turn its
+    TypeError and ValueError into SchemaError."""
+    builtin = {name for name, v in vars(builtins).items()
+               if isinstance(v, type) and issubclass(v, BaseException)}
+    exempt = {("function_class", "as_integer")}
+    found = []
+    for path in sorted((ROOT / "src" / "condu").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        skip = {id(node) for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                and (path.stem, fn.name) in exempt for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Raise) or node.exc is None or id(node) in skip:
+                continue
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            name = exc.id if isinstance(exc, ast.Name) else getattr(exc, "attr", None)
+            if name in builtin:
+                found.append(f"{path.stem}.py:{node.lineno} raises {name}")
+    assert not found, f"builtin exceptions raised in src/condu: {found}"

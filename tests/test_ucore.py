@@ -385,19 +385,34 @@ class TestPairBand:
                               np.ascontiguousarray(want, dtype=float).view(np.int64))
 
 
+def stacked_pair(spec, s):
+    """The m=2 window weights, the stacked pair array of g and the windows'
+    shared indices and their offsets, found by np.intersect1d."""
+    wins = [s.sort_index[lo:hi] for lo, hi in _windows(spec, s)]
+    w = [eval_scaled(spec.kernel, spec.h, tj - s.x[win]) for tj, win in zip(spec.t, wins)]
+    G = stacked_eval(spec.g, s.y[wins[0]], s.y[wins[1]])
+    return w, G, np.intersect1d(wins[0], wins[1], return_indices=True)
+
+
 def stacked_pair_value(spec, s):
     """The m=2 vectorized sum as computed from a stacked pair array, with the
     diagonal found by np.intersect1d: the reference for byte identity. Also
     the number of tuples of distinct indices."""
-    wins = [s.sort_index[lo:hi] for lo, hi in _windows(spec, s)]
-    w = [eval_scaled(spec.kernel, spec.h, tj - s.x[win]) for tj, win in zip(spec.t, wins)]
-    G = stacked_eval(spec.g, s.y[wins[0]], s.y[wins[1]])
+    w, G, (common, i1, i2) = stacked_pair(spec, s)
     acc = float(w[0] @ (G @ w[1]))
-    common, i1, i2 = np.intersect1d(wins[0], wins[1], return_indices=True)
     if common.size:
         diag = spec.g.eval(np.stack([s.y[common], s.y[common]], axis=-1))
         acc -= float(np.sum(diag * w[0][i1] * w[1][i2]))
     return acc / count_indices(s.n, 2), G.size - common.size
+
+
+def off_diagonal_pair_value(spec, s):
+    """The m=2 sum of the stacked pair array with the entries of the tuples
+    that repeat an index set to 0.0: the terms of the distinct tuples only."""
+    w, G, (_, i1, i2) = stacked_pair(spec, s)
+    G = np.array(G)
+    G[i1, i2] = 0.0
+    return float(w[0] @ (G @ w[1])) / count_indices(s.n, 2)
 
 
 class TestPairDiagonal:
@@ -420,7 +435,7 @@ class TestPairDiagonal:
     def test_banded_cells_are_the_stacked_rule_bit_for_bit(self, data):
         # wide windows, so most cells are banded, and small bands, so the
         # runs split; a few y of 1e160 make y_1 y_2 and the polynomials
-        # overflow on the diagonal only
+        # overflow, one of them on the diagonal only
         n = data.draw(st.integers(40, 160))
         rng = make_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
         x = rng.uniform(0.0, 1.0, n)
@@ -464,11 +479,18 @@ class TestPairDiagonal:
                         continue
                     with np.errstate(over="ignore", invalid="ignore"):
                         value, want = stacked_pair_value(spec, s)
-                    assert math.isfinite(acc) == math.isfinite(value)
+                        off = (math.nan if math.isfinite(value)
+                               else off_diagonal_pair_value(spec, s))
                     assert evaluated == want
-                    if math.isfinite(acc):
-                        got = np.float64(acc / count_indices(s.n, 2))
-                        assert got.tobytes() == np.float64(value).tobytes()
+                    got = acc / count_indices(s.n, 2)
+                    if math.isfinite(value):
+                        assert np.float64(got).tobytes() == np.float64(value).tobytes()
+                    elif math.isfinite(off):
+                        # non-finite only through the tuples (p, p), which
+                        # are no terms of U_n
+                        assert abs(got - off) <= 1e-12 * abs(off)
+                    else:
+                        assert not math.isfinite(acc)
 
     @pytest.mark.parametrize(
         "t, h, layout",
@@ -675,21 +697,59 @@ class TestNonFiniteSum:
         with pytest.raises(NonFiniteSum):
             grid.u_stats([member])
 
-    def test_m3_terms_that_repeat_an_index_reach_the_total(self):
-        # y_1 y_2 overflows only on the tuples whose first two indices are
-        # both that of y = 1e200; the chunked path evaluates them and zeroes
-        # them by a product, so inf * 0 = nan reaches its total, as in the
-        # frozen formula
-        y = np.ones(12)
-        y[5] = 1e200
-        s = Sample(np.linspace(0.3, 0.7, 12), y)
-        spec = UKernelSpec(polynomial_member("y1y2", 3, [(1.0, (1, 1, 0))]), 0.5,
-                           (0.5,) * 3, get_kernel("uniform"))
+    @pytest.mark.parametrize("m, n, at, member", [
+        (2, 40, 7, builtin_member("product", 2)),
+        (3, 12, 5, polynomial_member("y1y2", 3, [(1.0, (1, 1, 0))])),
+    ])
+    def test_terms_that_repeat_an_index_are_no_terms_of_the_total(self, m, n, at, member):
+        # the member overflows only on the tuples that repeat the index of
+        # y = 1e200, which the vectorized paths evaluate but U_n does not sum
+        y = np.ones(n)
+        y[at] = 1e200
+        s = Sample(np.linspace(0.3, 0.7, n), y)
+        spec = UKernelSpec(member, 0.5, (0.5,) * m, get_kernel("uniform"))
+        assert window_tuples(spec, s) > EXACT_PATH_MAX
+        want = u_stat_brute(ukernel_scalar(spec), s, m).value
+        assert abs(u_stat_windowed(spec, s).value - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("m, n_lo, n_hi", [(2, 21, 40), (3, 8, 14)])
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_repeated_index_overflow_is_the_oracle_outcome(self, m, n_lo, n_hi, data):
+        # every x well inside every window; one or two y of 1e200, and
+        # members that overflow on them: on repeated-index tuples only (no
+        # exponent above 1, one y of 1e200) or on distinct ones too (y_1^2
+        # - y_2^2 gives terms inf and -inf)
+        n = data.draw(st.integers(n_lo, n_hi))
+        rng = make_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        y = rng.uniform(0.5, 1.5, n)
+        y[rng.permutation(n)[:data.draw(st.sampled_from([1, 1, 2]))]] = 1e200
+        s = Sample(rng.uniform(0.3, 0.7, n), y)
+        # one sign per member, so no finite sum cancels
+        sign = data.draw(st.sampled_from([1.0, -1.0]))
+        terms = st.lists(st.tuples(
+            st.sampled_from([sign, 2.25 * sign]),
+            st.tuples(*[st.integers(0, data.draw(st.sampled_from([1, 1, 2])))] * m)
+            .filter(lambda e: sum(e) >= 2)), min_size=1, max_size=2)
+        difference = [(1.0, (2,) + (0,) * (m - 1)), (-1.0, (0, 2) + (0,) * (m - 2))]
+        phi = data.draw(st.one_of(
+            st.just(builtin_member("product", m)),
+            st.just(polynomial_member("diff", m, difference)),
+            terms.map(lambda t: polynomial_member("poly", m, t))))
+        t = tuple(data.draw(st.floats(0.45, 0.55)) for _ in range(m))
+        spec = UKernelSpec(phi, data.draw(st.sampled_from([0.8, 0.999])), t,
+                           data.draw(st.sampled_from(ORACLE_KERNELS[:2])))
         assert window_tuples(spec, s) > EXACT_PATH_MAX
         with np.errstate(over="ignore", invalid="ignore"):
-            assert math.isnan(frozen_cell(spec, s)[0])
-        with pytest.raises(NonFiniteSum, match="sum is nan"):
-            u_stat_windowed(spec, s)
+            try:
+                want = u_stat_brute(ukernel_scalar(spec), s, m).value
+            except ValueError:  # -inf + inf in fsum
+                want = math.nan
+        if math.isfinite(want):
+            assert abs(u_stat_windowed(spec, s).value - want) <= 1e-12 * abs(want)
+        else:
+            with pytest.raises(NonFiniteSum):
+                u_stat_windowed(spec, s)
 
 
 def frozen_windows(h, t, s):
