@@ -11,21 +11,13 @@ import json
 import os
 import sys
 
-from .config import load_config
+from .config import _N_BUDGET, _REPS_BUDGET, load_config, within
 from .errors import ConduError, SchemaError
 from .estimator import estimate_grid
 from .harness import bandwidths, child_seed, make_t_grid, rate_experiment, simulate
 from .kernels import atomic_write, format_float
 from .ucore import read_sample_csv, write_sample_csv
 from .verify import run_checks
-
-
-def _at_least(value, least, name):
-    """value, the integer input `name`; below `least` it raises SchemaError,
-    so the CLI exits 1."""
-    if value < least:
-        raise SchemaError(f"{name} must be >= {least}, got {value}")
-    return value
 
 
 def _load(args):
@@ -41,7 +33,7 @@ def _load(args):
         except ValueError:
             raise SchemaError(f"CONDU_SEED must be an integer, got {env!r}") from None
     if seed is not None:
-        cfg = _override(cfg, seed=_at_least(seed, 0, name))
+        cfg = _override(cfg, seed=within(seed, 0, name))
     return cfg
 
 
@@ -54,8 +46,8 @@ def _override(cfg, **fields):
 
 def cmd_simulate(args):
     cfg = _load(args)
-    _at_least(args.rep, 0, "--rep")
-    n = _at_least(args.n, 1, "--n") if args.n is not None else cfg.n_list[0]
+    within(args.rep, 0, "--rep", _REPS_BUDGET - 1)
+    n = within(args.n, 1, "--n", _N_BUDGET) if args.n is not None else cfg.n_list[0]
     s = simulate(cfg.dgp, n, child_seed(cfg.seed, n, args.rep))
     write_sample_csv(args.out, s)
     print(f"wrote {n} rows to {args.out}")
@@ -99,7 +91,7 @@ def _restrict_to_n(cfg, n):
 
 def cmd_sweep(args):
     cfg = _load(args)
-    _at_least(args.threads, 1, "--threads")
+    within(args.threads, 1, "--threads")
     cfg = _restrict_to_n(cfg, args.n if args.n is not None else cfg.n_list[-1])
     rate_experiment(cfg, out_dir=args.out, threads=args.threads)
     print(f"wrote sweep outputs to {args.out}")
@@ -108,7 +100,7 @@ def cmd_sweep(args):
 
 def cmd_rates(args):
     cfg = _load(args)
-    _at_least(args.threads, 1, "--threads")
+    within(args.threads, 1, "--threads")
     rate_experiment(
         cfg,
         out_dir=args.out,
@@ -120,7 +112,7 @@ def cmd_rates(args):
 
 
 def cmd_verify(args):
-    results = run_checks(filter_substr=args.filter, seed=_at_least(args.seed, 0, "--seed"))
+    results = run_checks(filter_substr=args.filter, seed=within(args.seed, 0, "--seed"))
     text = json.dumps(results, indent=2) + "\n"
     if args.out:
         atomic_write(args.out, text)

@@ -20,6 +20,14 @@ from .kernels import Kernel1D, get_kernel, load_table_kernel
 # (3 quad_order)^m points, each axis split into at most three panels by the
 # support's two breakpoints; the default 64 at m = 3 is 192^3 = 7.08e6
 _QUAD_POINTS_BUDGET = 10 ** 7
+# most rows a sample may have: simulate draws each column whole, 8 MB at the
+# budget, and the largest n the package has been run at is 60,000
+_N_BUDGET = 10 ** 6
+# most evaluation points, points_per_axis^m: make_t_grid holds each as a
+# tuple, and a sweep writes rows per point, bandwidth, member and rep
+_GRID_POINTS_BUDGET = 10 ** 5
+# most replications: rate_experiment submits every rep to its pool up front
+_REPS_BUDGET = 10 ** 5
 
 
 @dataclass(frozen=True)
@@ -65,12 +73,20 @@ def _field(section, key, where, conv=float, default=_REQUIRED):
         raise SchemaError(f"config field {where}.{key} cannot hold {value!r}") from None
 
 
-def _count(section, key, where, default, least=1):
-    """section[key] (default when absent) as an int of at least `least`."""
-    value = _field(section, key, where, as_integer, default)
+def within(value, least, name, most=math.inf):
+    """value, the integer input `name`, if least <= value <= most; else
+    SchemaError, before anything is sized by it."""
     if value < least:
-        raise SchemaError(f"{where}.{key} must be >= {least}")
+        raise SchemaError(f"{name} must be >= {least}, got {value}")
+    if value > most:
+        raise SchemaError(f"{name} {value} is over its budget of {most:,}")
     return value
+
+
+def _count(section, key, where, default, least=1, most=math.inf):
+    """section[key] (default when absent) as an int in [least, most]."""
+    return within(_field(section, key, where, as_integer, default), least,
+                  f"{where}.{key}", most)
 
 
 def _floats(values):
@@ -151,8 +167,8 @@ def parse_config(doc):
     n_list = _field(e, "n_list", "experiment", _ints)
     if not n_list or any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise SchemaError("experiment.n_list must be nonempty and strictly ascending")
-    if n_list[0] < 1:
-        raise SchemaError("experiment.n_list entries must be >= 1")
+    for n in n_list:
+        within(n, 1, "experiment.n_list entry", _N_BUDGET)
     epsilon = _field(e, "epsilon", "experiment", default=1.0)
     if not 0 < epsilon < math.inf:
         raise SchemaError("experiment.epsilon must be finite and > 0")
@@ -163,6 +179,11 @@ def parse_config(doc):
             raise SchemaError(f"grids.quad_order {quad_order} at m = {m} needs up to "
                               f"(3 * quad_order)^m quadrature points, over the "
                               f"budget of {_QUAD_POINTS_BUDGET:,}")
+    t_points = _count(g, "points_per_axis", "grids", 21)
+    if t_points ** m > _GRID_POINTS_BUDGET:  # m <= 14 here, by the budget above
+        raise SchemaError(f"grids.points_per_axis {t_points} at m = {m} makes "
+                          f"points_per_axis^m evaluation points, over the budget "
+                          f"of {_GRID_POINTS_BUDGET:,}")
 
     return ExperimentConfig(
         dgp=dgp,
@@ -170,9 +191,9 @@ def parse_config(doc):
         kernel=kernel,
         regime=rate,
         n_list=n_list,
-        reps=_count(e, "reps", "experiment", 1),
+        reps=_count(e, "reps", "experiment", 1, most=_REPS_BUDGET),
         t_interval=interval,
-        t_points=_count(g, "points_per_axis", "grids", 21),
+        t_points=t_points,
         bn_rule=bn_rule,
         seed=_count(e, "seed", "experiment", 0, least=0),
         epsilon=epsilon,

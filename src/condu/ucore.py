@@ -10,9 +10,10 @@ the pruned and brute paths agree bit for bit.
 
 The pruned path is a grid evaluator: WindowGrid takes one sample, all of
 its bandwidths and a set of evaluation points, finds each distinct
-coordinate's window and kernel weights once per bandwidth, and its
-u_stats(members) walks the (h, t) cells once, evaluating every member, and
-the constant 1 of the estimator's denominator without calling any member,
+coordinate's closed window |t - x| <= h/2 and its kernel weights once per
+bandwidth, so that, as in the oracle, no point outside reaches a sum, and
+its u_stats(members) walks the (h, t) cells once, evaluating every member,
+and the constant 1 of the estimator's denominator without calling any member,
 over each cell's shared geometry (m = 1: g once per sample; m = 2: g once
 per band of window pairs, shared by every bandwidth, which also holds each
 cell's pair diagonal; m = 3 in chunks filled a few rows at a time, with 0.0
@@ -171,26 +172,25 @@ def u_stat_brute(H, s, k):
 
 
 def _window_bounds(xs, h, values):
-    """Per value v, the window |v - x| <= h/2 over the sorted xs as half-open
-    position ranges: arrays lo and hi.
+    """Per value v, a search range over the sorted xs that holds every x
+    with |fl(v - x)| <= h/2, as half-open position ranges: arrays lo and hi.
 
-    Bounds are widened by a few ulps so no tuple that evaluates nonzero can
-    be missed to floating rounding; extra boundary points contribute exact
-    zeros.
+    fl(v - x) and the bounds v -+ h/2 round by at most a unit in the last
+    place of |v| + h/2, so bounds widened by four such units drop no such x,
+    also where v -+ h/2 is near 0 and its own ulps are far finer. A range
+    may also hold a few x just outside; WindowGrid cuts them off.
     """
     values = np.asarray(values, dtype=float)
-    lo_val, hi_val = values - h / 2.0, values + h / 2.0
-    for _ in range(4):
-        lo_val = np.nextafter(lo_val, -np.inf)
-        hi_val = np.nextafter(hi_val, np.inf)
-    return np.searchsorted(xs, lo_val, side="left"), np.searchsorted(xs, hi_val, side="right")
+    pad = 4.0 * np.spacing(np.abs(values) + h / 2.0)
+    return (np.searchsorted(xs, values - h / 2.0 - pad, side="left"),
+            np.searchsorted(xs, values + h / 2.0 + pad, side="right"))
 
 
 def _windows(spec, s):
-    """Per-coordinate windows |t_j - x_i| <= h/2, as half-open ranges
-    (lo, hi) of positions in the sample's stable x-sort."""
-    lo, hi = _window_bounds(s.x_sorted, spec.h, spec.t)
-    return list(zip(lo.tolist(), hi.tolist()))
+    """Per-coordinate closed windows |t_j - x_i| <= h/2, as half-open ranges
+    (lo, hi) of positions in the sample's stable x-sort: WindowGrid's."""
+    grid = WindowGrid(s, [spec.h], [spec.t], spec.kernel)
+    return [grid.ranges[0][i] for i in grid.cells[0]]
 
 
 def _eval_rows(g, ys):
@@ -237,17 +237,18 @@ class WindowGrid:
     bandwidths and a set of evaluation points, equal bit for bit to
     evaluating each (g, h, t) on its own.
 
-    Per bandwidth, each distinct coordinate value gets its window (a
-    half-open range of positions in the stable x-sort), its kernel weights
-    and its closed-window mask once. u_stats(members) walks the (h, t)
-    cells once, and each cell's geometry serves every member; a member
-    None is the constant 1, the estimator's denominator, computed without
-    calling any member. Each cell takes one path:
+    Per bandwidth, each distinct coordinate value gets its closed window
+    |v - x| <= h/2 (a half-open range of positions in the stable x-sort)
+    and its kernel weights once; every path below sums over those windows
+    only. u_stats(members) walks the (h, t) cells once, and each cell's
+    geometry serves every member; a member None is the constant 1, the
+    estimator's denominator, computed without calling any member. Each cell
+    takes one path:
 
     * empty, when a window holds no point: 0.
     * exact, at most EXACT_PATH_MAX window tuples, any m: the brute
-      oracle's terms from the stored weights, the closed-window mask and
-      the distinct sorted positions, summed by math.fsum.
+      oracle's terms from the stored weights and the distinct sorted
+      positions, summed by math.fsum.
     * m = 1: g once per sample on the sorted y; a cell is np.dot of a
       slice and its weights.
     * m = 2: the windows of a coordinate value nest in h, so the cells of
@@ -286,22 +287,23 @@ class WindowGrid:
         values = sorted({v for t in self.points for v in t})
         column = {v: i for i, v in enumerate(values)}
         self.cells = [tuple(column[v] for v in t) for t in self.points]
-        # per bandwidth: each value's window, kernel weights and closed-window
-        # mask |v - x| <= h/2, from one kernel call over the offsets v - x of
-        # every value's window laid end to end (both are elementwise, so each
-        # value gets the bits of a call of its own)
-        self.ranges, self.weights, self.inside = [], [], []
+        # per bandwidth: each value's closed window |v - x| <= h/2 and its
+        # kernel weights. z = fl(v - x) does not increase with x, so a widened
+        # range holds z > h/2, the window, then z < -h/2: two counts cut it.
+        # One kernel call over every range laid end to end gives each value
+        # the bits of a call of its own (the kernel is elementwise).
+        self.ranges, self.weights = [], []
         for h in self.hs:
             lo, hi = _window_bounds(s.x_sorted, h, values)
             sizes = hi - lo
-            starts = np.cumsum(sizes) - sizes
+            ends = np.concatenate(([0], np.cumsum(sizes)))
             z = (np.repeat(values, sizes)
-                 - s.x_sorted[np.arange(sizes.sum()) + np.repeat(lo - starts, sizes)])
-            w, inside = eval_scaled(kernel, h, z), np.abs(z) <= h / 2.0
-            pieces = [slice(a, a + k) for a, k in zip(starts.tolist(), sizes.tolist())]
-            self.ranges.append(list(zip(lo.tolist(), hi.tolist())))
-            self.weights.append([w[p] for p in pieces])
-            self.inside.append([inside[p] for p in pieces])
+                 - s.x_sorted[np.arange(ends[-1]) + np.repeat(lo - ends[:-1], sizes)])
+            lead, kept = (np.diff(np.concatenate(([0], np.cumsum(part)))[ends])
+                          for part in (z > h / 2.0, np.abs(z) <= h / 2.0))
+            lo, starts, w = lo + lead, ends[:-1] + lead, eval_scaled(kernel, h, z)
+            self.ranges.append(list(zip(lo.tolist(), (lo + kept).tolist())))
+            self.weights.append([w[a:a + k] for a, k in zip(starts.tolist(), kept.tolist())])
         self.y_sorted = s.y[s.sort_index]
 
     # a term or total that overflows ends in NonFiniteSum, so NumPy's
@@ -376,40 +378,32 @@ class WindowGrid:
 
     def _exact(self, members, q, k, gy, total):
         """The terms ukernel_scalar's H gives, built in H's order of
-        operations over the outer grid of the windows: the tuples of
-        distinct sorted positions are counted, and those inside every
-        closed window |t_j - x| <= h/2 are summed. H returns 0.0 outside
-        before calling g, so g never sees those tuples (an overflowing
-        member would give inf * 0 = nan). fsum is exactly rounded, so
-        dropping H's zero terms and reordering the rest leave the bits of
-        the sum unchanged. At m = 1 the values of g come from gy, g on the
-        sorted y."""
+        operations over the outer grid of the closed windows: the tuples of
+        distinct sorted positions are counted and summed. H returns 0.0
+        outside the windows before calling g, and the windows hold no point
+        outside, so the terms are those H calls g for. fsum is exactly
+        rounded, so dropping H's zero terms and reordering the rest leave
+        the bits of the sum unchanged. At m = 1 the values of g come from
+        gy, g on the sorted y."""
         h, t, cell = self.hs[q], self.points[k], self.cells[k]
         wins = [self.ranges[q][i] for i in cell]
-        axes = []
-        for j, i in enumerate(cell):
-            axes.append((1,) * j + (-1,) + (1,) * (len(cell) - 1 - j))
-            wj = self.weights[q][i].reshape(axes[j])
-            inside = self.inside[q][i].reshape(axes[j])
-            w, keep = (wj, inside) if j == 0 else (w * wj, keep & inside)
-        count = w.size
-        if len(cell) > 1:
-            distinct = functools.reduce(operator.and_, [
+        axes = [(1,) * j + (-1,) + (1,) * (len(cell) - 1 - j) for j in range(len(cell))]
+        w = functools.reduce(operator.mul, [self.weights[q][i].reshape(ax)
+                                            for i, ax in zip(cell, axes)])
+        if gy is None:
+            keep = functools.reduce(operator.and_, [
                 np.arange(a, b).reshape(ax1) != np.arange(c, d).reshape(ax2)
                 for ((a, b), ax1), ((c, d), ax2) in itertools.combinations(zip(wins, axes), 2)])
-            count, keep = int(np.count_nonzero(distinct)), keep & distinct
-        if gy is None:
             rows = np.stack([self.y_sorted[a + o] for (a, _), o in zip(wins, np.nonzero(keep))],
                             axis=-1)
-            values = [_eval_rows(g, rows) for g in members]
+            values, w = [_eval_rows(g, rows) for g in members], w[keep]
         else:
-            values = [v[wins[0][0]:wins[0][1]][keep] for v in gy]
-        w = w[keep]
+            values = [v[wins[0][0]:wins[0][1]] for v in gy]
         try:
             sums = [math.fsum((v * w).tolist()) for v in values]
         except (ValueError, OverflowError) as exc:  # no finite exact sum
             raise NonFiniteSum(f"cell h={h}, t={t}: {exc}") from None
-        return [self._result(acc, count, total, q, k) for acc in sums]
+        return [self._result(acc, w.size, total, q, k) for acc in sums]
 
     def _band(self, g, lo, hi, c_lo, c_hi):
         """g over y[lo:hi] x y[c_lo:c_hi] (sorted positions), ones when g is
@@ -495,8 +489,9 @@ def u_stat_windowed(spec, s):
     """Locality-pruned complete U-statistic, equal to u_stat_brute.
 
     Only tuples whose every coordinate lies inside the closed kernel window
-    are enumerated; the distinct-index constraint is enforced during the
-    Cartesian enumeration. This is the one-member, one-point WindowGrid.
+    |t_j - x| <= h/2 are enumerated, and no other reaches the sum; the
+    distinct-index constraint is enforced during the Cartesian enumeration.
+    This is the one-member, one-point WindowGrid.
     Cells without a finite sum raise NonFiniteSum: on the exact path, terms
     whose exact sum is inf - inf or overflows; on every path, a non-finite
     total.
@@ -537,11 +532,14 @@ def _unrank_tuples(ranks, n, m):
     return idx
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def incomplete_u(spec, s, budget, seed):
     """Incomplete U-statistic over `budget` tuples sampled without replacement.
 
     Uses a counter-based generator keyed by the seed, so the draw is a pure
-    function of (seed, n, m, budget).
+    function of (seed, n, m, budget). As in the oracle, g is evaluated only
+    on the sampled tuples inside every closed window |t_j - x_j| <= h/2; the
+    rest are zero terms. A non-finite mean raises NonFiniteSum.
     """
     m, n = spec.m, s.n
     if m > n:
@@ -561,12 +559,16 @@ def incomplete_u(spec, s, budget, seed):
     ranks = rng.choice(total, size=budget, replace=False)
     idx = _unrank_tuples(ranks, n, m)
 
-    ys = s.y[idx]
-    gvals = np.asarray(spec.g.eval(ys), dtype=float)
+    z = np.asarray(spec.t) - s.x[idx]
     w = np.ones(budget)
     for j in range(m):
-        w *= eval_scaled(spec.kernel, spec.h, spec.t[j] - s.x[idx[:, j]])
-    value = float(np.mean(gvals * w))
+        w *= eval_scaled(spec.kernel, spec.h, z[:, j])
+    inside = np.all(np.abs(z) <= spec.h / 2.0, axis=1)
+    terms = np.zeros(budget)
+    terms[inside] = np.asarray(spec.g.eval(s.y[idx[inside]]), dtype=float) * w[inside]
+    value = float(np.mean(terms))
+    if not math.isfinite(value):
+        raise NonFiniteSum(f"incomplete U-statistic h={spec.h}, t={spec.t}: mean is {value}")
     return UStatResult(value, budget, total, "incomplete")
 
 

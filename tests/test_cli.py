@@ -156,11 +156,13 @@ class TestConfigErrors:
             (("function_class", "members"), [{"id": "frac", "poly": [[1.0, [2.5]]]}],
              "'frac'"),
             (("grids", "quad_order"), 10 ** 9, "grids.quad_order"),
+            (("grids", "points_per_axis"), 10 ** 30, "grids.points_per_axis"),
         ],
         ids=["m-fraction", "m-zero", "reps-fraction", "n_list-fraction",
              "points_per_axis-bool", "poly-string", "poly-short-term", "members-null",
              "poly-id-list", "dgp-id-list", "kernel-id-list", "section-null",
-             "poly-fractional-exponent", "quad_order-over-budget"],
+             "poly-fractional-exponent", "quad_order-over-budget",
+             "points_per_axis-over-budget"],
     )
     def test_malformed_field_is_a_schema_error_naming_it(
         self, tmp_path, capsys, path, value, named
@@ -185,6 +187,16 @@ class TestConfigErrors:
         assert parse_config(doc).quad_order == 64  # 192^3 points
         doc["grids"]["quad_order"] = 72  # 216^3 points, over the budget
         with pytest.raises(SchemaError, match="grids.quad_order 72 at m = 3"):
+            parse_config(doc)
+
+    def test_grid_points_budget_at_m_3(self):
+        doc = copy.deepcopy(BASE_DOC)
+        doc["function_class"].update(m=3, members=["sum"])
+        doc["grids"].update(points_per_axis=46, quad_order=16)  # 97,336 points
+        doc["experiment"]["n_list"] = [60_000]
+        assert parse_config(doc).t_points == 46
+        doc["grids"]["points_per_axis"] = 10 ** 4  # 10^12 points
+        with pytest.raises(SchemaError, match="grids.points_per_axis 10000 at m = 3"):
             parse_config(doc)
 
     @pytest.mark.parametrize("table", [True, 2])
@@ -231,8 +243,9 @@ class TestConfigErrors:
 
 
 class TestIntegerInputs:
-    """Seeds and --rep below 0, n and --threads below 1, and a CONDU_SEED
-    that is not an integer exit 1 with a SchemaError, before any output."""
+    """Seeds and --rep below 0, n and --threads below 1, n, reps and --rep
+    over their budgets, and a CONDU_SEED that is not an integer exit 1 with
+    a SchemaError, before any output."""
 
     @pytest.mark.parametrize(
         "argv, env, experiment",
@@ -244,6 +257,12 @@ class TestIntegerInputs:
             pytest.param(["simulate"], "-3", {}, id="simulate-env-negative"),
             pytest.param(["simulate", "--n", "-5"], None, {}, id="simulate-n"),
             pytest.param(["simulate", "--rep", "-1"], None, {}, id="simulate-rep"),
+            pytest.param(["simulate"], None, {"n_list": [10 ** 30]}, id="config-n-huge"),
+            pytest.param(["simulate"], None, {"n_list": [128, 10 ** 9]}, id="config-n-1e9"),
+            pytest.param(["simulate"], None, {"reps": 10 ** 30}, id="config-reps-huge"),
+            pytest.param(["simulate", "--n", str(10 ** 30)], None, {}, id="simulate-n-huge"),
+            pytest.param(["simulate", "--rep", str(10 ** 30)], None, {},
+                         id="simulate-rep-huge"),
             pytest.param(["rates", "--seed", "-1"], None, {}, id="rates-seed"),
             pytest.param(["rates"], "abc", {}, id="rates-env-abc"),
             pytest.param(["rates"], "-3", {}, id="rates-env-negative"),
@@ -624,10 +643,8 @@ FUZZ_DOCS = [
         "experiment": {"n_list": [12, 16], "reps": 1, "seed": 3},
     },
 ]
-# fields whose value sizes an allocation or a loop get no huge integer;
-# grids.quad_order gets one, which its budget rejects at parse time
-SIZING = {("function_class", "m"), ("grids", "points_per_axis"), ("experiment", "n_list"),
-          ("experiment", "reps")}
+# every field may get a huge integer: those that size an allocation or a
+# loop have budgets that reject it at parse time
 ODD_VALUES = [None, True, False, "abc", [], {}, [1.0], 0, -1, 2.5, math.nan, math.inf,
               -math.inf]
 
@@ -653,8 +670,7 @@ def mutated_config(draw):
         parent = doc
         for key in path[:-1]:
             parent = parent[key]
-        values = ODD_VALUES if path in SIZING else ODD_VALUES + [10 ** 30]
-        mutation = draw(st.sampled_from(["drop"] + values))
+        mutation = draw(st.sampled_from(["drop"] + ODD_VALUES + [10 ** 30]))
         if mutation == "drop":
             del parent[path[-1]]
         else:

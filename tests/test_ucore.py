@@ -301,7 +301,8 @@ class TestWindowedOracleProperties:
 
     def test_out_of_window_overflow_never_reaches_the_member(self):
         # two points 2 ulps outside t -+ h/2: inside the widened search range,
-        # outside |z| <= h/2; their product overflows if g ever sees the pair
+        # outside |z| <= h/2, so the closed windows leave them out; their
+        # product overflows if g ever sees the pair
         t, h = 0.5, 0.25
         lo = np.nextafter(np.nextafter(t - h / 2, -np.inf), -np.inf)
         hi = np.nextafter(np.nextafter(t + h / 2, np.inf), np.inf)
@@ -311,14 +312,91 @@ class TestWindowedOracleProperties:
         spec = UKernelSpec(builtin_member("product", 2), h, (t, t),
                            get_kernel("epanechnikov-rescaled"))
         assert all(abs(t - v) > h / 2 for v in (lo, hi))
-        assert _windows(spec, s) == [(0, 6), (0, 6)]
+        assert _windows(spec, s) == [(1, 5), (1, 5)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = u_stat_windowed(spec, s)
             brute = u_stat_brute(ukernel_scalar(spec), s, 2)
         assert math.isfinite(got.value)
         assert np.float64(got.value).tobytes() == np.float64(brute.value).tobytes()
-        assert got.tuples_evaluated == 30
+        assert got.tuples_evaluated == 12
+
+    def test_a_point_rounding_onto_an_edge_near_zero_is_in_the_window(self):
+        # t + h/2 is near 0, so its ulps are 16 times finer than those of
+        # h/2, at which t - x rounds: x lies 5 ulps of t + h/2 past it, yet
+        # t - x rounds to -h/2, and the oracle counts it
+        t, h = -0.11174247705527751, 0.25
+        x = np.array([-0.21689786399431812, -0.15, 0.013257522944722497, 0.5])
+        s = Sample(x, np.ones(4))
+        spec = UKernelSpec(builtin_member("one", 1), h, (t,), get_kernel("uniform"))
+        assert abs(t - x[2]) == h / 2
+        assert _windows(spec, s) == [(0, 3)]
+        assert u_stat_windowed(spec, s).value == u_stat_brute(ukernel_scalar(spec), s, 1).value
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_windows_are_the_points_within_h_over_2(self, data):
+        # x a few units from the window edges, in ulps of the edge and of
+        # |t| + h/2 (far coarser where an edge is near 0)
+        hs = data.draw(st.lists(st.sampled_from([1e-9, 0.05, 0.25, 0.5, 0.999, 3.0]),
+                                min_size=1, max_size=3, unique=True))
+        values = data.draw(st.lists(st.one_of(st.floats(-1.5, 1.5),
+                                              st.sampled_from([0.0, 0.125, -0.25])),
+                                    min_size=1, max_size=4, unique=True))
+        x = []
+        for _ in range(data.draw(st.integers(1, 30))):
+            v, h = data.draw(st.sampled_from(values)), data.draw(st.sampled_from(hs))
+            edge = v + data.draw(st.sampled_from([-0.5, 0.5])) * h
+            unit = data.draw(st.sampled_from([np.spacing(edge), np.spacing(abs(v) + h / 2)]))
+            x.append(edge + data.draw(st.integers(-6, 6)) * unit)
+        s = Sample(np.array(x), np.ones(len(x)))
+        kernel = data.draw(st.sampled_from(ORACLE_KERNELS))
+        points = [(v,) for v in values]
+        grid = WindowGrid(s, hs, points, kernel)
+        for q, h in enumerate(hs):
+            for (v,), (i,) in zip(points, grid.cells):
+                lo, hi = grid.ranges[q][i]
+                assert range(lo, hi) == range(*frozen_windows(h, (v,), s)[0])
+                want = eval_scaled(kernel, h, v - s.x_sorted[lo:hi])
+                assert grid.weights[q][i].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("m, n_lo, n_hi", [(1, 5, 40), (1, 450, 600), (2, 3, 18),
+                                               (2, 25, 40), (3, 3, 7), (3, 9, 13)])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_points_just_outside_the_closed_window_never_reach_the_member(
+            self, m, n_lo, n_hi, data):
+        # x well inside every window, plus points 1-4 ulps below the lowest
+        # window or above the highest, outside every window, with y = 1e200,
+        # on which every member overflows: the oracle never calls g there
+        n = data.draw(st.integers(n_lo, n_hi))
+        rng = make_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        t = tuple(data.draw(st.floats(0.45, 0.55)) for _ in range(m))
+        h = data.draw(st.sampled_from([0.5, 0.8]))
+        x, y = list(rng.uniform(0.45, 0.55, n)), list(np.round(rng.normal(0.5, 1.0, n), 1))
+        for _ in range(data.draw(st.integers(1, 4))):
+            sign = data.draw(st.sampled_from([-1.0, 1.0]))
+            tj = min(t) if sign < 0 else max(t)
+            v = tj + sign * h / 2.0
+            while abs(tj - v) <= h / 2.0:
+                v = np.nextafter(v, sign * np.inf)
+            for _ in range(data.draw(st.integers(0, 3))):
+                v = np.nextafter(v, sign * np.inf)
+            x.append(v)
+            y.append(1e200)
+        squares = [(1.0, tuple(2 * (i == j) for i in range(m))) for j in range(m)]
+        phi = data.draw(st.sampled_from([polynomial_member("squares", m, squares),
+                                         polynomial_member("cube", m, [(1.0, (3,) * m)]),
+                                         builtin_member("product", m)]))
+        s = Sample(np.array(x), np.array(y))
+        spec = UKernelSpec(phi, h, t, data.draw(st.sampled_from(ORACLE_KERNELS)))
+        want = u_stat_brute(ukernel_scalar(spec), s, m).value
+        assert math.isfinite(want)
+        got = u_stat_windowed(spec, s).value
+        if window_tuples(spec, s) <= EXACT_PATH_MAX:
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        else:
+            assert abs(got - want) <= 1e-12 * abs(want)
 
     @pytest.mark.parametrize("m, n_lo, n_hi", [(1, 600, 700), (2, 50, 60)])
     @settings(max_examples=30, deadline=None)
@@ -562,6 +640,27 @@ class TestIncompleteU:
         brute = u_stat_brute(ukernel_scalar(spec), s, 2).value
         assert abs(inc - brute) <= 1e-12 * (1 + abs(brute))
 
+    @pytest.mark.parametrize("m, exponents", [(1, [3]), (2, [3, 0])])
+    def test_out_of_window_overflow_never_reaches_the_member(self, m, exponents):
+        # y[0] = 1e200 at x = 0, far outside the window: g^3 overflows there,
+        # so a zero weight times g would make the mean nan
+        y = np.ones(40)
+        y[0] = 1e200
+        s = Sample(np.linspace(0.0, 1.0, 40), y)
+        spec = UKernelSpec(polynomial_member("cube", m, [[1.0, exponents]]), 0.25,
+                           (0.5,) * m, get_kernel("uniform"))
+        want = u_stat_brute(ukernel_scalar(spec), s, m).value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = incomplete_u(spec, s, count_indices(40, m), seed=0).value
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+    def test_non_finite_mean_is_a_typed_error(self):
+        s = Sample(np.array([0.49, 0.51, 0.50]), np.array([1e200, -1e200, 1.0]))
+        spec = UKernelSpec(CUBE, 0.1, (0.5,), get_kernel("uniform"))
+        with pytest.raises(NonFiniteSum, match="mean is nan"):
+            incomplete_u(spec, s, 3, seed=0)
+
     def test_same_seed_identical(self):
         rng = make_rng(16)
         s = random_sample(rng, 100)
@@ -753,15 +852,13 @@ class TestNonFiniteSum:
 
 
 def frozen_windows(h, t, s):
-    """The per-coordinate window search, one value at a time."""
+    """The per-coordinate closed windows |t_j - x| <= h/2, found by testing
+    every x: half-open ranges of positions in the stable x-sort."""
     out = []
     for tj in t:
-        lo_val, hi_val = tj - h / 2.0, tj + h / 2.0
-        for _ in range(4):
-            lo_val = np.nextafter(lo_val, -np.inf)
-            hi_val = np.nextafter(hi_val, np.inf)
-        out.append((int(np.searchsorted(s.x_sorted, lo_val, side="left")),
-                    int(np.searchsorted(s.x_sorted, hi_val, side="right"))))
+        inside = np.flatnonzero(np.abs(tj - s.x_sorted) <= h / 2.0)
+        assert inside.size == 0 or inside[-1] + 1 - inside[0] == inside.size
+        out.append((int(inside[0]), int(inside[-1]) + 1) if inside.size else (0, 0))
     return out
 
 
