@@ -95,34 +95,32 @@ class DeviationRow(NamedTuple):
     normalized: float
     status: str
 
-    @property
-    def sort_key(self):
-        return (self.stat, self.n, self.rep, self.h, self.t, self.phi)
+
+# the canonical row order: (stat, n, rep, h, t, phi)
+ROW_ORDER = operator.itemgetter(0, 1, 2, 3, 4, 5)
 
 
 def expectation_cache(cfg, n, hs, tgrid):
-    """Population quantities shared by every replication at this n.
-
-    Keys: ("EU1", h, t) for the denominator, ("EU", phi, h, t) for numerators,
-    ("m", phi, t) for the closed-form regression. A member without a closed
-    form raises NoClosedFormConditional here, before any convolution.
+    """The population table for every replication at this n, as (truth,
+    table): truth[i][k] is member i's closed-form regression at grid point
+    k, and table[h] = (eu1[k], eu[i][k], cent[i][k]) holds E U_n(1), member
+    i's E U_n and its centering ratio at bandwidth h. A member without a
+    closed form (NoClosedFormConditional) or a zero-density window
+    (ZeroDensityWindow, see estimator.centering_ratio) raises here, before
+    any replication runs.
     """
-    cache = {}
     grid = np.asarray(tgrid, dtype=float)
-    truths = [true_regression(cfg.dgp, phi, grid).tolist() for phi in cfg.fc.members]
-    for k, t in enumerate(tgrid):
-        for phi, values in zip(cfg.fc.members, truths):
-            cache[("m", phi.id, t)] = values[k]
+    truth = [true_regression(cfg.dgp, phi, grid).tolist() for phi in cfg.fc.members]
+    table = {}
     for h in hs:
         den, nums = expected_u_grid(
             cfg.dgp, cfg.fc.members, cfg.kernel, h, tgrid, cfg.quad_order
         )
-        den, nums = den.tolist(), nums.tolist()
-        for k, t in enumerate(tgrid):
-            cache[("EU1", h, t)] = den[k]
-            for phi, values in zip(cfg.fc.members, nums):
-                cache[("EU", phi.id, h, t)] = values[k]
-    return cache
+        eu1, eu = den.tolist(), nums.tolist()
+        cent = [[centering_ratio(e, d, h, t) for e, d, t in zip(row, eu1, tgrid)]
+                for row in eu]
+        table[h] = (eu1, eu, cent)
+    return truth, table
 
 
 def sweep_cells(cfg, s, n, rep, hs, tgrid, cache):
@@ -133,44 +131,37 @@ def sweep_cells(cfg, s, n, rep, hs, tgrid, cache):
     "est_truth" compares it to the closed-form regression function. The
     normalized column applies sqrt(n h^m / (|log h| v loglog n)) to the raw
     deviation for every statistic; consistency summaries use the raw column.
+    `cache` is expectation_cache's table for hs and tgrid.
     """
+    truth, table = cache
     rows = []
     cells = estimate_grid(cfg.fc.members, hs, tgrid, s, cfg.kernel)
     for h, h_cells in zip(hs, cells):
         norm = normalizer(n, h, cfg.m)
-        for t, t_cells in zip(tgrid, h_cells):
-            eu1 = cache[("EU1", h, t)]
-            devs = [("process", "one", abs(t_cells[0].denominator - eu1), "ok")]
-            for c in t_cells:
-                eu = cache[("EU", c.phi, h, t)]
-                devs.append(("process", c.phi, abs(c.numerator - eu), "ok"))
+        eu1, eu, cent = table[h]
+        for k, (t, t_cells) in enumerate(zip(tgrid, h_cells)):
+            devs = [("process", "one", abs(t_cells[0].denominator - eu1[k]), "ok")]
+            for i, c in enumerate(t_cells):
+                devs.append(("process", c.phi, abs(c.numerator - eu[i][k]), "ok"))
                 if c.status != "ok":
                     nan = float("nan")
                     devs += [("est_centering", c.phi, nan, c.status),
                              ("est_truth", c.phi, nan, c.status)]
                     continue
-                cent = centering_ratio(eu, eu1, h, t)
-                truth = cache[("m", c.phi, t)]
-                devs += [("est_centering", c.phi, abs(c.mhat - cent), "ok"),
-                         ("est_truth", c.phi, abs(c.mhat - truth), "ok")]
+                devs += [("est_centering", c.phi, abs(c.mhat - cent[i][k]), "ok"),
+                         ("est_truth", c.phi, abs(c.mhat - truth[i][k]), "ok")]
             rows += [DeviationRow(stat, n, rep, h, t, phi, raw, norm * raw, status)
                      for stat, phi, raw, status in devs]
     return rows
 
 
 def bias_from_cache(cfg, hs, tgrid, cache):
-    """max over members, bandwidths and grid points of |centering - truth|,
-    reusing the cached convolutions; a zero-density grid point raises
-    ZeroDensityWindow (see estimator.centering_ratio)."""
-    worst = 0.0
-    for phi in cfg.fc.members:
-        for h in hs:
-            for t in tgrid:
-                cent = centering_ratio(
-                    cache[("EU", phi.id, h, t)], cache[("EU1", h, t)], h, t
-                )
-                worst = max(worst, abs(cent - cache[("m", phi.id, t)]))
-    return worst
+    """max over members, bandwidths in hs and grid points of |centering -
+    truth|, read from expectation_cache's table."""
+    truth, table = cache
+    return max([0.0] + [abs(c - m) for h in hs
+                        for cents, truths in zip(table[h][2], truth)
+                        for c, m in zip(cents, truths)])
 
 
 def bias_at_cap(cfg, n, tgrid):
@@ -285,16 +276,12 @@ def rate_experiment(cfg, out_dir=None, threads=1, include_remainder=False):
         hs = bandwidths(cfg, n)
         cache = expectation_cache(cfg, n, hs, tgrid)
 
-        def _one_rep(rep, _n=n, _hs=hs, _cache=cache):
-            s = simulate(cfg.dgp, _n, child_seed(cfg.seed, _n, rep))
-            return sweep_cells(cfg, s, _n, rep, _hs, tgrid, _cache)
+        def _one_rep(rep):
+            s = simulate(cfg.dgp, n, child_seed(cfg.seed, n, rep))
+            return sweep_cells(cfg, s, n, rep, hs, tgrid, cache)
 
-        reps = range(cfg.reps)
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                chunks = list(pool.map(_one_rep, reps))
-        else:
-            chunks = [_one_rep(r) for r in reps]
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            chunks = list(pool.map(_one_rep, range(cfg.reps)))
         n_rows = [row for chunk in chunks for row in chunk]
         all_rows.extend(n_rows)
 
@@ -313,17 +300,11 @@ def rate_experiment(cfg, out_dir=None, threads=1, include_remainder=False):
             "sup_normalized_estimator": ("est_centering", "normalized"),
             "sup_consistency": ("est_truth", "raw"),
         }
-        # ok rows by (stat, rep), in row order, scanned once for all summaries
-        groups = {}
-        for r in n_rows:
-            if r.status == "ok":
-                groups.setdefault((r.stat, r.rep), []).append(r)
         for key, (stat, fieldname) in summaries.items():
-            sups = [
-                max(getattr(r, fieldname) for r in groups[stat, rep])
-                if (stat, rep) in groups else float("nan")
-                for rep in range(cfg.reps)
-            ]
+            # each replication's supremum over its own ok rows
+            sups = [max([getattr(r, fieldname) for r in chunk
+                         if r.stat == stat and r.status == "ok"], default=float("nan"))
+                    for chunk in chunks]
             entry[f"{key}_per_rep"] = sups
             finite = [v for v in sups if not math.isnan(v)]
             entry[key] = max(finite) if finite else float("nan")
@@ -338,8 +319,7 @@ def rate_experiment(cfg, out_dir=None, threads=1, include_remainder=False):
             }
         per_n[n] = entry
 
-    # DeviationRow.sort_key, without a Python call per row
-    all_rows.sort(key=operator.itemgetter(0, 1, 2, 3, 4, 5))
+    all_rows.sort(key=ROW_ORDER)
     report = RateReport(per_n=per_n, rows=tuple(all_rows), config=cfg.raw)
     if out_dir is not None:
         write_outputs(report, cfg, out_dir)

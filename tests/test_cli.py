@@ -581,44 +581,84 @@ class TestSweepAndRates:
             assert entry["remainder"]["n"] >= int(n)
 
 
-# m = 2 with windows of several hundred points, so each cell's pair sum runs
-# through BLAS matrix-vector products
-M2_DOC = {
-    "dgp": {"id": "uniform_linear", "noise": "uniform", "noise_param": 0.25},
-    "kernel": {"id": "epanechnikov-rescaled"},
-    "function_class": {
-        "m": 2,
-        "members": ["sum_clipped:2.5", "identity_j:2"],
-        "regime": {"kind": "bounded", "M": 2.5},
-    },
-    "regime": {"c": 1.0, "b0": 0.3},
-    "grids": {
-        "interval": [0.3, 0.7],
-        "points_per_axis": 3,
-        "bn_rule": "fixed",
-        "quad_order": 12,
-    },
-    "experiment": {"n_list": [2000], "reps": 1, "seed": 4},
+def _bounded_doc(dgp, noise, kernel, m, members, bound, interval, points, quad_order,
+                 c, b0, n, seed):
+    return {
+        "dgp": {"id": dgp, "noise": noise[0], "noise_param": noise[1]},
+        "kernel": {"id": kernel},
+        "function_class": {"m": m, "members": members,
+                           "regime": {"kind": "bounded", "M": bound}},
+        "regime": {"c": c, "b0": b0},
+        "grids": {"interval": interval, "points_per_axis": points, "bn_rule": "fixed",
+                  "quad_order": quad_order},
+        "experiment": {"n_list": [n], "reps": 1, "seed": seed},
+    }
+
+
+# configs whose sums run through BLAS. m2-gemv: m = 2 with windows of several
+# hundred points, each cell's pair sum in matrix-vector products. The other
+# three give other bytes under 1 and 2 OpenBLAS threads unless the CLI pins
+# BLAS to one thread. population-m3: expected_u_grid's dot over a rule of
+# more than 10,000 points. sample-m1: a cell's dot over a window of about
+# 10,000 points (n = 16,000 agreed). sample-m2: the gemv of a cell with 190
+# rows and 3,762 columns (n = 31,000 agreed; c keeps the one bandwidth near
+# 0.3).
+BLAS_DOCS = {
+    "m2-gemv": _bounded_doc("uniform_linear", ("uniform", 0.25), "epanechnikov-rescaled",
+                            m=2, members=["sum_clipped:2.5", "identity_j:2"], bound=2.5,
+                            interval=[0.3, 0.7], points=3, quad_order=12, c=1.0, b0=0.3,
+                            n=2000, seed=4),
+    "population-m3": _bounded_doc("normal_linear", ("uniform", 0.25), "epanechnikov-rescaled",
+                                  m=3, members=["sum"], bound=30.0, interval=[-0.2, 0.2],
+                                  points=2, quad_order=24, c=0.5, b0=0.9, n=60, seed=3),
+    "sample-m1": _bounded_doc("uniform_linear", ("gaussian", 0.3), "epanechnikov-rescaled",
+                              m=1, members=["identity_j:1"], bound=5.0, interval=[0.3, 0.7],
+                              points=5, quad_order=16, c=0.5, b0=0.9, n=17_000, seed=3),
+    "sample-m2": _bounded_doc("normal_linear", ("uniform", 0.25), "uniform",
+                              m=2, members=["sum"], bound=20.0, interval=[-2.5, 0.0],
+                              points=2, quad_order=12, c=16.6, b0=0.3, n=32_000, seed=3),
 }
 
 
-def test_rates_bytes_do_not_depend_on_blas_threads(tmp_path):
+def _blas_env(threads):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = threads
+    return env
+
+
+@pytest.mark.parametrize("name", sorted(BLAS_DOCS))
+def test_rates_bytes_do_not_depend_on_blas_threads(name, tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(M2_DOC))
+    cfg.write_text(json.dumps(BLAS_DOCS[name]))
     outs = []
     for threads in ("1", "2"):
-        env = dict(os.environ, PYTHONPATH=str(SRC))
-        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-            env[var] = threads
         out = tmp_path / f"blas{threads}"
         subprocess.run(
             [sys.executable, "-m", "condu.cli", "rates", "--config", str(cfg),
              "--out", str(out)],
-            env=env, check=True, capture_output=True, timeout=120,
+            env=_blas_env(threads), check=True, capture_output=True, timeout=120,
         )
         outs.append(out)
-    for name in ("deviations.csv", "report.json"):
-        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    for f in ("deviations.csv", "report.json"):
+        assert (outs[0] / f).read_bytes() == (outs[1] / f).read_bytes()
+
+
+def test_the_cli_pins_blas_to_one_thread(tmp_path):
+    # the OpenBLAS bundled with this NumPy reads 2 threads from the
+    # environment until a command runs, and 1 after it
+    code = (
+        "import ctypes, glob, os, sys, numpy\n"
+        "from condu.cli import main\n"
+        "libs = os.path.join(os.path.dirname(numpy.__file__), os.pardir, 'numpy.libs')\n"
+        "lib = ctypes.CDLL(glob.glob(os.path.join(libs, 'libscipy_openblas64_*.so'))[0])\n"
+        "before = lib.scipy_openblas_get_num_threads64_()\n"
+        "main(['verify', '--filter', 'normalizer', '--out', sys.argv[1]])\n"
+        "print(before, lib.scipy_openblas_get_num_threads64_())\n"
+    )
+    res = subprocess.run([sys.executable, "-c", code, str(tmp_path / "v.json")],
+                         env=_blas_env("2"), check=True, capture_output=True, text=True)
+    assert res.stdout.split() == ["2", "1"]
 
 
 FUZZ_DOCS = [

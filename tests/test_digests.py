@@ -23,14 +23,18 @@ import workloads as W  # noqa: E402
 
 from condu.config import parse_config  # noqa: E402
 
-# (deviations.csv, report.json) per workload at seed 1
+RATES_FILES = ("deviations.csv", "report.json", "config_echo.json")
+# one digest per file of RATES_FILES, per workload at seed 1
 RATES_SEED1 = {
     "rates-m1": ("310ebef6833a4433caddcd4f02ea3bb297e5503d8194affc5885b502f6b550f5",
-                 "f3b9a39d5e2ae2da9081e5ddc015dd914d84b364b1b4f8e00eb2054131818128"),
+                 "f3b9a39d5e2ae2da9081e5ddc015dd914d84b364b1b4f8e00eb2054131818128",
+                 "dae891ba8b67419dce71ea1824ed75d75caf250e13e2fb3aec8f4b56f0165dcd"),
     "rates-m2": ("857f67927a22283f66cb1f05f32e7f3e5569139e8aedab7adc5cd4ad4c4b8536",
-                 "66e286343b25ec55a7cdc1bfdc33034cab824dab462ba10164a984142ae721ad"),
+                 "66e286343b25ec55a7cdc1bfdc33034cab824dab462ba10164a984142ae721ad",
+                 "456e483c43828bd0b37f2910198b5a80a949dbd43f6399275171395e283f95f3"),
     "rates-m3": ("9dd15bdd1f84a22665344376cd50c339249c5ced4d23acab572c3007fc42e329",
-                 "403fa3b6d670fcdb0e2ff5bd26abbed713758e730417ab4411cfde3d3255d42c"),
+                 "403fa3b6d670fcdb0e2ff5bd26abbed713758e730417ab4411cfde3d3255d42c",
+                 "1d605f871319140e99942ec930737146e8bcec27cf368e1982eade9b30ed81d5"),
 }
 # standard output of `condu verify --seed 1`
 VERIFY_SEED1 = "56229baa78acb138763edede08270c354a29a7c11f430e9586209b20832c2c88"
@@ -48,7 +52,7 @@ def test_rates_workload_bytes_at_seed_1(name, tmp_path):
     cfg.write_text(json.dumps(doc))
     subprocess.run([sys.executable, "-m", "condu.cli", *W.rates_argv(name, cfg, out)],
                    env=W.child_env(name), check=True, capture_output=True)
-    got = tuple(_sha256((out / f).read_bytes()) for f in ("deviations.csv", "report.json"))
+    got = tuple(_sha256((out / f).read_bytes()) for f in RATES_FILES)
     assert got == RATES_SEED1[name]
 
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import condu.estimator
+import condu.harness
 from condu.errors import (
     DegenerateSample,
     NoClosedFormConditional,
@@ -356,27 +357,40 @@ class TestExpectedUGrid:
         (2, ["sum", "max", "product"]),
         (3, ["sum", "max", "identity_j:2"]),
     ])
-    def test_expectation_cache_is_the_per_point_cache_bit_for_bit(self, m, members):
+    def test_expectation_cache_is_the_per_point_cache_bit_for_bit(self, m, members,
+                                                                  monkeypatch):
         dgp = make_dgp("normal_linear", "uniform", 0.25)
         fc = FunctionClass([builtin_member(i, m) for i in members])
         cfg = SimpleNamespace(dgp=dgp, fc=fc, m=m, kernel=EPA, quad_order=6)
         axis = (-5.9, 0.4, 5.95)
         grid = list(itertools.product(axis, repeat=m))
         hs = (0.2, 0.7)
+        want_truth = [[float(true_regression(dgp, phi, np.asarray(t))) for t in grid]
+                      for phi in fc.members]
         want = {}
-        for t in grid:
-            for phi in fc.members:
-                want[("m", phi.id, t)] = float(true_regression(dgp, phi, np.asarray(t)))
         for h in hs:
-            for t in grid:
-                want[("EU1", h, t)] = frozen_expected_u(dgp, builtin_member("one", m), EPA,
-                                                        h, t, 6)
-                for phi in fc.members:
-                    want[("EU", phi.id, h, t)] = frozen_expected_u(dgp, phi, EPA, h, t, 6)
-        got = expectation_cache(cfg, None, hs, grid)
-        assert list(got) == list(want)
-        assert all(type(v) is float for v in got.values())
-        assert np.array(list(got.values())).tobytes() == np.array(list(want.values())).tobytes()
+            eu1 = [frozen_expected_u(dgp, builtin_member("one", m), EPA, h, t, 6)
+                   for t in grid]
+            eu = [[frozen_expected_u(dgp, phi, EPA, h, t, 6) for t in grid]
+                  for phi in fc.members]
+            want[h] = (eu1, eu, [[e / d for e, d in zip(row, eu1)] for row in eu])
+        if m > 1:
+            # the far corners' windows hold less design density than the
+            # zero-density cutoff: the table raises, unless the rule is lifted
+            with pytest.raises(ZeroDensityWindow):
+                expectation_cache(cfg, None, hs, grid)
+            monkeypatch.setattr(condu.harness, "centering_ratio", lambda e, d, h, t: e / d)
+        truth, table = expectation_cache(cfg, None, hs, grid)
+        assert list(table) == list(hs)
+        shape = (len(fc.members), len(grid))
+        for h in hs:
+            assert [np.shape(x) for x in table[h]] == [shape[1:], shape, shape]
+        got = [truth] + [x for h in hs for x in table[h]]
+        expected = [want_truth] + [x for h in hs for x in want[h]]
+        for g, w in zip(got, expected):
+            rows = g if isinstance(g[0], list) else [g]
+            assert all(type(v) is float for row in rows for v in row)
+            assert np.array(g).tobytes() == np.array(w).tobytes()
 
 
 class TestConvolve:

@@ -18,10 +18,10 @@ import condu.ucore
 from condu.estimator import centering, make_dgp, true_regression
 from condu.function_class import builtin_member
 from condu.harness import (
+    ROW_ORDER,
     DeviationRow,
     RateReport,
     bandwidth_cap,
-    bias_from_cache,
     bandwidths,
     child_seed,
     expectation_cache,
@@ -117,15 +117,18 @@ class TestExpectationCache:
         n = 128
         hs = bandwidths(cfg, n)
         tgrid = make_t_grid(cfg.t_interval, cfg.t_points, cfg.m)
-        cache = expectation_cache(cfg, n, hs, tgrid)
+        truth, table = expectation_cache(cfg, n, hs, tgrid)
         phi = cfg.fc.members[0]
-        for t in tgrid:
-            assert cache[("m", phi.id, t)] == pytest.approx(
+        for k, t in enumerate(tgrid):
+            assert truth[0][k] == pytest.approx(
                 float(true_regression(cfg.dgp, phi, np.asarray(t))), rel=1e-14
             )
-            for h in hs:
-                assert ("EU1", h, t) in cache
-                assert ("EU", phi.id, h, t) in cache
+        assert list(table) == list(hs)
+        for h in hs:
+            eu1, eu, cent = table[h]
+            assert len(eu1) == len(tgrid)
+            assert [len(row) for row in eu] == [len(row) for row in cent] == [len(tgrid)]
+            assert cent[0] == [e / d for e, d in zip(eu[0], eu1)]
 
 
     def test_cache_of_a_15_by_15_pair_grid_peaks_under_1_mb(self):
@@ -153,21 +156,34 @@ class TestExpectationCache:
 
 
 class TestZeroDensityRule:
-    """centering and bias_from_cache share one zero-density rule:
+    """centering and expectation_cache share one zero-density rule:
     a grid point whose window misses the design density raises."""
+
+    AT = r"t=\(2\.0,\)"  # plain floats, not np.float64 reprs
 
     def test_every_centering_path_raises_outside_the_support(self):
         cfg = make_cfg(grids__interval=[2.0, 3.0])  # uniform design on [0, 1]
         n = cfg.n_list[0]
         hs = bandwidths(cfg, n)
         tgrid = make_t_grid(cfg.t_interval, cfg.t_points, cfg.m)
-        cache = expectation_cache(cfg, n, hs, tgrid)
         phi = cfg.fc.members[0]
-        at = r"t=\(2\.0,\)"  # plain floats, not np.float64 reprs
-        with pytest.raises(ZeroDensityWindow, match=at):
+        with pytest.raises(ZeroDensityWindow, match=self.AT):
             centering(phi, hs[0], tgrid[0], cfg.dgp, cfg.kernel)
-        with pytest.raises(ZeroDensityWindow, match=at):
-            bias_from_cache(cfg, hs, tgrid, cache)
+        with pytest.raises(ZeroDensityWindow, match=self.AT):
+            expectation_cache(cfg, n, hs, tgrid)
+
+    def test_rate_experiment_raises_before_any_replication(self, monkeypatch):
+        cfg = make_cfg(grids__interval=[2.0, 3.0])  # uniform design on [0, 1]
+        calls = []
+
+        def counting_simulate(*args):
+            calls.append(args)
+            return simulate(*args)
+
+        monkeypatch.setattr(condu.harness, "simulate", counting_simulate)
+        with pytest.raises(ZeroDensityWindow, match=self.AT):
+            rate_experiment(cfg)
+        assert calls == []
 
 
 class TestSweepInvariants:
@@ -184,7 +200,7 @@ class TestSweepInvariants:
     def test_rows_are_canonically_sorted(self):
         cfg = make_cfg()
         rep = rate_experiment(cfg)
-        keys = [r.sort_key for r in rep.rows]
+        keys = [ROW_ORDER(r) for r in rep.rows]
         assert keys == sorted(keys)
 
     def test_constant_member_has_zero_estimator_deviations(self):
@@ -222,10 +238,13 @@ class TestSweepInvariants:
         members = {phi.id: phi for phi in cfg.fc.members}
         members["one"] = builtin_member("one", 2)
         assert len(rows) == len(hs) * len(tgrid) * len(members)
+        ids = [phi.id for phi in cfg.fc.members]
         for r in rows:
             u = u_stat_windowed(UKernelSpec(members[r.phi], r.h, r.t, cfg.kernel), s).value
-            eu = cache[("EU1", r.h, r.t)] if r.phi == "one" else cache[("EU", r.phi, r.h, r.t)]
-            assert np.float64(r.raw).tobytes() == np.float64(abs(u - eu)).tobytes()
+            eu1, eu, _ = cache[1][r.h]
+            k = tgrid.index(r.t)
+            expectation = eu1[k] if r.phi == "one" else eu[ids.index(r.phi)][k]
+            assert np.float64(r.raw).tobytes() == np.float64(abs(u - expectation)).tobytes()
 
     def test_report_summaries_present_and_consistent(self):
         cfg = make_cfg()
@@ -290,7 +309,7 @@ class TestOutputDeterminism:
         assert any(math.isnan(r.raw) for r in rep.rows)
         shuffled = list(rep.rows)
         random.Random(3).shuffle(shuffled)
-        resorted = sorted(shuffled, key=lambda r: r.sort_key)
+        resorted = sorted(shuffled, key=ROW_ORDER)
         assert all(a is b for a, b in zip(resorted, rep.rows))
         want = self.frozen_deviations_csv_text(resorted, cfg.m).encode()
         assert (tmp_path / "deviations.csv").read_bytes() == want
