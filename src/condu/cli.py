@@ -2,19 +2,15 @@
 
 Errors derived from the library's error hierarchy exit with code 1 and a
 machine-readable JSON object on stderr; anything unexpected exits with 2.
-The CONDU_SEED environment variable overrides the config seed. Every
-command runs BLAS on one thread (see pin_blas).
+The CONDU_SEED environment variable overrides the config seed. BLAS runs
+on one thread, pinned when the package is imported (kernels.pin_blas).
 """
 
 import argparse
-import ctypes
 import dataclasses
-import glob
 import json
 import os
 import sys
-
-import numpy as np
 
 from .config import _N_BUDGET, _REPS_BUDGET, load_config, within
 from .errors import ConduError, SchemaError
@@ -178,33 +174,15 @@ def build_parser():
     return p
 
 
-def pin_blas():
-    """Run BLAS on one thread. OpenBLAS splits some dot and matrix-vector
-    products across threads, which changes their rounding. The setter is
-    that of the OpenBLAS bundled with NumPy's wheels; under another BLAS the
-    calls run unpinned."""
-    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
-    for path in glob.glob(os.path.join(libs, "libscipy_openblas64_*.so")):
-        setter = getattr(ctypes.CDLL(path), "scipy_openblas_set_num_threads64_", None)
-        if setter is not None:
-            setter(1)
-
-
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    pin_blas()
     try:
         return args.func(args)
-    except ConduError as exc:
-        sys.stderr.write(
-            json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n"
-        )
-        return 1
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         sys.stderr.write(
             json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n"
         )
-        return 2
+        return 1 if isinstance(exc, ConduError) else 2
 
 
 if __name__ == "__main__":

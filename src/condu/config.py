@@ -28,6 +28,10 @@ _N_BUDGET = 10 ** 6
 _GRID_POINTS_BUDGET = 10 ** 5
 # most replications: rate_experiment submits every rep to its pool up front
 _REPS_BUDGET = 10 ** 5
+# most deviation rows of one rate experiment: each, some 200-256 bytes, is
+# held until the final sort, about 1 GB at the budget; the largest config
+# the package has been run at makes 89,964
+_ROWS_BUDGET = 4 * 10 ** 6
 
 
 @dataclass(frozen=True)

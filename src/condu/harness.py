@@ -3,7 +3,8 @@
 Every random draw is keyed by (master seed, n, rep) through a counter-based
 generator, rows are canonically sorted, and floats are serialized with 17
 significant digits, so two runs of the same config produce byte-identical
-files regardless of thread count.
+files regardless of the --threads count, and of the BLAS thread count, which
+the package pins to one at import (kernels.pin_blas).
 """
 
 import itertools
@@ -24,6 +25,7 @@ from .bandwidth import (
     normalizer,
     truncate_split,
 )
+from .config import _ROWS_BUDGET, within
 from .errors import BoundedClassHasNoRemainder, EmptyBandwidthRange
 from .estimator import centering_ratio, estimate_grid, expected_u_grid, true_regression
 from .function_class import FunctionSpec, envelope_tilde
@@ -267,13 +269,17 @@ def rate_experiment(cfg, out_dir=None, threads=1, include_remainder=False):
 
     Returns a RateReport; when out_dir is given also writes deviations.csv,
     report.json and config_echo.json atomically. Output bytes are independent
-    of `threads`.
+    of `threads`. Every n's bandwidths and the total row count are checked
+    before any work.
     """
     tgrid = make_t_grid(cfg.t_interval, cfg.t_points, cfg.m)
+    grids = {n: bandwidths(cfg, n) for n in cfg.n_list}
+    per_cell = cfg.reps * len(tgrid) * (1 + 3 * len(cfg.fc.members))
+    within(per_cell * sum(map(len, grids.values())), 0, "rows (n_list x reps x "
+           "points_per_axis^m x bandwidths x (1 + 3 members))", _ROWS_BUDGET)
     all_rows = []
     per_n = {}
-    for n in cfg.n_list:
-        hs = bandwidths(cfg, n)
+    for n, hs in grids.items():
         cache = expectation_cache(cfg, n, hs, tgrid)
 
         def _one_rep(rep):

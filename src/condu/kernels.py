@@ -1,6 +1,7 @@
 """Scalar smoothing kernels with compact support, their scaled weights, and
-the package's shared composite Gauss-Legendre and tensor rules, numeric CSV
-reader and atomic text writer.
+the package's shared numerics: the composite Gauss-Legendre and tensor
+rules, the numeric CSV reader, the atomic text writer and the BLAS pin,
+which runs once, when the package is imported (see pin_blas).
 
 All built-in kernels live on [-1/2, 1/2], integrate to one and are bounded.
 The support boundary is closed: K(+-1/2) counts as inside the window, so the
@@ -8,6 +9,8 @@ binary-search windows used by the U-statistic code agree with the kernel's
 own support test.
 """
 
+import ctypes
+import glob
 import os
 from dataclasses import dataclass
 from functools import lru_cache
@@ -19,6 +22,22 @@ from numpy.polynomial.legendre import leggauss
 from .errors import InputFileError, InvalidBandwidth, OutputFileError, SchemaError
 
 SUPPORT_HALFWIDTH = 0.5
+
+
+def pin_blas():
+    """Run BLAS on one thread. OpenBLAS splits some dot and matrix-vector
+    products across threads, which changes their rounding. The setter is
+    that of the OpenBLAS bundled with NumPy's wheels; under another BLAS the
+    calls run unpinned. Called at import, so every caller, the CLI and the
+    library alike, gets bytes that do not depend on the BLAS thread count."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "libscipy_openblas64_*.so")):
+        setter = getattr(ctypes.CDLL(path), "scipy_openblas_set_num_threads64_", None)
+        if setter is not None:
+            setter(1)
+
+
+pin_blas()
 
 
 @dataclass(frozen=True)
@@ -187,20 +206,21 @@ def _leggauss(order):
     return nodes, weights
 
 
-def gauss_legendre_panels(cuts, order):
-    """Per panel between consecutive cuts: the order-point Gauss-Legendre
-    nodes mapped into it, its half-width and the weights on [-1, 1]."""
+def gauss_legendre_panels(lo, hi, order):
+    """The order-point Gauss-Legendre rule mapped into every panel [lo[p],
+    hi[p]] at once: the nodes (P, order), the half-widths (P,) and the
+    weights on [-1, 1]. The one panel map of the package's quadratures."""
     nodes, weights = _leggauss(order)
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        yield mid + half * nodes, half, weights
+    half = 0.5 * np.subtract(hi, lo)
+    return (0.5 * np.add(lo, hi))[:, None] + half[:, None] * nodes, half, weights
 
 
 def composite_integral(f, cuts, order):
     """Integral of a vectorized f over [cuts[0], cuts[-1]], panel by panel."""
+    x, half, weights = gauss_legendre_panels(cuts[:-1], cuts[1:], order)
     total = 0.0
-    for x, half, weights in gauss_legendre_panels(cuts, order):
-        total += half * float(np.dot(weights, f(x)))
+    for xp, hp in zip(x, half.tolist()):
+        total += hp * float(np.dot(weights, f(xp)))
     return total
 
 
@@ -208,11 +228,8 @@ def composite_rule(lo, hi, order, breaks):
     """Flat (nodes, weights) of the composite rule on [lo, hi], with panels
     split at the breakpoints that fall strictly inside."""
     cuts = sorted({lo, hi, *(b for b in breaks if lo < b < hi)})
-    panels = list(gauss_legendre_panels(cuts, order))
-    return (
-        np.concatenate([x for x, _, _ in panels]),
-        np.concatenate([half * weights for _, half, weights in panels]),
-    )
+    x, half, weights = gauss_legendre_panels(cuts[:-1], cuts[1:], order)
+    return x.ravel(), (half[:, None] * weights).ravel()
 
 
 def tensor_rule(rules):

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import condu.cli
+import condu.harness
 from condu.cli import main
 from condu.config import parse_config
 from condu.errors import SchemaError
@@ -297,6 +298,40 @@ class TestIntegerInputs:
         monkeypatch.setenv("CONDU_SEED", "abc")
         assert main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "s.csv"),
                      "--seed", "0"]) == 0
+
+
+def test_an_over_budget_row_count_stops_before_any_work(tmp_path, capsys, monkeypatch):
+    # every sizing field is within its budget; their product is not
+    doc = copy.deepcopy(BASE_DOC)
+    doc["grids"]["points_per_axis"] = 21
+    doc["experiment"]["reps"] = 10 ** 5
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    calls = []
+
+    def work(*args, **kwargs):
+        calls.append(args)
+        raise RuntimeError("the sweep started")
+
+    monkeypatch.setattr(condu.harness, "simulate", work)
+    monkeypatch.setattr(condu.harness, "expectation_cache", work)
+    with pytest.raises(SchemaError, match="rows"):
+        condu.harness.rate_experiment(parse_config(doc))
+    out = tmp_path / "out"
+    assert main(["rates", "--config", str(cfg), "--out", str(out)]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "SchemaError"
+    assert calls == [] and not out.exists()
+
+
+def test_an_unexpected_error_exits_two_with_json(cfg_path, tmp_path, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("not a library error")
+
+    monkeypatch.setattr(condu.cli, "rate_experiment", broken)
+    assert main(["rates", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert json.loads(err) == {"error": "RuntimeError", "message": "not a library error"}
+    assert err.count("\n") == 1
 
 
 def run_rates(doc, tmp_path):
@@ -597,8 +632,8 @@ def _bounded_doc(dgp, noise, kernel, m, members, bound, interval, points, quad_o
 
 # configs whose sums run through BLAS. m2-gemv: m = 2 with windows of several
 # hundred points, each cell's pair sum in matrix-vector products. The other
-# three give other bytes under 1 and 2 OpenBLAS threads unless the CLI pins
-# BLAS to one thread. population-m3: expected_u_grid's dot over a rule of
+# three give other bytes under 1 and 2 OpenBLAS threads unless BLAS is
+# pinned to one thread. population-m3: expected_u_grid's dot over a rule of
 # more than 10,000 points. sample-m1: a cell's dot over a window of about
 # 10,000 points (n = 16,000 agreed). sample-m2: the gemv of a cell with 190
 # rows and 3,762 columns (n = 31,000 agreed; c keeps the one bandwidth near
@@ -627,16 +662,27 @@ def _blas_env(threads):
     return env
 
 
+# the same experiment run by the CLI, and by a library caller that never
+# touches condu.cli
+RATES_CHILDREN = {
+    "cli": ["-m", "condu.cli", "rates", "--config"],
+    "library": ["-c", "import sys\n"
+                "from condu.config import load_config\n"
+                "from condu.harness import rate_experiment\n"
+                "rate_experiment(load_config(sys.argv[1]), out_dir=sys.argv[3])\n"],
+}
+
+
+@pytest.mark.parametrize("caller", sorted(RATES_CHILDREN))
 @pytest.mark.parametrize("name", sorted(BLAS_DOCS))
-def test_rates_bytes_do_not_depend_on_blas_threads(name, tmp_path):
+def test_rates_bytes_do_not_depend_on_blas_threads(name, caller, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(BLAS_DOCS[name]))
     outs = []
     for threads in ("1", "2"):
         out = tmp_path / f"blas{threads}"
         subprocess.run(
-            [sys.executable, "-m", "condu.cli", "rates", "--config", str(cfg),
-             "--out", str(out)],
+            [sys.executable, *RATES_CHILDREN[caller], str(cfg), "--out", str(out)],
             env=_blas_env(threads), check=True, capture_output=True, timeout=120,
         )
         outs.append(out)
@@ -644,19 +690,18 @@ def test_rates_bytes_do_not_depend_on_blas_threads(name, tmp_path):
         assert (outs[0] / f).read_bytes() == (outs[1] / f).read_bytes()
 
 
-def test_the_cli_pins_blas_to_one_thread(tmp_path):
+def test_importing_condu_pins_blas_to_one_thread():
     # the OpenBLAS bundled with this NumPy reads 2 threads from the
-    # environment until a command runs, and 1 after it
+    # environment until condu is imported, and 1 after it
     code = (
-        "import ctypes, glob, os, sys, numpy\n"
-        "from condu.cli import main\n"
+        "import ctypes, glob, os, numpy\n"
         "libs = os.path.join(os.path.dirname(numpy.__file__), os.pardir, 'numpy.libs')\n"
         "lib = ctypes.CDLL(glob.glob(os.path.join(libs, 'libscipy_openblas64_*.so'))[0])\n"
         "before = lib.scipy_openblas_get_num_threads64_()\n"
-        "main(['verify', '--filter', 'normalizer', '--out', sys.argv[1]])\n"
+        "import condu\n"
         "print(before, lib.scipy_openblas_get_num_threads64_())\n"
     )
-    res = subprocess.run([sys.executable, "-c", code, str(tmp_path / "v.json")],
+    res = subprocess.run([sys.executable, "-c", code],
                          env=_blas_env("2"), check=True, capture_output=True, text=True)
     assert res.stdout.split() == ["2", "1"]
 

@@ -30,7 +30,7 @@ from condu.function_class import FunctionClass, builtin_member
 from condu.harness import bias_from_cache, expectation_cache
 from condu.kernels import composite_integral, get_kernel
 from condu.ucore import Sample, UKernelSpec, u_stat_windowed
-from conftest import make_rng, random_sample
+from conftest import frozen_composite_integral, make_rng, random_sample
 
 
 UNIF = get_kernel("uniform")
@@ -120,6 +120,12 @@ class TestDgpCatalog:
         with pytest.raises(SchemaError):
             make_dgp("uniform_linear", "gaussian", 0.0)
 
+    @pytest.mark.parametrize("dgp_id", sorted(condu.estimator._DGP_BUILDERS))
+    def test_builtin_density_integrates_to_one_over_its_support(self, dgp_id):
+        dgp = make_dgp(dgp_id)
+        total = composite_integral(dgp.fx, np.linspace(*dgp.support, 33), 64)
+        assert abs(total - 1.0) <= 1e-8
+
     def test_noise_bounds(self):
         assert make_dgp("uniform_linear", "uniform", 0.3).noise.bound == 0.3
         assert make_dgp("uniform_linear", "gaussian", 0.3).noise.bound is None
@@ -198,7 +204,7 @@ class TestTrueRegression:
                                       0.0, 1.0), axis=1)
                 return 1.0 - cdf
 
-            return lo + composite_integral(survival, cuts, centers.size + 2)
+            return lo + frozen_composite_integral(survival, cuts, centers.size + 2)
 
         rng = make_rng(46)
         cases = []
@@ -227,7 +233,7 @@ class TestTrueRegression:
     @staticmethod
     def frozen_max_uniform_expectation(centers, a):
         """The max truth of one row as it was before rows were batched: its
-        own np.unique of the cuts and composite_integral."""
+        own np.unique of the cuts and the frozen composite rule."""
         centers = np.asarray(centers, dtype=float)
         if a == 0.0:
             return float(np.max(centers))
@@ -241,7 +247,7 @@ class TestTrueRegression:
             )
             return 1.0 - cdf
 
-        return lo + composite_integral(survival, cuts, centers.size + 2)
+        return lo + frozen_composite_integral(survival, cuts, centers.size + 2)
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data(), m=st.integers(1, 3), rows=st.integers(1, 40),

@@ -15,6 +15,8 @@ from condu.kernels import (
     _leggauss,
     atomic_write,
     builtin_kernel_ids,
+    composite_integral,
+    composite_rule,
     eval_scaled,
     gauss_legendre_panels,
     get_kernel,
@@ -24,6 +26,7 @@ from condu.kernels import (
     validate_kernel,
 )
 from condu.ucore import UKernelSpec, read_sample_csv, ukernel_scalar
+from conftest import frozen_composite_integral, frozen_panels
 
 
 def product_kernel(kernel_id, h, t, x):
@@ -245,8 +248,40 @@ class TestGaussLegendreCache:
         assert _leggauss(order)[1] is cached_weights
         assert np.array_equal(cached_nodes, nodes)
         assert np.array_equal(cached_weights, weights)
-        (x, half, w), = gauss_legendre_panels([-1.0, 1.0], order)
-        assert half == 1.0 and np.array_equal(x, nodes) and w is cached_weights
+        x, half, w = gauss_legendre_panels([-1.0], [1.0], order)
+        assert x.shape == (1, order) and np.array_equal(x[0], nodes)
+        assert half.tolist() == [1.0] and w is cached_weights
         for arr in (cached_nodes, cached_weights):
             with pytest.raises(ValueError):
                 arr[0] = 0.0
+
+
+# integrands for the frozen-loop property: a kernel, a smooth function and
+# one that is not smooth at 0
+INTEGRANDS = [get_kernel("epanechnikov-rescaled"), np.exp, lambda x: np.abs(x) ** 1.5]
+
+
+class TestCompositeRuleIsTheFrozenLoop:
+    @settings(max_examples=100, deadline=None)
+    @given(order=st.sampled_from([1, 3, 12, 20, 64]),
+           cuts=st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=6, unique=True),
+           f=st.sampled_from(INTEGRANDS))
+    def test_integral_and_rule_equal_the_frozen_loop_bit_for_bit(self, order, cuts, f):
+        cuts = sorted(cuts)
+        got = composite_integral(f, cuts, order)
+        assert type(got) is float
+        want = frozen_composite_integral(f, cuts, order)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        assert composite_integral(f, np.array(cuts), order) == got
+        # breaks outside [lo, hi] split nothing
+        lo, hi = cuts[0], cuts[-1]
+        nodes, weights = composite_rule(lo, hi, order, cuts[1:-1] + [lo - 1.0, hi + 1.0])
+        panels = list(frozen_panels(cuts, order))
+        assert nodes.tobytes() == np.concatenate([x for x, _, _ in panels]).tobytes()
+        assert weights.tobytes() == np.concatenate([h * w for _, h, w in panels]).tobytes()
+
+    @pytest.mark.parametrize("kernel_id", builtin_kernel_ids())
+    def test_builtin_kernel_integrals_equal_the_frozen_loop(self, kernel_id):
+        k = get_kernel(kernel_id)
+        want = frozen_composite_integral(k, np.linspace(-0.5, 0.5, 9), 64)
+        assert validate_kernel(k).integral == want
