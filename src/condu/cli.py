@@ -16,7 +16,7 @@ from .config import _N_BUDGET, _REPS_BUDGET, load_config, within
 from .errors import ConduError, SchemaError
 from .estimator import estimate_grid
 from .harness import bandwidths, child_seed, make_t_grid, rate_experiment, simulate
-from .kernels import atomic_write, format_float
+from .kernels import atomic_write, write_csv
 from .ucore import read_sample_csv, write_sample_csv
 from .verify import run_checks
 
@@ -25,7 +25,7 @@ def _load(args):
     """Load the config with seed precedence: --seed, then CONDU_SEED, then
     the config file."""
     cfg = load_config(args.config)
-    seed, name = getattr(args, "seed", None), "--seed"
+    seed, name = args.seed, "--seed"
     env = os.environ.get("CONDU_SEED")
     if seed is None and env is not None:
         name = "CONDU_SEED"
@@ -65,20 +65,13 @@ def cmd_estimate(args):
     hs = bandwidths(cfg, s.n)
     tgrid = make_t_grid(cfg.t_interval, cfg.t_points, cfg.m)
     tcols = ",".join(f"t_{j + 1}" for j in range(cfg.m))
-    lines = [f"m,h,{tcols},phi,numerator,denominator,mhat,status"]
     cells = estimate_grid(cfg.fc.members, hs, tgrid, s, cfg.kernel)
-    for h, h_cells in zip(hs, cells):
-        for t, t_cells in zip(tgrid, h_cells):
-            ts = ",".join(format_float(v) for v in t)
-            for cell in t_cells:
-                mh = format_float(cell.mhat) if cell.mhat is not None else "nan"
-                lines.append(
-                    f"{cfg.m},{format_float(h)},{ts},{cell.phi},"
-                    f"{format_float(cell.numerator)},"
-                    f"{format_float(cell.denominator)},{mh},{cell.status}"
-                )
-    atomic_write(args.out, "\n".join(lines) + "\n")
-    print(f"wrote {len(lines) - 1} cells to {args.out}")
+    rows = [(cfg.m, h, *t, c.phi, c.numerator, c.denominator,
+             float("nan") if c.mhat is None else c.mhat, c.status)
+            for h, h_cells in zip(hs, cells)
+            for t, t_cells in zip(tgrid, h_cells) for c in t_cells]
+    write_csv(args.out, f"m,h,{tcols},phi,numerator,denominator,mhat,status", rows)
+    print(f"wrote {len(rows)} cells to {args.out}")
     return 0
 
 
@@ -134,35 +127,32 @@ def build_parser():
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("simulate", help="draw a sample and write it as CSV")
-    sp.add_argument("--config", required=True)
-    sp.add_argument("--out", required=True)
+    # the options of every command that loads a config, and of the threaded ones
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", required=True)
+    common.add_argument("--out", required=True, help="output file or directory")
+    common.add_argument("--seed", type=int, default=None)
+    threaded = argparse.ArgumentParser(add_help=False)
+    threaded.add_argument("--threads", type=int, default=1)
+
+    sp = sub.add_parser("simulate", parents=[common], help="draw a sample and write it as CSV")
     sp.add_argument("--n", type=int, default=None)
     sp.add_argument("--rep", type=int, default=0)
-    sp.add_argument("--seed", type=int, default=None)
     sp.set_defaults(func=cmd_simulate)
 
-    ep = sub.add_parser("estimate", help="evaluate the estimator over the config grid")
-    ep.add_argument("--config", required=True)
+    ep = sub.add_parser("estimate", parents=[common],
+                        help="evaluate the estimator over the config grid")
     ep.add_argument("--data", default=None, help="sample CSV; simulated if omitted")
-    ep.add_argument("--out", required=True)
-    ep.add_argument("--seed", type=int, default=None)
     ep.set_defaults(func=cmd_estimate)
 
-    wp = sub.add_parser("sweep", help="bandwidth sweep at a single sample size")
-    wp.add_argument("--config", required=True)
-    wp.add_argument("--out", required=True, help="output directory")
+    wp = sub.add_parser("sweep", parents=[common, threaded],
+                        help="bandwidth sweep at a single sample size")
     wp.add_argument("--n", type=int, default=None)
-    wp.add_argument("--threads", type=int, default=1)
-    wp.add_argument("--seed", type=int, default=None)
     wp.set_defaults(func=cmd_sweep)
 
-    rp = sub.add_parser("rates", help="full experiment over the config n_list")
-    rp.add_argument("--config", required=True)
-    rp.add_argument("--out", required=True, help="output directory")
-    rp.add_argument("--threads", type=int, default=1)
+    rp = sub.add_parser("rates", parents=[common, threaded],
+                        help="full experiment over the config n_list")
     rp.add_argument("--remainder", action="store_true")
-    rp.add_argument("--seed", type=int, default=None)
     rp.set_defaults(func=cmd_rates)
 
     vp = sub.add_parser("verify", help="run the built-in invariant checks")

@@ -1,7 +1,8 @@
 """Monte Carlo harness: bandwidth-sweep experiments with deterministic output.
 
 Every random draw is keyed by (master seed, n, rep) through a counter-based
-generator, rows are canonically sorted, and floats are serialized with 17
+generator, rows are canonically sorted, and deviations.csv streams through
+the package's one CSV writer (kernels.write_csv), whose floats take 17
 significant digits, so two runs of the same config produce byte-identical
 files regardless of the --threads count, and of the BLAS thread count, which
 the package pins to one at import (kernels.pin_blas).
@@ -26,10 +27,10 @@ from .bandwidth import (
     truncate_split,
 )
 from .config import _ROWS_BUDGET, within
-from .errors import BoundedClassHasNoRemainder, EmptyBandwidthRange
+from .errors import BoundedClassHasNoRemainder, EmptyBandwidthRange, NonFiniteSum
 from .estimator import centering_ratio, estimate_grid, expected_u_grid, true_regression
 from .function_class import FunctionSpec, envelope_tilde
-from .kernels import atomic_write, eval_scaled
+from .kernels import atomic_write, eval_scaled, format_float, write_csv
 from .ucore import Sample, WindowGrid, _window_bounds
 
 # importable from here only for the benchmark's tracer, which rebinds them;
@@ -188,7 +189,7 @@ def remainder_diagnostic(cfg, ell, rep=0):
     BoundedClassHasNoRemainder. The expectation of the remainder
     U-statistic has no closed form, so it is estimated by 50,000 shared
     Monte Carlo draws; the returned mc_se quantifies that error at the
-    supremum cell.
+    supremum cell; a non-finite mean or mc_se raises NonFiniteSum.
     """
     m, mc_draws = cfg.m, 50_000
     if cfg.regime.kind == "bounded":
@@ -218,9 +219,9 @@ def remainder_diagnostic(cfg, ell, rep=0):
 
     # a draw outside the first coordinate's window weighs 0.0, so each cell
     # evaluates the kernel only on the draws inside it, found in the draws
-    # sorted by that coordinate. The weights are those of every draw's own
-    # product up to the sign of a zero (a signed kernel times 0.0), which
-    # cannot reach dev or mc_se.
+    # sorted by that coordinate. A draw outside or of weight 0.0 is a +0.0
+    # term, never g * 0.0, which is NaN where g overflows; the terms are the
+    # full products' up to the sign of a zero, which cannot reach dev or mc_se.
     order = np.argsort(xs[:, 0], kind="stable")
     x0 = xs[order, 0]
 
@@ -234,13 +235,16 @@ def remainder_diagnostic(cfg, ell, rep=0):
             wk = np.ones(inside.size)
             for j in range(m):
                 wk *= eval_scaled(cfg.kernel, h, t[j] - xs[inside, j])
-            w = np.zeros(mc_draws)
-            w[inside] = wk
+            weighed = wk != 0.0
+            inside, wk = inside[weighed], wk[weighed]
             for g, g_us in zip(members, us):
                 u = g_us[q][k].value
-                samples = gated[g.id] * w
+                samples = np.zeros(mc_draws)
+                samples[inside] = gated[g.id][inside] * wk
                 eu = float(np.mean(samples))
                 se = float(np.std(samples, ddof=1)) / math.sqrt(mc_draws)
+                if not (math.isfinite(eu) and math.isfinite(se)):
+                    raise NonFiniteSum(f"remainder {g.id} h={h}, t={t}: mean {eu}, se {se}")
                 dev = norm * abs(u - eu)
                 cells.append(
                     {"phi": g.id, "h": h, "t": list(t), "dev": dev, "mc_se": norm * se}
@@ -332,40 +336,21 @@ def rate_experiment(cfg, out_dir=None, threads=1, include_remainder=False):
     return report
 
 
-# deviations.csv is formatted and written this many rows at a time, so the
-# file's text is never held whole
-_WRITE_ROWS = 1024
-
-
-def _deviation_batches(rows, m):
-    """deviations.csv as its header and then pieces of at most _WRITE_ROWS
-    rows. Floats take 17 significant digits (kernels.format_float); the
-    text of h and t is formatted once per grid cell (h, t) and kept."""
-    tcols = ",".join(f"t_{j + 1}" for j in range(m))
-    yield f"stat,n,rep,h,{tcols},phi,raw_dev,normalized_dev,status\n"
-    cells = {}
-    for start in range(0, len(rows), _WRITE_ROWS):
-        lines = []
-        for stat, n, rep, h, t, phi, raw, normalized, status in rows[start:start + _WRITE_ROWS]:
-            cell = cells.get((h, t))
-            if cell is None:
-                cell = cells[h, t] = ",".join(["%.17g" % v for v in (h, *t)])
-            lines.append("%s,%s,%s,%s,%s,%.17g,%.17g,%s\n"
-                         % (stat, n, rep, cell, phi, raw, normalized, status))
-        yield "".join(lines)
-
-
 def write_outputs(report, cfg, out_dir):
     os.makedirs(out_dir, exist_ok=True)
-    atomic_write(
-        os.path.join(out_dir, "deviations.csv"), _deviation_batches(report.rows, cfg.m)
-    )
+    tcols = ",".join(f"t_{j + 1}" for j in range(cfg.m))
+
+    def rows():
+        cells = {}  # the text of h and t, formatted once per grid cell (h, t)
+        for stat, n, rep, h, t, phi, raw, normalized, status in report.rows:
+            cell = cells.get((h, t))
+            if cell is None:
+                cell = cells[h, t] = ",".join(map(format_float, (h, *t)))
+            yield stat, n, rep, cell, phi, raw, normalized, status
+
+    write_csv(os.path.join(out_dir, "deviations.csv"),
+              f"stat,n,rep,h,{tcols},phi,raw_dev,normalized_dev,status", rows())
     doc = {"per_n": {str(n): v for n, v in report.per_n.items()}}
-    atomic_write(
-        os.path.join(out_dir, "report.json"),
-        json.dumps(doc, indent=2, sort_keys=True) + "\n",
-    )
-    atomic_write(
-        os.path.join(out_dir, "config_echo.json"),
-        json.dumps(report.config, indent=2, sort_keys=True) + "\n",
-    )
+    for name, obj in (("report.json", doc), ("config_echo.json", report.config)):
+        text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+        atomic_write(os.path.join(out_dir, name), text)

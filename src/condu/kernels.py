@@ -1,6 +1,7 @@
 """Scalar smoothing kernels with compact support, their scaled weights, and
 the package's shared numerics: the composite Gauss-Legendre and tensor
-rules, the numeric CSV reader, the atomic text writer and the BLAS pin,
+rules, the numeric CSV reader, the one CSV writer (write_csv, which owns
+the 17-digit float format), the atomic text writer and the BLAS pin,
 which runs once, when the package is imported (see pin_blas).
 
 All built-in kernels live on [-1/2, 1/2], integrate to one and are bounded.
@@ -11,6 +12,7 @@ own support test.
 
 import ctypes
 import glob
+import itertools
 import os
 from dataclasses import dataclass
 from functools import lru_cache
@@ -163,9 +165,30 @@ def read_csv_columns(path, header, what):
     return [np.array(col) for col in zip(*rows)]
 
 
+# a CSV float takes 17 significant digits, enough to round-trip any float64;
+# a CSV file is formatted and written _WRITE_ROWS rows at a time
+_FLOAT = "%.17g"
+_WRITE_ROWS = 1024
+
+
 def format_float(x):
-    """17 significant digits: enough to round-trip any float64."""
-    return "%.17g" % x
+    """x with the CSV files' float format."""
+    return _FLOAT % x
+
+
+def write_csv(path, header, rows):
+    """Write the header line and a line per tuple of `rows` atomically, the
+    text streamed _WRITE_ROWS rows at a time: a float field takes _FLOAT
+    ("nan" for nan), any other str(). Each batch's row format is read off
+    its first row's field types, so each column must keep one type."""
+    def pieces():
+        yield header + "\n"
+        it = iter(rows)
+        while batch := list(itertools.islice(it, _WRITE_ROWS)):
+            fmt = ",".join([_FLOAT if isinstance(v, float) else "%s" for v in batch[0]]) + "\n"
+            yield "".join([fmt % row for row in batch])
+
+    atomic_write(path, pieces())
 
 
 def atomic_write(path, text):

@@ -19,7 +19,8 @@ per band of window pairs, shared by every bandwidth, which also holds each
 cell's pair diagonal; m = 3 in chunks filled a few rows at a time, with 0.0
 for every tuple that repeats an index).
 u_stat_windowed is its one-member, one-bandwidth, one-point call, so a cell
-gives the same bits alone as within a grid.
+gives the same bits alone as within a grid. A sample is an ``x,y`` CSV
+file, read and written through kernels' one CSV reader and one writer.
 """
 
 import functools
@@ -41,7 +42,7 @@ from .errors import (
     UnsupportedOrder,
 )
 from .function_class import FunctionSpec
-from .kernels import Kernel1D, atomic_write, eval_scaled, format_float, read_csv_columns
+from .kernels import Kernel1D, eval_scaled, read_csv_columns, write_csv
 
 BRUTE_TUPLE_BUDGET = 10 ** 8
 # up to this window-tuple count the pruned path builds the brute path's terms
@@ -578,6 +579,5 @@ def read_sample_csv(path):
 
 
 def write_sample_csv(path, s):
-    """Write a sample as CSV with header ``x,y``, atomically."""
-    rows = [f"{format_float(xv)},{format_float(yv)}\n" for xv, yv in zip(s.x, s.y)]
-    atomic_write(path, "x,y\n" + "".join(rows))
+    """Write a sample as CSV with header ``x,y``, atomically and streamed."""
+    write_csv(path, "x,y", zip(s.x, s.y))

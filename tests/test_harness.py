@@ -12,8 +12,14 @@ from hypothesis import strategies as st
 
 from condu.bandwidth import lower_bandwidth, normalizer
 from condu.config import parse_config
-from condu.errors import BoundedClassHasNoRemainder, EmptyBandwidthRange, ZeroDensityWindow
+from condu.errors import (
+    BoundedClassHasNoRemainder,
+    EmptyBandwidthRange,
+    NonFiniteSum,
+    ZeroDensityWindow,
+)
 import condu.harness
+import condu.kernels
 import condu.ucore
 from condu.estimator import centering, make_dgp, true_regression
 from condu.function_class import builtin_member
@@ -304,7 +310,7 @@ class TestOutputDeterminism:
         doc["experiment"].update(n_list=[16, 64], reps=3)
         cfg = parse_config(doc)
         rep = rate_experiment(cfg, out_dir=str(tmp_path))
-        assert len(rep.rows) > 2 * condu.harness._WRITE_ROWS
+        assert len(rep.rows) > 2 * condu.kernels._WRITE_ROWS
         assert {r.status for r in rep.rows} > {"ok"}
         assert any(math.isnan(r.raw) for r in rep.rows)
         shuffled = list(rep.rows)
@@ -370,6 +376,40 @@ class TestRemainderDiagnostic:
         a = remainder_diagnostic(cfg, ell=7)
         b = remainder_diagnostic(cfg, ell=7)
         assert a == b
+
+    @staticmethod
+    def overflowing_cfg(noise, noise_param):
+        """A member y^1001 that overflows to inf wherever |y| > 2.03, on
+        normal_linear draws with the given noise."""
+        return parse_config({
+            "dgp": {"id": "normal_linear", "noise": noise, "noise_param": noise_param},
+            "kernel": {"id": "uniform"},
+            "function_class": {"m": 1, "members": [{"id": "p", "poly": [[1, [1001]]]}],
+                               "regime": {"kind": "unbounded", "p": 2.05}},
+            "regime": {"c": 0.15, "b0": 0.25},
+            "grids": {"interval": [0.3, 0.7], "points_per_axis": 5, "bn_rule": "fixed",
+                      "quad_order": 32},
+            "experiment": {"n_list": [500], "reps": 1, "seed": 1},
+        })
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_member_overflowing_off_the_window_is_no_silent_zero(self):
+        # the overflowing draws all lie outside every cell's window, so
+        # they are zero terms and every cell has a finite deviation
+        diag = remainder_diagnostic(self.overflowing_cfg("uniform", 0.25), 9)
+        devs = [c["dev"] for c in diag["cells"]]
+        assert len(devs) == 5
+        assert all(math.isfinite(c["dev"]) and math.isfinite(c["mc_se"])
+                   for c in diag["cells"])
+        assert diag["sup_normalized"] == max(devs) > 0.0
+        assert math.isfinite(diag["mc_se_at_sup"]) and diag["mc_se_at_sup"] > 0.0
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_member_overflowing_inside_a_window_raises(self):
+        # gaussian noise reaches |y| > 2.03 inside a window, where the
+        # Monte Carlo standard error overflows
+        with pytest.raises(NonFiniteSum, match="se inf"):
+            remainder_diagnostic(self.overflowing_cfg("gaussian", 0.3), 9)
 
 
 def frozen_remainder_diagnostic(cfg, ell, rep=0):

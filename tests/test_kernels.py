@@ -11,6 +11,7 @@ from numpy.polynomial.legendre import leggauss
 from condu.errors import InvalidBandwidth, OutputFileError, SchemaError
 from condu.function_class import builtin_member
 from condu.kernels import (
+    _WRITE_ROWS,
     Kernel1D,
     _leggauss,
     atomic_write,
@@ -24,6 +25,7 @@ from condu.kernels import (
     read_csv_columns,
     table_kernel,
     validate_kernel,
+    write_csv,
 )
 from condu.ucore import UKernelSpec, read_sample_csv, ukernel_scalar
 from conftest import frozen_composite_integral, frozen_panels
@@ -215,17 +217,20 @@ class TestCsvRows:
 class TestAtomicWrite:
     @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
     def test_file_gets_the_mode_open_gives_it(self, tmp_path, umask, mode):
-        out, ref = tmp_path / "out.csv", tmp_path / "ref.csv"
+        # atomic_write alone and through the CSV writer
+        out, csv, ref = tmp_path / "out.csv", tmp_path / "csv.csv", tmp_path / "ref.csv"
         old = os.umask(umask)
         try:
             atomic_write(str(out), iter(["x,y\n", "0.5,1\n"]))
+            write_csv(str(csv), "x,y", [(0.5, 1)])
             with open(ref, "w") as fh:
                 fh.write("x,y\n0.5,1\n")
         finally:
             os.umask(old)
         assert stat.S_IMODE(out.stat().st_mode) == stat.S_IMODE(ref.stat().st_mode) == mode
-        assert out.read_bytes() == ref.read_bytes()
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "ref.csv"]
+        assert stat.S_IMODE(csv.stat().st_mode) == mode
+        assert out.read_bytes() == csv.read_bytes() == ref.read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["csv.csv", "out.csv", "ref.csv"]
 
     def test_failure_leaves_no_temp_file(self, tmp_path):
         def pieces():
@@ -238,6 +243,62 @@ class TestAtomicWrite:
         with pytest.raises(KeyError):
             atomic_write(str(tmp_path / "out.csv"), pieces())
         assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+
+
+def frozen_csv_text(header, rows):
+    """CSV text by the rules the writer keeps, field by field: a float
+    (np.float64 included) takes "%.17g", so nan, inf and -0.0 are spelled
+    "nan", "inf" and "-0"; an int or a str takes str()."""
+    def field(v):
+        return "%.17g" % v if isinstance(v, float) else str(v)
+
+    return "".join(",".join(map(field, row)) + "\n" for row in [header.split(","), *rows])
+
+
+# per column type, the values a row may hold; each row picks its own
+COLUMN_VALUES = {
+    "float": st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.1]),
+    "np.float64": st.floats().map(np.float64),
+    "int": st.integers(),
+    "str": st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=6),
+}
+
+
+class TestWriteCsv:
+    """The one CSV writer: its bytes are those of the frozen per-field rules
+    over batch boundaries, and it writes atomically."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(),
+           kinds=st.lists(st.sampled_from(sorted(COLUMN_VALUES)), min_size=1, max_size=5),
+           n_rows=st.integers(0, 3 * _WRITE_ROWS) | st.sampled_from(
+               [0, 1, _WRITE_ROWS - 1, _WRITE_ROWS, _WRITE_ROWS + 1, 3 * _WRITE_ROWS]))
+    def test_bytes_are_the_frozen_per_field_text(self, tmp_path_factory, data, kinds, n_rows):
+        # a few drawn values per column, spread over the rows by a drawn
+        # stride, keep the draw small while the rows cross every batch edge
+        pools = [data.draw(st.lists(COLUMN_VALUES[k], min_size=1, max_size=8)) for k in kinds]
+        stride = data.draw(st.integers(1, 7))
+        rows = [tuple(pool[(i * stride + j) % len(pool)] for j, pool in enumerate(pools))
+                for i in range(n_rows)]
+        header = ",".join(f"c{j}" for j in range(len(kinds)))
+        path = tmp_path_factory.mktemp("csv") / "out.csv"
+        write_csv(str(path), header, iter(rows))
+        assert path.read_bytes() == frozen_csv_text(header, rows).encode()
+
+    def test_failure_mid_file_keeps_the_old_file(self, tmp_path):
+        # the rows fail in the third batch, after two have been written
+        def rows():
+            for i in range(3 * _WRITE_ROWS):
+                if i == 2 * _WRITE_ROWS + 5:
+                    raise RuntimeError("rows failed mid-file")
+                yield (0.1 * i, i)
+
+        path = tmp_path / "out.csv"
+        write_csv(str(path), "x,i", [(0.25, 0)])
+        with pytest.raises(RuntimeError, match="mid-file"):
+            write_csv(str(path), "x,i", rows())
+        assert path.read_bytes() == b"x,i\n0.25,0\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
 
 class TestGaussLegendreCache:

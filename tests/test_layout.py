@@ -58,6 +58,14 @@ def test_every_top_level_name_has_a_caller():
     assert not uncalled, f"top-level names without a caller: {uncalled}"
 
 
+def test_only_kernels_spells_the_csv_float_format():
+    """The 17-digit float format of the CSV files is spelled in one module,
+    kernels.py, beside the one CSV writer that uses it."""
+    spelled = sorted(path.name for path in (ROOT / "src" / "condu").glob("*.py")
+                     if "%.17g" in path.read_text())
+    assert spelled == ["kernels.py"]
+
+
 def _optional_parameters(tree):
     """(function name, parameter, positional index or None) for every
     parameter with a default; a method's index counts from after self."""

@@ -20,7 +20,8 @@ from condu.errors import (
     UnsupportedOrder,
 )
 from condu.function_class import FunctionSpec, builtin_member, polynomial_member
-from condu.kernels import builtin_kernel_ids, eval_scaled, get_kernel, table_kernel
+from condu.kernels import builtin_kernel_ids, eval_scaled, get_kernel, table_kernel, write_csv
+import condu.kernels
 import condu.ucore
 from condu.ucore import (
     BRUTE_TUPLE_BUDGET,
@@ -716,15 +717,19 @@ class TestSampleIo:
         path = tmp_path / "s.csv"
         write_sample_csv(str(path), random_sample(rng, 10))
         before = path.read_bytes()
-        calls = []
 
-        def failing(v):
-            calls.append(v)
-            if len(calls) == 7:
-                raise RuntimeError("formatter failed mid-file")
-            return "%.17g" % v
+        def failing(path, header, rows):
+            # two-row batches, and rows that fail at the fourth batch
+            def rows_then_fail():
+                for i, row in enumerate(rows):
+                    if i == 7:
+                        raise RuntimeError("rows failed mid-file")
+                    yield row
 
-        monkeypatch.setattr(condu.ucore, "format_float", failing)
+            return write_csv(path, header, rows_then_fail())
+
+        monkeypatch.setattr(condu.kernels, "_WRITE_ROWS", 2)
+        monkeypatch.setattr(condu.ucore, "write_csv", failing)
         with pytest.raises(RuntimeError, match="mid-file"):
             write_sample_csv(str(path), random_sample(rng, 10))
         assert path.read_bytes() == before
