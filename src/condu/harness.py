@@ -213,23 +213,29 @@ def remainder_diagnostic(cfg, ell, rep=0):
         mc_draws, m
     )
     ys = cfg.dgp.simulate_y_given_x(xs.ravel(), rng).reshape(mc_draws, m)
-    gated = {
-        g.id: np.asarray(g.eval(ys), dtype=float) for g in members
-    }
 
     # a draw outside the first coordinate's window weighs 0.0, so each cell
     # evaluates the kernel only on the draws inside it, found in the draws
-    # sorted by that coordinate. A draw outside or of weight 0.0 is a +0.0
-    # term, never g * 0.0, which is NaN where g overflows; the terms are the
-    # full products' up to the sign of a zero, which cannot reach dev or mc_se.
+    # sorted by that coordinate, and g is evaluated only on the draws inside
+    # some cell's window. A draw outside or of weight 0.0 is a +0.0 term,
+    # never g * 0.0, which is NaN where g overflows; the terms are the full
+    # products' up to the sign of a zero, which cannot reach dev or mc_se.
     order = np.argsort(xs[:, 0], kind="stable")
     x0 = xs[order, 0]
+    bounds = [_window_bounds(x0, h, [t[0] for t in tgrid]) for h in hs]
+    near = np.zeros(mc_draws, dtype=bool)
+    for lo, hi in bounds:
+        for a, b in zip(lo.tolist(), hi.tolist()):
+            near[a:b] = True
+    near = order[near]
+    gated = {g.id: np.zeros(mc_draws) for g in members}
+    for g in members:
+        gated[g.id][near] = g.eval(ys[near])
 
     us = WindowGrid(s, hs, tgrid, cfg.kernel).u_stats(members)
     sup_val, sup_se, cells = 0.0, 0.0, []
-    for q, h in enumerate(hs):
+    for q, (h, (lo, hi)) in enumerate(zip(hs, bounds)):
         norm = normalizer(n, h, m)
-        lo, hi = _window_bounds(x0, h, [t[0] for t in tgrid])
         for k, t in enumerate(tgrid):
             inside = order[lo[k]:hi[k]]
             wk = np.ones(inside.size)
@@ -241,8 +247,11 @@ def remainder_diagnostic(cfg, ell, rep=0):
                 u = g_us[q][k].value
                 samples = np.zeros(mc_draws)
                 samples[inside] = gated[g.id][inside] * wk
-                eu = float(np.mean(samples))
-                se = float(np.std(samples, ddof=1)) / math.sqrt(mc_draws)
+                # a mean or standard error that overflows ends in
+                # NonFiniteSum, so NumPy's warnings would only print ahead of it
+                with np.errstate(over="ignore", invalid="ignore"):
+                    eu = float(np.mean(samples))
+                    se = float(np.std(samples, ddof=1)) / math.sqrt(mc_draws)
                 if not (math.isfinite(eu) and math.isfinite(se)):
                     raise NonFiniteSum(f"remainder {g.id} h={h}, t={t}: mean {eu}, se {se}")
                 dev = norm * abs(u - eu)
@@ -290,8 +299,15 @@ def rate_experiment(cfg, out_dir=None, threads=1, include_remainder=False):
             s = simulate(cfg.dgp, n, child_seed(cfg.seed, n, rep))
             return sweep_cells(cfg, s, n, rep, hs, tgrid, cache)
 
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(_one_rep, range(cfg.reps)))
+        def _group(first):
+            return [_one_rep(rep) for rep in range(first, cfg.reps, threads)]
+
+        # replications strided over `threads` groups: group 0 runs on the
+        # calling thread, so `--threads 1` starts no thread and no malloc arena
+        with ThreadPoolExecutor(max_workers=max(1, threads - 1)) as pool:
+            rest = pool.map(_group, range(1, threads))
+            groups = [_group(0), *rest]
+        chunks = [groups[rep % threads][rep // threads] for rep in range(cfg.reps)]
         n_rows = [row for chunk in chunks for row in chunk]
         all_rows.extend(n_rows)
 

@@ -16,8 +16,9 @@ its u_stats(members) walks the (h, t) cells once, evaluating every member,
 and the constant 1 of the estimator's denominator without calling any member,
 over each cell's shared geometry (m = 1: g once per sample; m = 2: g once
 per band of window pairs, shared by every bandwidth, which also holds each
-cell's pair diagonal; m = 3 in chunks filled a few rows at a time, with 0.0
-for every tuple that repeats an index).
+cell's pair diagonal; m = 3 in chunks summed in np.sum's own pairwise order
+from leaves of a few thousand values, with 0.0 for every tuple that repeats
+an index).
 u_stat_windowed is its one-member, one-bandwidth, one-point call, so a cell
 gives the same bits alone as within a grid. A sample is an ``x,y`` CSV
 file, read and written through kernels' one CSV reader and one writer.
@@ -49,14 +50,16 @@ BRUTE_TUPLE_BUDGET = 10 ** 8
 # as arrays and sums them with math.fsum, bit-identical to the brute path;
 # above it, BLAS and pairwise summation (agreement within 1e-12 relative)
 EXACT_PATH_MAX = 400
-# m=3 cells are summed in chunks of at most this many tuples; the split fixes
-# the summation order, and so the bits
+# m=3 cells are summed in chunks of whole rows of at most this many tuples,
+# each in np.sum's order; the split fixes the summation order, and so the
+# bits. No chunk is held in memory (WindowGrid._triples streams each one).
 _CHUNK_ELEMENTS = 4_000_000
 # an m=2 band of g values holds at most this many values, 16 MB (a single
 # cell whose window holds more gets a band of its own)
 _BAND_ELEMENTS = 2 ** 21
-# m=2 bands and m=3 chunks are filled about this many values at a time, so
-# the evaluation planes, masks and products stay small
+# m=2 bands are filled about this many values at a time, and m=3 chunks are
+# summed from leaves of at most this many values, so the evaluation planes,
+# masks and products stay small
 _FILL_ELEMENTS = 2 ** 15
 
 
@@ -263,13 +266,13 @@ class WindowGrid:
       position p. When that total is not finite, the cell is summed once
       more from a copy of G with those entries 0.0, since g may overflow
       on them only.
-    * m = 3: the windows, w_2 w_3, the planes of coordinates 2 and 3, the
-      positions where they repeat an index, the count of distinct triples
-      and one chunk buffer once per cell. The tuples are split along the
-      first axis into chunks of at most _CHUNK_ELEMENTS, each summed by one
-      np.sum over the buffer, filled about _FILL_ELEMENTS values at a time
-      with (g * w_1) * w_2 w_3, where every tuple that repeats an index
-      holds 0.0 in place of g.
+    * m = 3: the windows, the count of distinct triples and the leaf
+      buffers once per cell. The tuples are split along the first axis
+      into chunks of at most _CHUNK_ELEMENTS, each with the bits of one
+      np.sum over it but never built: _pairwise_sum walks np.sum's tree,
+      and each leaf of at most _FILL_ELEMENTS values is filled, in lines
+      of n_3 values, with (g * w_1) * w_2 w_3, where every tuple that
+      repeats an index holds 0.0 in place of g, and summed by np.sum.
 
     The constant 1 takes ones for the values of g, which is exact, so its
     bits and tuple counts are those of the member "one".
@@ -433,57 +436,81 @@ class WindowGrid:
         return band
 
     def _triples(self, members, q, k, total):
-        """One m = 3 cell; its chunk buffer, the planes of coordinates 2 and
-        3 and the positions where they repeat an index are found once and
-        shared by the members and the row blocks."""
+        """One m = 3 cell, as the flat (i_1, i_2, i_3) array of its values
+        (g * w_1) * w_2 w_3 in lines of n_3 values, one line per (i_1, i_2).
+        Its chunks of whole rows, at most _CHUNK_ELEMENTS values, are summed
+        in np.sum's order by _pairwise_sum, whose leaves are filled line by
+        line into one buffer of the lines a leaf straddles: no chunk and no
+        (n_2, n_3) plane is ever built."""
         (a1, b1), (a2, b2), (a3, b3) = ranges = [self.ranges[q][i] for i in self.cells[k]]
         ys = [self.y_sorted[lo:hi] for lo, hi in ranges]
         w1, w2, w3 = [self.weights[q][i] for i in self.cells[k]]
         n1, n2, n3 = b1 - a1, b2 - a2, b3 - a3
-        w23 = np.outer(w2, w3)
-        # a sorted position is an index, so two coordinates repeat an index
-        # exactly where their positions meet
-        at23 = np.arange(max(a2, a3), min(b2, b3))
-        i2, i3 = at23 - a2, at23 - a3
         # the distinct triples, by inclusion-exclusion over the positions
         # that two or three windows share
         r1, r2, r3 = ranges
         evaluated = (n1 * n2 * n3 - _shared(r1, r2) * n3 - _shared(r1, r3) * n2
                      - _shared(r2, r3) * n1 + 2 * _shared(r1, r2, r3))
-        chunk = max(1, _CHUNK_ELEMENTS // (n2 * n3))
-        step = max(1, _FILL_ELEMENTS // (n2 * n3))
-        buf = np.empty((min(chunk, n1), n2, n3))
-        planes = np.empty((3, min(step, n1), n2, n3))
-        planes[1], planes[2] = ys[1][:, None], ys[2]
+        chunk = max(1, _CHUNK_ELEMENTS // (n2 * n3)) * n2 * n3
+        # a leaf straddles at most `lines` lines. The lines of coordinates 2
+        # and 3 and of w_2 w_3 depend on i_2 only: a tile of them for `tile`
+        # consecutive i_2 (mod n_2) serves leaf after leaf, and every leaf
+        # once n_2 <= lines.
+        lines = min(n1 * n2, (max(_FILL_ELEMENTS, 128) - 1) // n3 + 2)
+        tile = lines + min(n2, lines)
+        planes, w23, block = np.empty((3, tile, n3)), np.empty((tile, n3)), np.empty((lines, n3))
+        planes[2] = ys[2]
+        start = None  # the i_2 of the tile's first line
+
+        def leaf(g, lo, hi):
+            """np.sum of the cell's values at flat positions [lo, hi)."""
+            nonlocal start
+            first, cut = lo // n3, -(-hi // n3) - lo // n3
+            i1, i2 = np.divmod(np.arange(first, first + cut), n2)
+            off = 0 if start is None else (i2[0] - start) % n2
+            if start is None or off + cut > tile:
+                start, off = i2[0], 0
+                at = (start + np.arange(tile)) % n2
+                planes[1] = ys[1][at, None]
+                np.multiply(w2[at, None], w3, out=w23)
+            out = block[:cut]
+            p = planes[:, off:off + cut]
+            p[0] = ys[0][i1, None]
+            np.multiply(1.0 if g is None else g.eval(np.moveaxis(p, 0, -1)), w1[i1, None],
+                        out=out)
+            # a tuple that repeats an index is no term: 0.0, whatever g gave
+            # (a zero term's sign never reaches the sum, which starts at +0).
+            # A sorted position is an index, so two coordinates repeat an
+            # index exactly where their positions meet.
+            out[a1 + i1 == a2 + i2] = 0.0
+            for i3 in (a1 + i1 - a3, a2 + i2 - a3):
+                at = np.flatnonzero((i3 >= 0) & (i3 < n3))
+                out[at, i3[at]] = 0.0
+            np.multiply(out, w23[off:off + cut], out=out)
+            return float(np.sum(out.reshape(-1)[lo - first * n3:hi - first * n3]))
+
         res = []
         for g in members:
             acc = 0.0
-            for lo in range(0, n1, chunk):
-                hi = min(lo + chunk, n1)
-                G = buf[:hi - lo]
-                # a few rows at a time, so the evaluation planes and the
-                # products stay in cache; each value is (g * w_1) * w_23, as
-                # it is when the whole chunk is built at once
-                for r in range(lo, hi, step):
-                    e = min(r + step, hi)
-                    block = G[r - lo:e - lo]
-                    if g is None:
-                        block.fill(1.0)
-                    else:
-                        p = planes[:, :e - r]
-                        p[0] = ys[0][r:e, None, None]
-                        block[...] = g.eval(np.moveaxis(p, 0, -1))
-                    # a tuple that repeats an index is no term: 0.0, whatever g
-                    # gave (a zero term's sign never reaches acc, which starts at +0)
-                    block[:, i2, i3] = 0.0
-                    for view, a, b in [(block, a2, b2), (block.swapaxes(1, 2), a3, b3)]:
-                        at = np.arange(max(a1 + r, a), min(a1 + e, b))
-                        view[at - (a1 + r), at - a] = 0.0
-                    np.multiply(block, w1[r:e, None, None], out=block)
-                    np.multiply(block, w23[None, :, :], out=block)
-                acc += float(np.sum(G))
+            for lo in range(0, n1 * n2 * n3, chunk):
+                acc += _pairwise_sum(lo, min(lo + chunk, n1 * n2 * n3),
+                                     functools.partial(leaf, g))
             res.append(self._result(acc, evaluated, total, q, k))
         return res
+
+
+def _pairwise_sum(lo, hi, leaf):
+    """The float np.sum gives over the values [lo, hi) of a contiguous float64
+    array, from leaf(a, b), np.sum of the values [a, b). NumPy sums a node of
+    more than 128 values as the sum of its two halves' sums, split at n // 2
+    rounded down to a multiple of 8, so a node of up to _FILL_ELEMENTS
+    values (or 128) summed by np.sum is the same subtree, and the result
+    does not depend on where the values lie in memory."""
+    n = hi - lo
+    if n <= max(_FILL_ELEMENTS, 128):
+        return leaf(lo, hi)
+    mid = lo + n // 2 - (n // 2) % 8
+    return _pairwise_sum(lo, mid, leaf) + _pairwise_sum(mid, hi, leaf)
 
 
 def u_stat_windowed(spec, s):

@@ -392,7 +392,6 @@ class TestRemainderDiagnostic:
             "experiment": {"n_list": [500], "reps": 1, "seed": 1},
         })
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_member_overflowing_off_the_window_is_no_silent_zero(self):
         # the overflowing draws all lie outside every cell's window, so
         # they are zero terms and every cell has a finite deviation
@@ -404,7 +403,6 @@ class TestRemainderDiagnostic:
         assert diag["sup_normalized"] == max(devs) > 0.0
         assert math.isfinite(diag["mc_se_at_sup"]) and diag["mc_se_at_sup"] > 0.0
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_member_overflowing_inside_a_window_raises(self):
         # gaussian noise reaches |y| > 2.03 inside a window, where the
         # Monte Carlo standard error overflows

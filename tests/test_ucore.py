@@ -30,6 +30,7 @@ from condu.ucore import (
     UKernelSpec,
     WindowGrid,
     _common_positions,
+    _pairwise_sum,
     _windows,
     count_indices,
     incomplete_u,
@@ -958,6 +959,44 @@ def assert_same_results(got, expected):
             b.tuples_evaluated, b.tuples_total, b.mode)
 
 
+class TestPairwiseSum:
+    """_pairwise_sum, which streams every m = 3 chunk sum, is NumPy's own
+    summation of a contiguous float64 array: the m = 3 cells keep the bits
+    of one np.sum over the whole chunk only while this holds."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_streamed_tree_is_numpys_sum(self, data):
+        fill = condu.ucore._FILL_ELEMENTS
+        n = data.draw(st.one_of(
+            st.sampled_from([1, 7, 8, 9, 127, 128, 129, 136, 137, 255, 257, fill - 1, fill,
+                             fill + 1, fill + 8, fill + 9, 2 * fill + 9, 4_400_001]),
+            st.integers(1, 3 * fill), st.integers(3 * fill, 4_400_000)))
+        leaf = data.draw(st.sampled_from([1, 30, fill]))
+        rng = make_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        # a huge dynamic range, with signed zeros, infinities and nan
+        values = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+        special = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan])
+        for i, v in data.draw(st.lists(st.tuples(st.integers(0, n - 1), special),
+                                       max_size=6)):
+            values[i] = v
+        with pytest.MonkeyPatch.context() as patch, np.errstate(over="ignore",
+                                                                invalid="ignore"):
+            patch.setattr(condu.ucore, "_FILL_ELEMENTS", leaf)
+            got = _pairwise_sum(0, n, lambda a, b: float(np.sum(values[a:b])))
+            want = np.sum(values)
+        # a nan's sign and payload follow the order of each addition's
+        # operands, which the compiler may swap; any nan cell raises anyway
+        same = (math.isnan(got) and math.isnan(want)
+                or np.float64(got).tobytes() == want.tobytes())
+        assert same, (
+            f"NumPy {np.__version__} no longer sums a contiguous float64 array "
+            f"as the tree _pairwise_sum walks (halves split at n // 2 rounded "
+            f"down to a multiple of 8, nodes of <= 128 values unsplit): n={n}, "
+            f"np.sum {want!r}, tree {got!r}. m = 3 cells would no longer give "
+            f"the bits of one np.sum over each chunk.")
+
+
 class TestWindowGrid:
     """WindowGrid against the frozen per-point formula, bit for bit, with
     band budgets small enough to split rows and group runs of windows."""
@@ -1040,9 +1079,9 @@ class TestWindowGrid:
         assert got == u_stat_windowed(spec, s)
 
     @pytest.mark.parametrize("member", ["product", "identity_j:2"])
-    def test_two_chunk_cell_allocates_one_chunk_buffer(self, two_chunk_cell, member):
-        # a 4 M-value chunk buffer is 32 MB; evaluation planes, mask and
-        # products of the whole chunk would add about 90 MB
+    def test_two_chunk_cell_allocates_no_chunk_buffer(self, two_chunk_cell, member):
+        # a 4 M-value chunk buffer would be 32 MB; the streamed sum holds the
+        # lines of a few leaves, and g's planes over them
         s, spec = two_chunk_cell
         spec = dataclasses.replace(spec, g=builtin_member(member, 3))
         tracemalloc.start()
@@ -1051,10 +1090,11 @@ class TestWindowGrid:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 40e6
+        assert peak <= 4e6
 
-    def test_two_chunk_denominator_is_the_one_member_in_one_chunk_buffer(self, two_chunk_cell):
-        # the denominator and a member share the cell's one chunk buffer
+    def test_two_chunk_denominator_is_the_one_member_without_a_chunk_buffer(
+            self, two_chunk_cell):
+        # the denominator and a member share the cell's leaf buffers
         s, spec = two_chunk_cell
         grid = WindowGrid(s, [spec.h], [spec.t], spec.kernel)
         tracemalloc.start()
@@ -1063,8 +1103,28 @@ class TestWindowGrid:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 40e6
+        assert peak <= 4e6
         assert_same_results(dens[0], grid.u_stats([builtin_member("one", 3)])[0][0])
+
+    def test_row_plane_cell_allocates_no_row_plane(self):
+        # one point in the first window and 2,100 in each of the others:
+        # n_2 n_3 = 4.41 M > _CHUNK_ELEMENTS, so one (n_2, n_3) plane of g's
+        # arguments or of w_2 w_3 would be 35 MB
+        rng = make_rng(30)
+        x = np.append(rng.uniform(0.0, 0.5, 2100), 0.9)
+        s = Sample(x, rng.normal(0.0, 1.0, x.size))
+        spec = UKernelSpec(builtin_member("product", 3), 0.5, (0.9, 0.25, 0.25),
+                           get_kernel("epanechnikov-rescaled"))
+        n1, n2, n3 = [hi - lo for lo, hi in _windows(spec, s)]
+        assert n1 == 1 and n2 * n3 > condu.ucore._CHUNK_ELEMENTS
+        tracemalloc.start()
+        try:
+            res = u_stat_windowed(spec, s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4e6
+        assert res.tuples_evaluated == n2 * (n3 - 1)
 
     def test_pair_bands_of_all_bandwidths_keep_one_band_alive(self, monkeypatch):
         # every cell is banded and fits a band; with one band alive at a time
