@@ -17,8 +17,9 @@ and the constant 1 of the estimator's denominator without calling any member,
 over each cell's shared geometry (m = 1: g once per sample; m = 2: g once
 per band of window pairs, shared by every bandwidth, which also holds each
 cell's pair diagonal; m = 3 in chunks summed in np.sum's own pairwise order
-from leaves of a few thousand values, with 0.0 for every tuple that repeats
-an index).
+from leaves of at most _FILL_ELEMENTS = 2^15 values, with 0.0 for every
+tuple that repeats an index, in one walk of each chunk's tree for every
+member).
 u_stat_windowed is its one-member, one-bandwidth, one-point call, so a cell
 gives the same bits alone as within a grid. A sample is an ``x,y`` CSV
 file, read and written through kernels' one CSV reader and one writer.
@@ -269,10 +270,12 @@ class WindowGrid:
     * m = 3: the windows, the count of distinct triples and the leaf
       buffers once per cell. The tuples are split along the first axis
       into chunks of at most _CHUNK_ELEMENTS, each with the bits of one
-      np.sum over it but never built: _pairwise_sum walks np.sum's tree,
-      and each leaf of at most _FILL_ELEMENTS values is filled, in lines
-      of n_3 values, with (g * w_1) * w_2 w_3, where every tuple that
-      repeats an index holds 0.0 in place of g, and summed by np.sum.
+      np.sum over it but never built: _pairwise_sum walks np.sum's tree
+      once per chunk for every member. Each leaf of at most _FILL_ELEMENTS
+      values fills g's arguments, in lines of n_3 values, and finds the
+      tuples that repeat an index once; then, member by member, it fills
+      one buffer with (g * w_1) * w_2 w_3, with 0.0 in place of g at those
+      tuples, and sums it by np.sum.
 
     The constant 1 takes ones for the values of g, which is exact, so its
     bits and tuple counts are those of the member "one".
@@ -436,12 +439,17 @@ class WindowGrid:
         return band
 
     def _triples(self, members, q, k, total):
-        """One m = 3 cell, as the flat (i_1, i_2, i_3) array of its values
-        (g * w_1) * w_2 w_3 in lines of n_3 values, one line per (i_1, i_2).
-        Its chunks of whole rows, at most _CHUNK_ELEMENTS values, are summed
-        in np.sum's order by _pairwise_sum, whose leaves are filled line by
-        line into one buffer of the lines a leaf straddles: no chunk and no
-        (n_2, n_3) plane is ever built."""
+        """One m = 3 cell, per member, as the flat (i_1, i_2, i_3) array of
+        its values (g * w_1) * w_2 w_3 in lines of n_3 values, one line per
+        (i_1, i_2). Its chunks of whole rows, at most _CHUNK_ELEMENTS values,
+        are summed in np.sum's order by one _pairwise_sum walk for every
+        member. A leaf's geometry is shared: it fills coordinate 1 of the
+        lines it straddles, finds the rows and the (row, i_3) entries of the
+        tuples that repeat an index and slices w_1 and the w_2 w_3 tile once,
+        then evaluates each member into one buffer of those lines and sums
+        it. Each member's sums meet in the same additions as in a walk of
+        its own, so it keeps those bits; no chunk and no (n_2, n_3) plane is
+        ever built."""
         (a1, b1), (a2, b2), (a3, b3) = ranges = [self.ranges[q][i] for i in self.cells[k]]
         ys = [self.y_sorted[lo:hi] for lo, hi in ranges]
         w1, w2, w3 = [self.weights[q][i] for i in self.cells[k]]
@@ -460,10 +468,11 @@ class WindowGrid:
         tile = lines + min(n2, lines)
         planes, w23, block = np.empty((3, tile, n3)), np.empty((tile, n3)), np.empty((lines, n3))
         planes[2] = ys[2]
+        args = np.moveaxis(planes, 0, -1)  # g's (tile, n_3, 3) view of the planes
         start = None  # the i_2 of the tile's first line
 
-        def leaf(g, lo, hi):
-            """np.sum of the cell's values at flat positions [lo, hi)."""
+        def leaf(lo, hi):
+            """Per member, np.sum of the cell's values at flat positions [lo, hi)."""
             nonlocal start
             first, cut = lo // n3, -(-hi // n3) - lo // n3
             i1, i2 = np.divmod(np.arange(first, first + cut), n2)
@@ -473,30 +482,30 @@ class WindowGrid:
                 at = (start + np.arange(tile)) % n2
                 planes[1] = ys[1][at, None]
                 np.multiply(w2[at, None], w3, out=w23)
-            out = block[:cut]
-            p = planes[:, off:off + cut]
-            p[0] = ys[0][i1, None]
-            np.multiply(1.0 if g is None else g.eval(np.moveaxis(p, 0, -1)), w1[i1, None],
-                        out=out)
+            planes[0, off:off + cut] = ys[0][i1, None]
             # a tuple that repeats an index is no term: 0.0, whatever g gave
             # (a zero term's sign never reaches the sum, which starts at +0).
             # A sorted position is an index, so two coordinates repeat an
             # index exactly where their positions meet.
-            out[a1 + i1 == a2 + i2] = 0.0
-            for i3 in (a1 + i1 - a3, a2 + i2 - a3):
-                at = np.flatnonzero((i3 >= 0) & (i3 < n3))
-                out[at, i3[at]] = 0.0
-            np.multiply(out, w23[off:off + cut], out=out)
-            return float(np.sum(out.reshape(-1)[lo - first * n3:hi - first * n3]))
+            rows = a1 + i1 == a2 + i2
+            i3 = np.concatenate((a1 + i1, a2 + i2)) - a3
+            at = np.flatnonzero((i3 >= 0) & (i3 < n3))
+            at_row, at_col = at % cut, i3[at]
+            out, p, span = block[:cut], args[off:off + cut], slice(lo - first * n3, hi - first * n3)
+            w1i, w23i = w1[i1, None], w23[off:off + cut]
+            sums = np.empty(len(members))
+            for j, g in enumerate(members):
+                np.multiply(1.0 if g is None else g.eval(p), w1i, out=out)
+                out[rows] = 0.0
+                out[at_row, at_col] = 0.0
+                np.multiply(out, w23i, out=out)
+                sums[j] = np.sum(out.reshape(-1)[span])
+            return sums
 
-        res = []
-        for g in members:
-            acc = 0.0
-            for lo in range(0, n1 * n2 * n3, chunk):
-                acc += _pairwise_sum(lo, min(lo + chunk, n1 * n2 * n3),
-                                     functools.partial(leaf, g))
-            res.append(self._result(acc, evaluated, total, q, k))
-        return res
+        acc = np.zeros(len(members))
+        for lo in range(0, n1 * n2 * n3, chunk):
+            acc += _pairwise_sum(lo, min(lo + chunk, n1 * n2 * n3), leaf)
+        return [self._result(v, evaluated, total, q, k) for v in acc.tolist()]
 
 
 def _pairwise_sum(lo, hi, leaf):
@@ -505,7 +514,9 @@ def _pairwise_sum(lo, hi, leaf):
     more than 128 values as the sum of its two halves' sums, split at n // 2
     rounded down to a multiple of 8, so a node of up to _FILL_ELEMENTS
     values (or 128) summed by np.sum is the same subtree, and the result
-    does not depend on where the values lie in memory."""
+    does not depend on where the values lie in memory. leaf may instead
+    return a float64 array of such sums, one per array summed; the halves
+    are then added elementwise, so each entry is that array's sum."""
     n = hi - lo
     if n <= max(_FILL_ELEMENTS, 128):
         return leaf(lo, hi)

@@ -5,9 +5,12 @@ Each test runs the CLI in a child process exactly as the benchmark does
 settings) at seed 1, and compares the sha256 of every output file with the
 digest CHANGES.md records for it. A change that keeps the output bytes
 keeps these digests; one that moves a byte must say so and update them.
-The bytes belong to the NumPy/OpenBLAS build they were recorded with
-(Python 3.11.7, NumPy 2.4.6, OpenBLAS 0.3.31 with Haswell kernels): BLAS
-reductions in another build may round differently.
+The bytes belong to the NumPy/OpenBLAS build and the OpenBLAS core they
+were recorded with: Python 3.11.7, NumPy 2.4.6 and OpenBLAS 0.3.31, whose
+runtime core (`scipy_openblas_get_corename64_`) was SkylakeX. "Haswell" is
+only the build string `numpy.show_config` prints. BLAS reductions in another
+build or on another core may round differently: forcing the Haswell core
+changes the three rates digests (ROADMAP item 3).
 """
 
 import hashlib

@@ -802,6 +802,32 @@ class TestNonFiniteSum:
         with pytest.raises(NonFiniteSum):
             grid.u_stats([member])
 
+    def test_vectorized_m3_cell_raises_for_the_first_non_finite_member(self):
+        # every point in the window and every y near 1e100: y_1^5 overflows
+        # to inf on every tuple, -y_1^5 to -inf, and the member sum stays
+        # finite
+        rng = make_rng(31)
+        s = Sample(rng.uniform(0.3, 0.7, 12), 1e100 * rng.uniform(1.0, 2.0, 12))
+        finite = builtin_member("sum", 3)
+        up, down = (polynomial_member(f"{c:+}y1^5", 3, [(c, (5, 0, 0))]) for c in (1.0, -1.0))
+        grid = WindowGrid(s, [0.999], [(0.5,) * 3], get_kernel("uniform"))
+        assert window_tuples(UKernelSpec(finite, 0.999, (0.5,) * 3, grid.kernel),
+                             s) > EXACT_PATH_MAX
+
+        def message(members):
+            with pytest.raises(NonFiniteSum) as err:
+                grid.u_stats(members)
+            return str(err.value)
+
+        assert math.isfinite(grid.u_stats([finite])[0][0][0].value)
+        for bad in (up, down):
+            alone = message([bad])
+            assert message([finite, bad]) == message([bad, finite]) == alone
+        # of two non-finite members, the first in the list raises
+        assert message([up]).endswith("sum is inf") and message([down]).endswith("sum is -inf")
+        assert message([up, down]) == message([up])
+        assert message([down, up]) == message([down])
+
     @pytest.mark.parametrize("m, n, at, member", [
         (2, 40, 7, builtin_member("product", 2)),
         (3, 12, 5, polynomial_member("y1y2", 3, [(1.0, (1, 1, 0))])),
@@ -1162,6 +1188,48 @@ class TestWindowGrid:
         assert min(widths) ** 2 > EXACT_PATH_MAX
         grid.u_stats([None] + all_members(2)[:members])
         assert len(calls) == len(grid.hs) * len(points)
+
+    def test_m3_cell_walks_each_chunk_once_for_every_member(self, monkeypatch):
+        # a 14 x 14 x 14 window in chunks of 3 rows (588 values) and leaves
+        # of at most 128 values (np.sum's unsplit block): 5 chunks, each
+        # several leaves
+        monkeypatch.setattr(condu.ucore, "_CHUNK_ELEMENTS", 700)
+        monkeypatch.setattr(condu.ucore, "_FILL_ELEMENTS", 1)
+        s = random_sample(make_rng(32), 14, x_lo=0.3, x_hi=0.7)
+        grid = WindowGrid(s, [0.999], [(0.5,) * 3], get_kernel("epanechnikov-rescaled"))
+        n1, n2, n3 = [hi - lo for lo, hi in (grid.ranges[0][i] for i in grid.cells[0])]
+        assert n1 * n2 * n3 > EXACT_PATH_MAX
+        chunks = -(-n1 // max(1, condu.ucore._CHUNK_ELEMENTS // (n2 * n3)))
+        walk = {"top": 0, "leaves": 0, "depth": 0}
+
+        def counted_walk(lo, hi, leaf):
+            walk["top"] += walk["depth"] == 0
+            walk["leaves"] += hi - lo <= max(condu.ucore._FILL_ELEMENTS, 128)
+            walk["depth"] += 1
+            try:
+                return _pairwise_sum(lo, hi, leaf)
+            finally:
+                walk["depth"] -= 1
+
+        evals = {"product": 0, "sum": 0}
+
+        def counted(spec_id):
+            g = builtin_member(spec_id, 3)
+
+            def eval_(y):
+                evals[spec_id] += 1
+                return g.eval(y)
+            return dataclasses.replace(g, eval=eval_)
+
+        members = [counted("product"), counted("sum")]
+        monkeypatch.setattr(condu.ucore, "_pairwise_sum", counted_walk)
+        dens, *got = grid.u_stats([None, *members])
+        assert (chunks, walk["depth"]) == (5, 0)
+        assert walk["top"] == chunks < walk["leaves"]
+        assert evals == {"product": walk["leaves"], "sum": walk["leaves"]}
+        for g, g_got in zip(members, got):
+            assert_same_results(g_got[0], grid.u_stats([g])[0][0])
+        assert_same_results(dens[0], grid.u_stats([builtin_member("one", 3)])[0][0])
 
     @pytest.mark.parametrize("h, t", [(0.0, 0.5), (-1.0, 0.5), (math.nan, 0.5),
                                       (math.inf, 0.5), (0.3, math.nan), (0.3, -math.inf)])
