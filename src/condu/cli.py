@@ -85,7 +85,6 @@ def _restrict_to_n(cfg, n):
 
 def cmd_sweep(args):
     cfg = _load(args)
-    within(args.threads, 1, "--threads")
     cfg = _restrict_to_n(cfg, args.n if args.n is not None else cfg.n_list[-1])
     rate_experiment(cfg, out_dir=args.out, threads=args.threads)
     print(f"wrote sweep outputs to {args.out}")
@@ -94,7 +93,6 @@ def cmd_sweep(args):
 
 def cmd_rates(args):
     cfg = _load(args)
-    within(args.threads, 1, "--threads")
     rate_experiment(
         cfg,
         out_dir=args.out,

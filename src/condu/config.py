@@ -26,8 +26,12 @@ _N_BUDGET = 10 ** 6
 # most evaluation points, points_per_axis^m: make_t_grid holds each as a
 # tuple, and a sweep writes rows per point, bandwidth, member and rep
 _GRID_POINTS_BUDGET = 10 ** 5
-# most replications: rate_experiment submits every rep to its pool up front
+# most replications: rate_experiment holds each rep's rows until its final sort
 _REPS_BUDGET = 10 ** 5
+# most threads of one rate experiment: each of its threads - 1 workers is an
+# OS thread with its own stack and malloc arena, and more of them than cores
+# only add those
+_THREADS_BUDGET = 64
 # most deviation rows of one rate experiment: each, some 200-256 bytes, is
 # held until the final sort, about 1 GB at the budget; the largest config
 # the package has been run at makes 89,964

@@ -26,12 +26,12 @@ from .bandwidth import (
     normalizer,
     truncate_split,
 )
-from .config import _ROWS_BUDGET, within
-from .errors import BoundedClassHasNoRemainder, EmptyBandwidthRange, NonFiniteSum
+from .config import _ROWS_BUDGET, _THREADS_BUDGET, within
+from .errors import BoundedClassHasNoRemainder, EmptyBandwidthRange, NonFiniteSum, SchemaError
 from .estimator import centering_ratio, estimate_grid, expected_u_grid, true_regression
 from .function_class import FunctionSpec, envelope_tilde
 from .kernels import atomic_write, eval_scaled, format_float, write_csv
-from .ucore import Sample, WindowGrid, _window_bounds
+from .ucore import Sample, WindowGrid
 
 # importable from here only for the benchmark's tracer, which rebinds them;
 # the sweeps evaluate whole grids through estimate_grid and WindowGrid, and
@@ -214,18 +214,17 @@ def remainder_diagnostic(cfg, ell, rep=0):
     )
     ys = cfg.dgp.simulate_y_given_x(xs.ravel(), rng).reshape(mc_draws, m)
 
-    # a draw outside the first coordinate's window weighs 0.0, so each cell
-    # evaluates the kernel only on the draws inside it, found in the draws
-    # sorted by that coordinate, and g is evaluated only on the draws inside
-    # some cell's window. A draw outside or of weight 0.0 is a +0.0 term,
-    # never g * 0.0, which is NaN where g overflows; the terms are the full
-    # products' up to the sign of a zero, which cannot reach dev or mc_se.
-    order = np.argsort(xs[:, 0], kind="stable")
-    x0 = xs[order, 0]
-    bounds = [_window_bounds(x0, h, [t[0] for t in tgrid]) for h in hs]
+    # a draw outside the first coordinate's closed window weighs 0.0, so a
+    # WindowGrid over that coordinate gives each (h, t_1) the draws it weighs
+    # and their weights, and g is evaluated only on draws inside some window.
+    # A draw outside or of weight 0.0 is a +0.0 term, never g * 0.0, which is
+    # NaN where g overflows; the terms are the full products' up to the sign
+    # of a zero, which cannot reach dev or mc_se.
+    draws = WindowGrid(Sample(xs[:, 0], ys[:, 0]), hs, [t[:1] for t in tgrid], cfg.kernel)
+    order = draws.s.sort_index
     near = np.zeros(mc_draws, dtype=bool)
-    for lo, hi in bounds:
-        for a, b in zip(lo.tolist(), hi.tolist()):
+    for ranges in draws.ranges:
+        for a, b in ranges:
             near[a:b] = True
     near = order[near]
     gated = {g.id: np.zeros(mc_draws) for g in members}
@@ -234,13 +233,14 @@ def remainder_diagnostic(cfg, ell, rep=0):
 
     us = WindowGrid(s, hs, tgrid, cfg.kernel).u_stats(members)
     sup_val, sup_se, cells = 0.0, 0.0, []
-    for q, (h, (lo, hi)) in enumerate(zip(hs, bounds)):
+    for q, h in enumerate(hs):
         norm = normalizer(n, h, m)
         for k, t in enumerate(tgrid):
-            inside = order[lo[k]:hi[k]]
-            wk = np.ones(inside.size)
-            for j in range(m):
-                wk *= eval_scaled(cfg.kernel, h, t[j] - xs[inside, j])
+            i = draws.cells[k][0]
+            lo, hi = draws.ranges[q][i]
+            inside, wk = order[lo:hi], draws.weights[q][i]
+            for j in range(1, m):
+                wk = wk * eval_scaled(cfg.kernel, h, t[j] - xs[inside, j])
             weighed = wk != 0.0
             inside, wk = inside[weighed], wk[weighed]
             for g, g_us in zip(members, us):
@@ -282,9 +282,13 @@ def rate_experiment(cfg, out_dir=None, threads=1, include_remainder=False):
 
     Returns a RateReport; when out_dir is given also writes deviations.csv,
     report.json and config_echo.json atomically. Output bytes are independent
-    of `threads`. Every n's bandwidths and the total row count are checked
-    before any work.
+    of `threads`, an int from 1 to _THREADS_BUDGET. `threads`, every n's
+    bandwidths and the total row count are checked before any work.
     """
+    if isinstance(threads, bool) or not isinstance(threads, int):
+        raise SchemaError(f"threads must be an integer, got {threads!r}")
+    within(threads, 1, "threads", _THREADS_BUDGET)
+    stride = min(threads, cfg.reps)
     tgrid = make_t_grid(cfg.t_interval, cfg.t_points, cfg.m)
     grids = {n: bandwidths(cfg, n) for n in cfg.n_list}
     per_cell = cfg.reps * len(tgrid) * (1 + 3 * len(cfg.fc.members))
@@ -300,14 +304,14 @@ def rate_experiment(cfg, out_dir=None, threads=1, include_remainder=False):
             return sweep_cells(cfg, s, n, rep, hs, tgrid, cache)
 
         def _group(first):
-            return [_one_rep(rep) for rep in range(first, cfg.reps, threads)]
+            return [_one_rep(rep) for rep in range(first, cfg.reps, stride)]
 
-        # replications strided over `threads` groups: group 0 runs on the
-        # calling thread, so `--threads 1` starts no thread and no malloc arena
-        with ThreadPoolExecutor(max_workers=max(1, threads - 1)) as pool:
-            rest = pool.map(_group, range(1, threads))
+        # replications strided over `stride` groups, none empty: group 0 runs on
+        # the calling thread, so `threads=1` starts no thread and no malloc arena
+        with ThreadPoolExecutor(max_workers=max(1, stride - 1)) as pool:
+            rest = pool.map(_group, range(1, stride))
             groups = [_group(0), *rest]
-        chunks = [groups[rep % threads][rep // threads] for rep in range(cfg.reps)]
+        chunks = [groups[rep % stride][rep // stride] for rep in range(cfg.reps)]
         n_rows = [row for chunk in chunks for row in chunk]
         all_rows.extend(n_rows)
 

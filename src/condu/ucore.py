@@ -176,21 +176,6 @@ def u_stat_brute(H, s, k):
     return UStatResult(value, total, total, "brute")
 
 
-def _window_bounds(xs, h, values):
-    """Per value v, a search range over the sorted xs that holds every x
-    with |fl(v - x)| <= h/2, as half-open position ranges: arrays lo and hi.
-
-    fl(v - x) and the bounds v -+ h/2 round by at most a unit in the last
-    place of |v| + h/2, so bounds widened by four such units drop no such x,
-    also where v -+ h/2 is near 0 and its own ulps are far finer. A range
-    may also hold a few x just outside; WindowGrid cuts them off.
-    """
-    values = np.asarray(values, dtype=float)
-    pad = 4.0 * np.spacing(np.abs(values) + h / 2.0)
-    return (np.searchsorted(xs, values - h / 2.0 - pad, side="left"),
-            np.searchsorted(xs, values + h / 2.0 + pad, side="right"))
-
-
 def _windows(spec, s):
     """Per-coordinate closed windows |t_j - x_i| <= h/2, as half-open ranges
     (lo, hi) of positions in the sample's stable x-sort: WindowGrid's."""
@@ -290,18 +275,24 @@ class WindowGrid:
         bad = [t for t in self.points if not all(map(math.isfinite, t))]
         if bad:
             raise InvalidBandwidth(f"need finite evaluation points, got t={bad[0]}")
-        self.s, self.kernel = s, kernel
+        self.s = s
         values = sorted({v for t in self.points for v in t})
         column = {v: i for i, v in enumerate(values)}
         self.cells = [tuple(column[v] for v in t) for t in self.points]
         # per bandwidth: each value's closed window |v - x| <= h/2 and its
-        # kernel weights. z = fl(v - x) does not increase with x, so a widened
-        # range holds z > h/2, the window, then z < -h/2: two counts cut it.
-        # One kernel call over every range laid end to end gives each value
-        # the bits of a call of its own (the kernel is elementwise).
+        # kernel weights. fl(v - x) and v -+ h/2 round by at most an ulp of
+        # |v| + h/2, so a search widened by four such ulps drops no x of the
+        # window, also where v -+ h/2 is near 0 and its own ulps are far finer.
+        # z = fl(v - x) does not increase with x, so the widened range holds
+        # z > h/2, the window, then z < -h/2: two counts cut it. One kernel
+        # call over every range laid end to end gives each value the bits of
+        # a call of its own (the kernel is elementwise).
+        values = np.asarray(values, dtype=float)
         self.ranges, self.weights = [], []
         for h in self.hs:
-            lo, hi = _window_bounds(s.x_sorted, h, values)
+            pad = 4.0 * np.spacing(np.abs(values) + h / 2.0)
+            lo = np.searchsorted(s.x_sorted, values - h / 2.0 - pad, side="left")
+            hi = np.searchsorted(s.x_sorted, values + h / 2.0 + pad, side="right")
             sizes = hi - lo
             ends = np.concatenate(([0], np.cumsum(sizes)))
             z = (np.repeat(values, sizes)

@@ -11,11 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from condu.bandwidth import lower_bandwidth, normalizer
-from condu.config import parse_config
+from condu.config import _THREADS_BUDGET, parse_config
 from condu.errors import (
     BoundedClassHasNoRemainder,
     EmptyBandwidthRange,
     NonFiniteSum,
+    SchemaError,
     ZeroDensityWindow,
 )
 import condu.harness
@@ -39,7 +40,7 @@ from condu.harness import (
     write_outputs,
 )
 from condu.kernels import eval_scaled, format_float, table_kernel
-from condu.ucore import UKernelSpec, WindowGrid, u_stat_windowed
+from condu.ucore import EXACT_PATH_MAX, UKernelSpec, WindowGrid, u_stat_windowed
 
 
 BASE_DOC = {
@@ -270,12 +271,31 @@ class TestSweepInvariants:
             assert e["bias_sup"] >= 0.0
 
 
+# m = 2 cells on the band path and m = 3 cells streamed through the pairwise
+# tree: every cell of their first sample sums more than EXACT_PATH_MAX tuples
+THREADED_CFGS = {
+    "m1": {},
+    "m2-band": {"function_class__m": 2, "function_class__members": ["sum"],
+                "grids__quad_order": 16, "experiment__n_list": [256], "experiment__reps": 3},
+    "m3-streamed": {"function_class__m": 3, "function_class__members": ["sum", "product"],
+                    "regime__b0": 0.9, "grids__points_per_axis": 2, "grids__quad_order": 8,
+                    "experiment__n_list": [40], "experiment__reps": 3},
+}
+
+
 class TestOutputDeterminism:
-    def test_byte_identical_across_runs_and_thread_counts(self, tmp_path):
-        cfg = make_cfg()
+    @pytest.mark.parametrize("name", list(THREADED_CFGS))
+    def test_byte_identical_across_runs_and_thread_counts(self, tmp_path, name):
+        cfg = make_cfg(**THREADED_CFGS[name])
+        if cfg.m > 1:
+            n, tgrid = cfg.n_list[0], make_t_grid(cfg.t_interval, cfg.t_points, cfg.m)
+            s = simulate(cfg.dgp, n, child_seed(cfg.seed, n, 0))
+            grid = WindowGrid(s, bandwidths(cfg, n), tgrid, cfg.kernel)
+            assert min(math.prod(b - a for a, b in (ranges[i] for i in cell))
+                       for ranges in grid.ranges for cell in grid.cells) > EXACT_PATH_MAX
         outs = []
-        for name, threads in (("a", 1), ("b", 3)):
-            d = tmp_path / name
+        for threads in (1, 2, 3, 4):
+            d = tmp_path / str(threads)
             rate_experiment(cfg, out_dir=str(d), threads=threads)
             outs.append(
                 {
@@ -283,7 +303,7 @@ class TestOutputDeterminism:
                     for f in ("deviations.csv", "report.json", "config_echo.json")
                 }
             )
-        assert outs[0] == outs[1]
+        assert all(out == outs[0] for out in outs[1:])
 
     @staticmethod
     def frozen_deviations_csv_text(rows, m):
@@ -356,6 +376,32 @@ class TestOutputDeterminism:
         assert header == "stat,n,rep,h,t_1,phi,raw_dev,normalized_dev,status"
 
 
+class TestThreadCount:
+    @pytest.mark.parametrize("threads", [0, -1, 1.5, True, _THREADS_BUDGET + 1])
+    def test_bad_threads_raise_before_any_work(self, threads, tmp_path, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started")
+
+        for name in ("ThreadPoolExecutor", "bandwidths", "make_t_grid", "simulate"):
+            monkeypatch.setattr(condu.harness, name, no_work)
+        with pytest.raises(SchemaError, match="threads"):
+            rate_experiment(make_cfg(), out_dir=str(tmp_path / "out"), threads=threads)
+        assert not (tmp_path / "out").exists()
+
+    def test_no_worker_gets_an_empty_group(self, monkeypatch):
+        # two reps at the most threads: rep 1 goes to the one worker
+        workers = []
+
+        class Pool(condu.harness.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(condu.harness, "ThreadPoolExecutor", Pool)
+        rate_experiment(make_cfg(), threads=_THREADS_BUDGET)
+        assert workers == [1, 1]
+
+
 class TestRemainderDiagnostic:
     def test_bounded_class_with_large_threshold_has_no_remainder(self):
         cfg = make_cfg(
@@ -370,6 +416,24 @@ class TestRemainderDiagnostic:
         diag = remainder_diagnostic(cfg, ell=7)
         assert diag["sup_normalized"] == 0.0
         assert diag["n"] == 128
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_first_coordinate_weights_come_from_the_window_grid(self, m, monkeypatch):
+        # the harness weighs coordinates 2..m itself: m - 1 kernel calls per
+        # (bandwidth, grid point)
+        calls = []
+
+        def counted(*args):
+            calls.append(None)
+            return eval_scaled(*args)
+
+        monkeypatch.setattr(condu.harness, "eval_scaled", counted)
+        cfg = make_cfg(function_class__m=m,
+                       function_class__members=["sum"] if m > 1 else ["identity_j:1"])
+        diag = remainder_diagnostic(cfg, ell=7)
+        points = len(make_t_grid(cfg.t_interval, cfg.t_points, m))
+        assert len(calls) == (m - 1) * len(bandwidths(cfg, 128)) * points
+        assert len(diag["cells"]) == len(bandwidths(cfg, 128)) * points
 
     def test_diagnostic_is_deterministic(self):
         cfg = make_cfg()

@@ -811,7 +811,7 @@ class TestNonFiniteSum:
         finite = builtin_member("sum", 3)
         up, down = (polynomial_member(f"{c:+}y1^5", 3, [(c, (5, 0, 0))]) for c in (1.0, -1.0))
         grid = WindowGrid(s, [0.999], [(0.5,) * 3], get_kernel("uniform"))
-        assert window_tuples(UKernelSpec(finite, 0.999, (0.5,) * 3, grid.kernel),
+        assert window_tuples(UKernelSpec(finite, 0.999, (0.5,) * 3, get_kernel("uniform")),
                              s) > EXACT_PATH_MAX
 
         def message(members):
