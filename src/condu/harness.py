@@ -8,6 +8,7 @@ files regardless of the --threads count, and of the BLAS thread count, which
 the package pins to one at import (kernels.pin_blas).
 """
 
+import functools
 import itertools
 import json
 import math
@@ -27,7 +28,13 @@ from .bandwidth import (
     truncate_split,
 )
 from .config import _ROWS_BUDGET, _THREADS_BUDGET, within
-from .errors import BoundedClassHasNoRemainder, EmptyBandwidthRange, NonFiniteSum, SchemaError
+from .errors import (
+    BoundedClassHasNoRemainder,
+    EmptyBandwidthRange,
+    NonFiniteSum,
+    OutputFileError,
+    SchemaError,
+)
 from .estimator import centering_ratio, estimate_grid, expected_u_grid, true_regression
 from .function_class import FunctionSpec, envelope_tilde
 from .kernels import atomic_write, eval_scaled, format_float, write_csv
@@ -103,14 +110,14 @@ class DeviationRow(NamedTuple):
 ROW_ORDER = operator.itemgetter(0, 1, 2, 3, 4, 5)
 
 
-def expectation_cache(cfg, n, hs, tgrid):
-    """The population table for every replication at this n, as (truth,
-    table): truth[i][k] is member i's closed-form regression at grid point
-    k, and table[h] = (eu1[k], eu[i][k], cent[i][k]) holds E U_n(1), member
-    i's E U_n and its centering ratio at bandwidth h. A member without a
-    closed form (NoClosedFormConditional) or a zero-density window
-    (ZeroDensityWindow, see estimator.centering_ratio) raises here, before
-    any replication runs.
+def expectation_cache(cfg, hs, tgrid):
+    """The population table of an experiment, as (truth, table), none of it
+    depending on n: truth[i][k] is member i's closed-form regression at grid
+    point k, and table[h] = (eu1[k], eu[i][k], cent[i][k]) holds E U_n(1),
+    member i's E U_n and its centering ratio at each bandwidth h of hs. A
+    member without a closed form (NoClosedFormConditional) or a zero-density
+    window (ZeroDensityWindow, see estimator.centering_ratio) raises here,
+    before any replication runs.
     """
     grid = np.asarray(tgrid, dtype=float)
     truth = [true_regression(cfg.dgp, phi, grid).tolist() for phi in cfg.fc.members]
@@ -134,7 +141,7 @@ def sweep_cells(cfg, s, n, rep, hs, tgrid, cache):
     "est_truth" compares it to the closed-form regression function. The
     normalized column applies sqrt(n h^m / (|log h| v loglog n)) to the raw
     deviation for every statistic; consistency summaries use the raw column.
-    `cache` is expectation_cache's table for hs and tgrid.
+    `cache` is an expectation_cache table over tgrid and at least hs.
     """
     truth, table = cache
     rows = []
@@ -158,9 +165,9 @@ def sweep_cells(cfg, s, n, rep, hs, tgrid, cache):
     return rows
 
 
-def bias_from_cache(cfg, hs, tgrid, cache):
+def bias_from_cache(hs, cache):
     """max over members, bandwidths in hs and grid points of |centering -
-    truth|, read from expectation_cache's table."""
+    truth|, read from an expectation_cache table over at least hs."""
     truth, table = cache
     return max([0.0] + [abs(c - m) for h in hs
                         for cents, truths in zip(table[h][2], truth)
@@ -171,7 +178,7 @@ def bias_at_cap(cfg, n, tgrid):
     """|centering - truth| maximized over members and grid at the cap
     bandwidth b_n itself, where the bias over [a_n, b_n] peaks."""
     hs = (bandwidth_cap(cfg, n),)
-    return bias_from_cache(cfg, hs, tgrid, expectation_cache(cfg, n, hs, tgrid))
+    return bias_from_cache(hs, expectation_cache(cfg, hs, tgrid))
 
 
 def remainder_member(phi, fc, kappa, threshold):
@@ -282,23 +289,25 @@ def rate_experiment(cfg, out_dir=None, threads=1, include_remainder=False):
 
     Returns a RateReport; when out_dir is given also writes deviations.csv,
     report.json and config_echo.json atomically. Output bytes are independent
-    of `threads`, an int from 1 to _THREADS_BUDGET. `threads`, every n's
-    bandwidths and the total row count are checked before any work.
-    """
+    of `threads`, an int from 1 to _THREADS_BUDGET. `threads`, an out_dir
+    that is a file, every n's bandwidths, the row count and the population
+    table (one for every n) are checked before any replication."""
     if isinstance(threads, bool) or not isinstance(threads, int):
         raise SchemaError(f"threads must be an integer, got {threads!r}")
     within(threads, 1, "threads", _THREADS_BUDGET)
+    if out_dir is not None and os.path.exists(out_dir) and not os.path.isdir(out_dir):
+        raise OutputFileError(f"cannot write to {out_dir!r}: not a directory")
     stride = min(threads, cfg.reps)
     tgrid = make_t_grid(cfg.t_interval, cfg.t_points, cfg.m)
     grids = {n: bandwidths(cfg, n) for n in cfg.n_list}
     per_cell = cfg.reps * len(tgrid) * (1 + 3 * len(cfg.fc.members))
     within(per_cell * sum(map(len, grids.values())), 0, "rows (n_list x reps x "
            "points_per_axis^m x bandwidths x (1 + 3 members))", _ROWS_BUDGET)
+    # one population table for every n, so a bad window at any n raises here
+    cache = expectation_cache(cfg, [h for hs in grids.values() for h in hs], tgrid)
     all_rows = []
     per_n = {}
     for n, hs in grids.items():
-        cache = expectation_cache(cfg, n, hs, tgrid)
-
         def _one_rep(rep):
             s = simulate(cfg.dgp, n, child_seed(cfg.seed, n, rep))
             return sweep_cells(cfg, s, n, rep, hs, tgrid, cache)
@@ -319,9 +328,7 @@ def rate_experiment(cfg, out_dir=None, threads=1, include_remainder=False):
             "anchor": lower_bandwidth(cfg.regime, n),
             "cap": bandwidth_cap(cfg, n),
             "bandwidths": list(hs),
-            "bias_sup": max(
-                bias_from_cache(cfg, hs, tgrid, cache), bias_at_cap(cfg, n, tgrid)
-            ),
+            "bias_sup": max(bias_from_cache(hs, cache), bias_at_cap(cfg, n, tgrid)),
             "cells_total": len(n_rows),
             "cells_ok": sum(1 for r in n_rows if r.status == "ok"),
         }
@@ -357,19 +364,17 @@ def rate_experiment(cfg, out_dir=None, threads=1, include_remainder=False):
 
 
 def write_outputs(report, cfg, out_dir):
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise OutputFileError(f"cannot write to {out_dir!r}: {exc.strerror or exc}") from None
     tcols = ",".join(f"t_{j + 1}" for j in range(cfg.m))
-
-    def rows():
-        cells = {}  # the text of h and t, formatted once per grid cell (h, t)
-        for stat, n, rep, h, t, phi, raw, normalized, status in report.rows:
-            cell = cells.get((h, t))
-            if cell is None:
-                cell = cells[h, t] = ",".join(map(format_float, (h, *t)))
-            yield stat, n, rep, cell, phi, raw, normalized, status
-
+    # the text of h and t, formatted once per grid cell (h, t)
+    cell = functools.cache(lambda h, t: ",".join(map(format_float, (h, *t))))
+    rows = ((stat, n, rep, cell(h, t), phi, raw, normalized, status)
+            for stat, n, rep, h, t, phi, raw, normalized, status in report.rows)
     write_csv(os.path.join(out_dir, "deviations.csv"),
-              f"stat,n,rep,h,{tcols},phi,raw_dev,normalized_dev,status", rows())
+              f"stat,n,rep,h,{tcols},phi,raw_dev,normalized_dev,status", rows)
     doc = {"per_n": {str(n): v for n, v in report.per_n.items()}}
     for name, obj in (("report.json", doc), ("config_echo.json", report.config)):
         text = json.dumps(obj, indent=2, sort_keys=True) + "\n"

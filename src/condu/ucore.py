@@ -129,13 +129,6 @@ class UStatResult:
     mode: str
 
 
-def count_indices(n, k):
-    """|I_n^k| = n! / (n-k)!, or 0 when k > n."""
-    if k > n:
-        return 0
-    return math.perm(n, k)
-
-
 def ukernel_scalar(spec):
     """Scalar evaluator H(xs, ys) for a UKernelSpec: the term of the brute
     oracle u_stat_brute, which the windowed exact path reproduces bit for
@@ -164,7 +157,7 @@ def u_stat_brute(H, s, k):
     n = s.n
     if k > n:
         raise DegenerateSample(f"order k={k} exceeds sample size n={n}")
-    total = count_indices(n, k)
+    total = math.perm(n, k)
     if n ** k > BRUTE_TUPLE_BUDGET:
         raise BruteForceBudgetExceeded(
             f"n^k = {n ** k} exceeds the brute-force budget; "
@@ -300,6 +293,7 @@ class WindowGrid:
             lead, kept = (np.diff(np.concatenate(([0], np.cumsum(part)))[ends])
                           for part in (z > h / 2.0, np.abs(z) <= h / 2.0))
             lo, starts, w = lo + lead, ends[:-1] + lead, eval_scaled(kernel, h, z)
+            w.flags.writeable = False  # no path writes to a weight
             self.ranges.append(list(zip(lo.tolist(), (lo + kept).tolist())))
             self.weights.append([w[a:a + k] for a, k in zip(starts.tolist(), kept.tolist())])
         self.y_sorted = s.y[s.sort_index]
@@ -318,7 +312,7 @@ class WindowGrid:
         m, n = (orders.pop() if orders else 1), self.s.n
         if m > n:
             raise DegenerateSample(f"order m={m} exceeds sample size n={n}")
-        total = count_indices(n, m)
+        total = math.perm(n, m)
         out = [[[None] * len(self.points) for _ in self.hs] for _ in members]
         gy = [_eval_rows(g, self.y_sorted[:, None]) for g in members] if m == 1 else None
         banded = {}
@@ -576,7 +570,7 @@ def incomplete_u(spec, s, budget, seed):
         raise DegenerateSample(f"order m={m} exceeds sample size n={n}")
     if budget < 1:
         raise SchemaError("budget must be >= 1")
-    total = count_indices(n, m)
+    total = math.perm(n, m)
     if budget > total:
         raise BudgetExceedsPopulation(
             f"budget {budget} exceeds population {total}"

@@ -274,9 +274,9 @@ def test_criterion_07_bias_sup_decreases_under_decaying_cap():
     biases = []
     for n in cfg.n_list:
         hs = bandwidths(cfg, n)
-        cache = expectation_cache(cfg, n, hs, tgrid)
+        cache = expectation_cache(cfg, hs, tgrid)
         biases.append(
-            max(bias_from_cache(cfg, hs, tgrid, cache), bias_at_cap(cfg, n, tgrid))
+            max(bias_from_cache(hs, cache), bias_at_cap(cfg, n, tgrid))
         )
     for prev, cur in zip(biases[:-1], biases[1:]):
         assert cur <= prev + 1e-10

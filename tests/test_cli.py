@@ -462,6 +462,31 @@ class TestInputFiles:
         assert json.loads(capsys.readouterr().err)["error"] == "OutputFileError"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "taken"]
 
+    @pytest.mark.parametrize("command", ["rates", "sweep"])
+    def test_out_onto_a_file_exits_one_before_any_replication(
+        self, command, cfg_path, tmp_path, capsys, monkeypatch
+    ):
+        def refuse(*args):
+            raise RuntimeError("a replication ran")
+
+        monkeypatch.setattr(condu.harness, "simulate", refuse)
+        out = tmp_path / "taken"
+        out.write_text("kept\n")
+        assert main([command, "--config", cfg_path, "--out", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "OutputFileError" and "taken" in err["message"]
+        assert out.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("command", ["rates", "sweep"])
+    def test_out_under_a_file_exits_one(self, command, cfg_path, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        out = taken / "sub"
+        assert main([command, "--config", cfg_path, "--out", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "OutputFileError" and "sub" in err["message"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "taken"]
+
 
 class TestRatesRows:
     def test_member_one_is_rejected(self, tmp_path, capsys):

@@ -384,9 +384,9 @@ class TestExpectedUGrid:
             # the far corners' windows hold less design density than the
             # zero-density cutoff: the table raises, unless the rule is lifted
             with pytest.raises(ZeroDensityWindow):
-                expectation_cache(cfg, None, hs, grid)
+                expectation_cache(cfg, hs, grid)
             monkeypatch.setattr(condu.harness, "centering_ratio", lambda e, d, h, t: e / d)
-        truth, table = expectation_cache(cfg, None, hs, grid)
+        truth, table = expectation_cache(cfg, hs, grid)
         assert list(table) == list(hs)
         shape = (len(fc.members), len(grid))
         for h in hs:
@@ -482,8 +482,8 @@ class TestBiasSup:
         fc = FunctionClass([builtin_member("identity_j:1", 1)])
         grid = [(t,) for t in np.linspace(0.35, 0.65, 5)]
         cfg = SimpleNamespace(dgp=d, fc=fc, m=1, kernel=UNIF, quad_order=64)
-        cache = expectation_cache(cfg, None, (0.2, 0.1), grid)
-        b = {h: bias_from_cache(cfg, (h,), grid, cache) for h in (0.2, 0.1)}
+        cache = expectation_cache(cfg, (0.2, 0.1), grid)
+        b = {h: bias_from_cache((h,), cache) for h in (0.2, 0.1)}
         assert 3.5 <= b[0.2] / b[0.1] <= 4.5
         for h, v in b.items():
             assert 1 / 24 <= v / h ** 2 <= 1 / 6

@@ -124,7 +124,7 @@ class TestExpectationCache:
         n = 128
         hs = bandwidths(cfg, n)
         tgrid = make_t_grid(cfg.t_interval, cfg.t_points, cfg.m)
-        truth, table = expectation_cache(cfg, n, hs, tgrid)
+        truth, table = expectation_cache(cfg, hs, tgrid)
         phi = cfg.fc.members[0]
         for k, t in enumerate(tgrid):
             assert truth[0][k] == pytest.approx(
@@ -152,10 +152,10 @@ class TestExpectationCache:
         hs = bandwidths(cfg, 2000)
         tgrid = make_t_grid(cfg.t_interval, cfg.t_points, cfg.m)
         assert (len(hs), len(tgrid)) == (5, 225)
-        expectation_cache(cfg, 2000, hs[:1], tgrid[:1])  # builds and caches the rule
+        expectation_cache(cfg, hs[:1], tgrid[:1])  # builds and caches the rule
         tracemalloc.start()
         try:
-            expectation_cache(cfg, 2000, hs, tgrid)
+            expectation_cache(cfg, hs, tgrid)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -177,7 +177,7 @@ class TestZeroDensityRule:
         with pytest.raises(ZeroDensityWindow, match=self.AT):
             centering(phi, hs[0], tgrid[0], cfg.dgp, cfg.kernel)
         with pytest.raises(ZeroDensityWindow, match=self.AT):
-            expectation_cache(cfg, n, hs, tgrid)
+            expectation_cache(cfg, hs, tgrid)
 
     def test_rate_experiment_raises_before_any_replication(self, monkeypatch):
         cfg = make_cfg(grids__interval=[2.0, 3.0])  # uniform design on [0, 1]
@@ -189,6 +189,29 @@ class TestZeroDensityRule:
 
         monkeypatch.setattr(condu.harness, "simulate", counting_simulate)
         with pytest.raises(ZeroDensityWindow, match=self.AT):
+            rate_experiment(cfg)
+        assert calls == []
+
+    def test_a_window_off_the_support_at_a_later_n_raises_before_any_replication(
+        self, monkeypatch
+    ):
+        # uniform design on [0, 1]: n = 500's one window about t = 1.04 meets
+        # it, n = 4000's narrowest (h = 0.0415) does not
+        cfg = make_cfg(
+            function_class__regime={"kind": "bounded", "M": 2.0},
+            regime__c=20.0, regime__b0=0.3,
+            grids__interval=[1.04, 1.06], grids__points_per_axis=1, grids__quad_order=16,
+            experiment__n_list=[500, 4000], experiment__reps=3, experiment__seed=1,
+        )
+        assert [len(bandwidths(cfg, n)) for n in cfg.n_list] == [1, 3]
+        calls = []
+
+        def refuse(*args):
+            calls.append(args)
+            raise RuntimeError("a replication ran")
+
+        monkeypatch.setattr(condu.harness, "simulate", refuse)
+        with pytest.raises(ZeroDensityWindow, match=r"h=0\.0414"):
             rate_experiment(cfg)
         assert calls == []
 
@@ -215,7 +238,7 @@ class TestSweepInvariants:
         n = 128
         hs = bandwidths(cfg, n)
         tgrid = make_t_grid(cfg.t_interval, cfg.t_points, cfg.m)
-        cache = expectation_cache(cfg, n, hs, tgrid)
+        cache = expectation_cache(cfg, hs, tgrid)
         s = simulate(cfg.dgp, n, child_seed(cfg.seed, n, 0))
         rows = sweep_cells(cfg, s, n, 0, hs, tgrid, cache)
         for r in rows:
@@ -239,7 +262,7 @@ class TestSweepInvariants:
         hs = bandwidths(cfg, n)
         assert len(hs) >= 4
         tgrid = make_t_grid(cfg.t_interval, cfg.t_points, cfg.m)
-        cache = expectation_cache(cfg, n, hs, tgrid)
+        cache = expectation_cache(cfg, hs, tgrid)
         s = simulate(cfg.dgp, n, child_seed(cfg.seed, n, 1))
         rows = [r for r in sweep_cells(cfg, s, n, 1, hs, tgrid, cache) if r.stat == "process"]
         members = {phi.id: phi for phi in cfg.fc.members}

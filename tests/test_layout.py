@@ -144,3 +144,28 @@ def test_the_package_raises_no_builtin_exception():
             if name in builtin:
                 found.append(f"{path.stem}.py:{node.lineno} raises {name}")
     assert not found, f"builtin exceptions raised in src/condu: {found}"
+
+
+def test_every_parameter_is_read():
+    """Every parameter of every function in src/condu is read somewhere in
+    its body, nested functions included: a parameter nothing reads is an
+    input the caller must supply for nothing. self and names with a leading
+    underscore are exempt, and so is the seed of the verify checks that
+    ignore it, since every check takes the registry's one signature."""
+    unread = []
+    for path in sorted((ROOT / "src" / "condu").glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, (ast.FunctionDef, ast.Lambda)):
+                continue
+            args = fn.args
+            params = [a.arg for a in (args.posonlyargs + args.args + args.kwonlyargs
+                                      + [args.vararg, args.kwarg]) if a is not None]
+            body = fn.body if isinstance(fn.body, list) else [fn.body]
+            read = {node.id for stmt in body for node in ast.walk(stmt)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            name = getattr(fn, "name", "<lambda>")
+            exempt = path.stem == "verify" and name.startswith("check_")
+            unread += [f"{path.stem}.{name}({p})" for p in params
+                       if p not in read and p != "self" and not p.startswith("_")
+                       and not (exempt and p == "seed")]
+    assert not unread, f"parameters nothing reads: {sorted(unread)}"

@@ -32,7 +32,6 @@ from condu.ucore import (
     _common_positions,
     _pairwise_sum,
     _windows,
-    count_indices,
     incomplete_u,
     read_sample_csv,
     symmetrize,
@@ -45,14 +44,25 @@ from conftest import make_rng, random_sample
 
 
 class TestCountIndices:
+    """Every path divides by |I_n^k| = n! / (n - k)!, math.perm(n, k)."""
+
+    @staticmethod
+    def total(n, m):
+        s = Sample(np.linspace(0.1, 0.5, n), np.ones(n))
+        spec = UKernelSpec(builtin_member("one", m), 1.0, (0.3,) * m, get_kernel("uniform"))
+        return u_stat_windowed(spec, s).tuples_total
+
     def test_ordered_pairs_of_five(self):
-        assert count_indices(5, 2) == 20
+        assert self.total(5, 2) == math.perm(5, 2) == 20
 
     def test_full_permutations(self):
-        assert count_indices(3, 3) == 6
+        assert self.total(3, 3) == math.perm(3, 3) == 6
 
     def test_empty_when_order_exceeds_n(self):
-        assert count_indices(2, 3) == 0
+        # math.perm is 0 there, and no path divides by it
+        assert math.perm(2, 3) == 0
+        with pytest.raises(DegenerateSample):
+            self.total(2, 3)
 
 
 class TestBrute:
@@ -240,7 +250,7 @@ def index_brute(H, s, k):
     n = s.n
     if k > n:
         raise DegenerateSample(f"order k={k} exceeds sample size n={n}")
-    total = count_indices(n, k)
+    total = math.perm(n, k)
     if n ** k > BRUTE_TUPLE_BUDGET:
         raise BruteForceBudgetExceeded(f"n^k = {n ** k} exceeds the brute-force budget")
     x, y = s.x, s.y
@@ -483,7 +493,7 @@ def stacked_pair_value(spec, s):
     if common.size:
         diag = spec.g.eval(np.stack([s.y[common], s.y[common]], axis=-1))
         acc -= float(np.sum(diag * w[0][i1] * w[1][i2]))
-    return acc / count_indices(s.n, 2), G.size - common.size
+    return acc / math.perm(s.n, 2), G.size - common.size
 
 
 def off_diagonal_pair_value(spec, s):
@@ -492,7 +502,7 @@ def off_diagonal_pair_value(spec, s):
     w, G, (_, i1, i2) = stacked_pair(spec, s)
     G = np.array(G)
     G[i1, i2] = 0.0
-    return float(w[0] @ (G @ w[1])) / count_indices(s.n, 2)
+    return float(w[0] @ (G @ w[1])) / math.perm(s.n, 2)
 
 
 class TestPairDiagonal:
@@ -562,7 +572,7 @@ class TestPairDiagonal:
                         off = (math.nan if math.isfinite(value)
                                else off_diagonal_pair_value(spec, s))
                     assert evaluated == want
-                    got = acc / count_indices(s.n, 2)
+                    got = acc / math.perm(s.n, 2)
                     if math.isfinite(value):
                         assert np.float64(got).tobytes() == np.float64(value).tobytes()
                     elif math.isfinite(off):
@@ -637,7 +647,7 @@ class TestIncompleteU:
         spec = UKernelSpec(
             builtin_member("sum", 2), 0.8, (0.5, 0.5), get_kernel("uniform")
         )
-        total = count_indices(8, 2)
+        total = math.perm(8, 2)
         inc = incomplete_u(spec, s, total, seed=3).value
         brute = u_stat_brute(ukernel_scalar(spec), s, 2).value
         assert abs(inc - brute) <= 1e-12 * (1 + abs(brute))
@@ -654,7 +664,7 @@ class TestIncompleteU:
         want = u_stat_brute(ukernel_scalar(spec), s, m).value
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = incomplete_u(spec, s, count_indices(40, m), seed=0).value
+            got = incomplete_u(spec, s, math.perm(40, m), seed=0).value
         assert abs(got - want) <= 1e-12 * abs(want)
 
     def test_non_finite_mean_is_a_typed_error(self):
@@ -898,7 +908,7 @@ def frozen_cell(spec, s):
     """A frozen copy of the per-point windowed formula for m <= 3, kept as
     the bit-for-bit reference of WindowGrid: (value, tuples evaluated)."""
     m, h, t, g = spec.m, spec.h, spec.t, spec.g
-    total = count_indices(s.n, m)
+    total = math.perm(s.n, m)
     ranges = frozen_windows(h, t, s)
     wins = [s.sort_index[lo:hi] for lo, hi in ranges]
     sizes = [w.size for w in wins]
@@ -1053,7 +1063,7 @@ class TestWindowGrid:
             for res, (value, evaluated) in zip(h_got, h_expected):
                 assert np.float64(res.value).tobytes() == np.float64(value).tobytes()
                 assert res.tuples_evaluated == evaluated
-                assert res.tuples_total == count_indices(s.n, m)
+                assert res.tuples_total == math.perm(s.n, m)
         for g_got, g_alone in zip(got, alone):
             for h_got, h_alone in zip(g_got, g_alone):
                 assert_same_results(h_got, h_alone)
@@ -1082,6 +1092,17 @@ class TestWindowGrid:
                     assert np.float64(res.value).tobytes() == np.float64(value).tobytes()
                     assert res.tuples_evaluated == evaluated
                     assert res == u_stat_windowed(spec, s)
+
+    def test_window_weights_are_read_only(self):
+        s = random_sample(make_rng(23), 200)
+        grid = WindowGrid(s, [0.3, 0.45], [(0.4,), (0.6,)], get_kernel("epanechnikov-rescaled"))
+        for q in range(2):
+            for i, w in enumerate(grid.weights[q]):
+                assert w.size > 0
+                with pytest.raises(ValueError, match="read-only"):
+                    grid.weights[q][i][0] = 1.0
+                with pytest.raises(ValueError, match="read-only"):
+                    w *= 2.0
 
     @pytest.fixture(scope="class")
     def two_chunk_cell(self):
