@@ -67,12 +67,14 @@ class DgpSpec:
     support: Tuple[float, float]
     regression: Callable[[np.ndarray], np.ndarray]
     noise: Noise
-    sample_x: Callable  # (rng, n) -> ndarray
+    sample_x: Callable  # (rng, shape) -> ndarray
     r_bound: float  # sup |r| over the support
 
-    def simulate_y_given_x(self, x, rng):
-        x = np.asarray(x, dtype=float)
-        return self.regression(x) + self.noise.draw(rng, x.shape)
+    def draw(self, rng, shape):
+        """(x, y) of the given shape: X from fX, then Y = r(X) + noise. An
+        (N, m) draw equals the flat N * m draw reshaped."""
+        x = np.asarray(self.sample_x(rng, shape), dtype=float)
+        return x, self.regression(x) + self.noise.draw(rng, x.shape)
 
 
 def _uniform01_fx(x):

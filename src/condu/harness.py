@@ -27,7 +27,7 @@ from .bandwidth import (
     normalizer,
     truncate_split,
 )
-from .config import _ROWS_BUDGET, _THREADS_BUDGET, within
+from .config import _N_BUDGET, _ROWS_BUDGET, _THREADS_BUDGET, within
 from .errors import (
     BoundedClassHasNoRemainder,
     EmptyBandwidthRange,
@@ -37,7 +37,7 @@ from .errors import (
 )
 from .estimator import centering_ratio, estimate_grid, expected_u_grid, true_regression
 from .function_class import FunctionSpec, envelope_tilde
-from .kernels import atomic_write, eval_scaled, format_float, write_csv
+from .kernels import atomic_write, child_seed, eval_scaled, format_float, generator, write_csv
 from .ucore import Sample, WindowGrid
 
 # importable from here only for the benchmark's tracer, which rebinds them;
@@ -48,23 +48,13 @@ from .function_class import builtin_member  # noqa: F401
 from .ucore import u_stat_windowed  # noqa: F401
 
 
-def child_seed(master, *key):
-    """Independent per-task stream: a spawn key derived from integer labels."""
-    return np.random.SeedSequence(master, spawn_key=tuple(int(k) for k in key))
-
-
 def simulate(dgp, n, seed):
-    """Draw a sample of size n from the data-generating process.
-
-    `seed` may be an int or a SeedSequence; the generator is counter-based so
-    the draw is a pure function of the seed.
-    """
-    if not isinstance(seed, np.random.SeedSequence):
-        seed = np.random.SeedSequence(int(seed))
-    rng = np.random.Generator(np.random.Philox(seed))
-    x = np.asarray(dgp.sample_x(rng, n), dtype=float)
-    y = dgp.simulate_y_given_x(x, rng)
-    return Sample(x, y)
+    """A sample of size n, an integer from 1 to config._N_BUDGET, drawn by dgp.draw
+    from kernels.generator(seed); a bad n or seed raises SchemaError before any draw."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise SchemaError(f"n must be an integer, got {n!r}")
+    within(n, 1, "n", _N_BUDGET)
+    return Sample(*dgp.draw(generator(seed), n))
 
 
 def make_t_grid(interval, points, m):
@@ -215,11 +205,7 @@ def remainder_diagnostic(cfg, ell, rep=0):
     ]
 
     # shared Monte Carlo draws for every cell's expectation
-    rng = np.random.Generator(np.random.Philox(child_seed(cfg.seed, n, rep, 2)))
-    xs = np.asarray(cfg.dgp.sample_x(rng, mc_draws * m), dtype=float).reshape(
-        mc_draws, m
-    )
-    ys = cfg.dgp.simulate_y_given_x(xs.ravel(), rng).reshape(mc_draws, m)
+    xs, ys = cfg.dgp.draw(generator(child_seed(cfg.seed, n, rep, 2)), (mc_draws, m))
 
     # a draw outside the first coordinate's closed window weighs 0.0, so a
     # WindowGrid over that coordinate gives each (h, t_1) the draws it weighs
@@ -289,14 +275,19 @@ def rate_experiment(cfg, out_dir=None, threads=1, include_remainder=False):
 
     Returns a RateReport; when out_dir is given also writes deviations.csv,
     report.json and config_echo.json atomically. Output bytes are independent
-    of `threads`, an int from 1 to _THREADS_BUDGET. `threads`, an out_dir
-    that is a file, every n's bandwidths, the row count and the population
-    table (one for every n) are checked before any replication."""
+    of `threads`, an int from 1 to _THREADS_BUDGET. `threads`, out_dir (its
+    nearest existing ancestor must be a directory), every n's bandwidths, the
+    row count and the population table (one for every n) are checked before
+    any replication."""
     if isinstance(threads, bool) or not isinstance(threads, int):
         raise SchemaError(f"threads must be an integer, got {threads!r}")
     within(threads, 1, "threads", _THREADS_BUDGET)
-    if out_dir is not None and os.path.exists(out_dir) and not os.path.isdir(out_dir):
-        raise OutputFileError(f"cannot write to {out_dir!r}: not a directory")
+    if out_dir is not None:
+        near = os.path.abspath(out_dir)
+        while not os.path.exists(near):
+            near = os.path.dirname(near)
+        if not os.path.isdir(near):
+            raise OutputFileError(f"cannot write to {out_dir!r}: {near!r} is not a directory")
     stride = min(threads, cfg.reps)
     tgrid = make_t_grid(cfg.t_interval, cfg.t_points, cfg.m)
     grids = {n: bandwidths(cfg, n) for n in cfg.n_list}

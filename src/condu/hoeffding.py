@@ -19,6 +19,7 @@ from .errors import (
     SchemaError,
     UnsupportedOrder,
 )
+from .kernels import generator
 from .ucore import Sample, u_stat_brute
 
 _EXPANSION_BUDGET = 10 ** 7
@@ -187,9 +188,9 @@ def _u_stat_vec(Lvec, s, m):
 
 def variance_bound_check(Lvec, m, dgp, n, reps, seed):
     """Empirical Var(U_n) against the classical bound (m/n) E L^2, the bound
-    from 200,000 Monte Carlo draws.
-
-    Lvec must be vectorized: Lvec(xs, ys) with arrays of shape (N, m).
+    from 200,000 Monte Carlo draws; every draw is dgp.draw on
+    kernels.generator(seed), so a bad seed raises SchemaError. Lvec must be
+    vectorized: Lvec(xs, ys) with arrays of shape (N, m).
     Returns (emp_var, bound, mc_se).
     """
     mc_draws = 200_000
@@ -197,16 +198,13 @@ def variance_bound_check(Lvec, m, dgp, n, reps, seed):
         raise SchemaError("reps must be >= 500")
     if n < m:
         raise DegenerateSample("need n >= m")
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    rng = generator(seed)
     stats = np.empty(reps)
     for r in range(reps):
-        x = dgp.sample_x(rng, n)
-        y = dgp.simulate_y_given_x(x, rng)
-        stats[r] = _u_stat_vec(Lvec, Sample(x, y), m)
+        stats[r] = _u_stat_vec(Lvec, Sample(*dgp.draw(rng, n)), m)
     emp_var = float(np.var(stats, ddof=1))
 
-    xs = dgp.sample_x(rng, (mc_draws * m)).reshape(mc_draws, m)
-    ys = dgp.simulate_y_given_x(xs.ravel(), rng).reshape(mc_draws, m)
+    xs, ys = dgp.draw(rng, (mc_draws, m))
     l2 = np.asarray(Lvec(xs, ys), dtype=float) ** 2
     bound = (m / n) * float(np.mean(l2))
     se_bound = (m / n) * float(np.std(l2, ddof=1)) / math.sqrt(mc_draws)

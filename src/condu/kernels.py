@@ -1,8 +1,8 @@
 """Scalar smoothing kernels with compact support, their scaled weights, and
-the package's shared numerics: the composite Gauss-Legendre and tensor
-rules, the numeric CSV reader, the one CSV writer (write_csv, which owns
-the 17-digit float format), the atomic text writer and the BLAS pin,
-which runs once, when the package is imported (see pin_blas).
+the package's shared numerics: Gauss-Legendre and tensor rules, the CSV
+reader and the atomic writer, and the three decisions that make outputs
+deterministic: the BLAS pin, run at import (pin_blas), the 17-digit float
+format of the one CSV writer (write_csv) and the random stream (generator).
 
 All built-in kernels live on [-1/2, 1/2], integrate to one and are bounded.
 The support boundary is closed: K(+-1/2) counts as inside the window, so the
@@ -40,6 +40,23 @@ def pin_blas():
 
 
 pin_blas()
+
+
+def child_seed(master, *key):
+    """An independent stream: the SeedSequence of `master`, an integer >= 0
+    (an int or a NumPy integer, not a bool) or a SeedSequence, with the
+    integer labels `key` appended to its spawn key; else SchemaError."""
+    if isinstance(master, np.random.SeedSequence):
+        master, key = master.entropy, (*master.spawn_key, *key)
+    elif isinstance(master, bool) or not isinstance(master, (int, np.integer)) or master < 0:
+        raise SchemaError(f"seed must be an integer >= 0 or a SeedSequence, got {master!r}")
+    return np.random.SeedSequence(master, spawn_key=tuple(map(int, key)))
+
+
+def generator(seed):
+    """The package's one random stream: a counter-based Philox generator keyed
+    by a seed that child_seed admits, so every draw is a pure function of it."""
+    return np.random.Generator(np.random.Philox(child_seed(seed)))
 
 
 @dataclass(frozen=True)
@@ -114,6 +131,8 @@ def table_kernel(u_nodes, k_values, kappa=None):
     k_values = np.asarray(k_values, dtype=float)
     if u_nodes.ndim != 1 or u_nodes.shape != k_values.shape:
         raise SchemaError("kernel table must be two equal-length columns")
+    if not (np.all(np.isfinite(u_nodes)) and np.all(np.isfinite(k_values))):
+        raise SchemaError("kernel table entries must be finite numbers")
     if np.any(np.diff(u_nodes) <= 0):
         raise SchemaError("kernel table abscissae must be strictly increasing")
     if u_nodes[0] < -0.5 - 1e-12 or u_nodes[-1] > 0.5 + 1e-12:

@@ -44,7 +44,7 @@ from .errors import (
     UnsupportedOrder,
 )
 from .function_class import FunctionSpec
-from .kernels import Kernel1D, eval_scaled, read_csv_columns, write_csv
+from .kernels import Kernel1D, eval_scaled, generator, read_csv_columns, write_csv
 
 BRUTE_TUPLE_BUDGET = 10 ** 8
 # up to this window-tuple count the pruned path builds the brute path's terms
@@ -560,10 +560,10 @@ def _unrank_tuples(ranks, n, m):
 def incomplete_u(spec, s, budget, seed):
     """Incomplete U-statistic over `budget` tuples sampled without replacement.
 
-    Uses a counter-based generator keyed by the seed, so the draw is a pure
-    function of (seed, n, m, budget). As in the oracle, g is evaluated only
-    on the sampled tuples inside every closed window |t_j - x_j| <= h/2; the
-    rest are zero terms. A non-finite mean raises NonFiniteSum.
+    The tuples come from kernels.generator(seed), a pure function of (seed, n,
+    m, budget); a bad seed raises SchemaError. As in the oracle, g is evaluated
+    only on the sampled tuples inside every closed window |t_j - x_j| <= h/2;
+    the rest are zero terms. A non-finite mean raises NonFiniteSum.
     """
     m, n = spec.m, s.n
     if m > n:
@@ -579,8 +579,7 @@ def incomplete_u(spec, s, budget, seed):
         raise PopulationTooLarge(
             f"population {total} of ordered {m}-tuples exceeds int64 ranks"
         )
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    ranks = rng.choice(total, size=budget, replace=False)
+    ranks = generator(seed).choice(total, size=budget, replace=False)
     idx = _unrank_tuples(ranks, n, m)
 
     z = np.asarray(spec.t) - s.x[idx]

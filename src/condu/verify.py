@@ -17,7 +17,7 @@ from .hoeffding import (
     empirical_measure,
     project,
 )
-from .kernels import builtin_kernel_ids, get_kernel, validate_kernel
+from .kernels import builtin_kernel_ids, generator, get_kernel, validate_kernel
 from .ucore import (
     Sample,
     UKernelSpec,
@@ -29,10 +29,11 @@ from .ucore import (
 )
 
 
+_DGP = make_dgp("uniform_linear", "gaussian", 0.5)
+
+
 def _sample(rng, n):
-    x = rng.uniform(0.0, 1.0, n)
-    y = x + rng.normal(0.0, 0.5, n)
-    return Sample(x, y)
+    return Sample(*_DGP.draw(rng, n))
 
 
 def check_kernel_contracts(seed):
@@ -46,7 +47,7 @@ def check_kernel_contracts(seed):
 
 
 def check_brute_windowed_identity(seed):
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    rng = generator(seed)
     worst = 0.0
     for m in (1, 2, 3):
         s = _sample(rng, 12)
@@ -62,7 +63,7 @@ def check_brute_windowed_identity(seed):
 
 
 def check_symmetrization_invariance(seed):
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    rng = generator(seed)
     s = _sample(rng, 10)
 
     def G(xs, ys):  # deliberately asymmetric
@@ -74,7 +75,7 @@ def check_symmetrization_invariance(seed):
 
 
 def check_hoeffding_identity(seed):
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    rng = generator(seed)
     s = _sample(rng, 8)
     Q = empirical_measure(_sample(rng, 5))
 
@@ -86,7 +87,7 @@ def check_hoeffding_identity(seed):
 
 
 def check_projection_degeneracy(seed):
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    rng = generator(seed)
     Q = empirical_measure(_sample(rng, 5))
 
     def L(xs, ys):
@@ -114,7 +115,7 @@ def check_normalizer(seed):
 
 
 def check_truncation_partition(seed):
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    rng = generator(seed)
     fc = FunctionClass([builtin_member("sum", 2)])
 
     def gbar(ys):
@@ -129,9 +130,8 @@ def check_truncation_partition(seed):
 
 
 def check_centering_of_one(seed):
-    dgp = make_dgp("uniform_linear", "gaussian", 0.5)
     one = builtin_member("one", 2)
-    v = centering(one, 0.2, (0.5, 0.5), dgp, get_kernel("triweight-rescaled"))
+    v = centering(one, 0.2, (0.5, 0.5), _DGP, get_kernel("triweight-rescaled"))
     d = abs(v - 1.0)
     return d == 0.0, d, "population centering of the constant function is exactly 1"
 
@@ -146,7 +146,7 @@ def check_convolution_closed_form(seed):
 
 
 def check_incomplete_determinism(seed):
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    rng = generator(seed)
     s = _sample(rng, 200)
     spec = UKernelSpec(builtin_member("product", 2), 0.3, (0.5, 0.5), get_kernel("uniform"))
     a = incomplete_u(spec, s, 1000, seed=seed).value

@@ -478,6 +478,23 @@ class TestInputFiles:
         assert out.read_text() == "kept\n"
 
     @pytest.mark.parametrize("command", ["rates", "sweep"])
+    def test_out_under_a_file_exits_one_before_any_replication(
+        self, command, cfg_path, tmp_path, capsys, monkeypatch
+    ):
+        def refuse(*args):
+            raise RuntimeError("a replication ran")
+
+        monkeypatch.setattr(condu.harness, "simulate", refuse)
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        out = taken / "sub" / "deeper"
+        assert main([command, "--config", cfg_path, "--out", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "OutputFileError" and "deeper" in err["message"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "taken"]
+        assert taken.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("command", ["rates", "sweep"])
     def test_out_under_a_file_exits_one(self, command, cfg_path, tmp_path, capsys):
         taken = tmp_path / "taken"
         taken.write_text("kept\n")

@@ -470,10 +470,25 @@ class TestExpectedU:
         vals = np.empty(reps)
         for r in range(reps):
             x = d.sample_x(rng, n)
-            y = d.simulate_y_given_x(x, rng)
+            y = d.regression(x) + d.noise.draw(rng, x.shape)
             vals[r] = u_stat_windowed(spec, Sample(x, y)).value
         se = vals.std(ddof=1) / math.sqrt(reps)
         assert abs(vals.mean() - target) <= 3 * se
+
+
+class TestDraw:
+    @pytest.mark.parametrize("dgp_id", ["uniform_linear", "uniform_quadratic", "normal_linear"])
+    @pytest.mark.parametrize("noise", [("none", 0.0), ("gaussian", 0.5), ("uniform", 0.3)],
+                             ids=["none", "gaussian", "uniform"])
+    def test_a_shaped_draw_is_the_flat_draw_reshaped(self, dgp_id, noise):
+        d = make_dgp(dgp_id, *noise)
+        xs, ys = d.draw(make_rng(9), (300, 3))
+        rng = make_rng(9)
+        x = d.sample_x(rng, 900)
+        y = d.regression(x) + d.noise.draw(rng, x.shape)
+        assert xs.shape == ys.shape == (300, 3)
+        assert xs.tobytes() == x.reshape(300, 3).tobytes()
+        assert ys.tobytes() == y.reshape(300, 3).tobytes()
 
 
 class TestBiasSup:

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from condu.bandwidth import lower_bandwidth, normalizer
-from condu.config import _THREADS_BUDGET, parse_config
+from condu.config import _N_BUDGET, _THREADS_BUDGET, parse_config
 from condu.errors import (
     BoundedClassHasNoRemainder,
     EmptyBandwidthRange,
@@ -39,8 +39,10 @@ from condu.harness import (
     sweep_cells,
     write_outputs,
 )
-from condu.kernels import eval_scaled, format_float, table_kernel
-from condu.ucore import EXACT_PATH_MAX, UKernelSpec, WindowGrid, u_stat_windowed
+from condu.hoeffding import variance_bound_check
+from condu.kernels import eval_scaled, format_float, get_kernel, table_kernel
+from condu.ucore import EXACT_PATH_MAX, UKernelSpec, WindowGrid, incomplete_u, u_stat_windowed
+from conftest import make_rng
 
 
 BASE_DOC = {
@@ -90,6 +92,61 @@ class TestSimulate:
         s = simulate(d, 50, 3)
         assert np.allclose(s.y, s.x ** 2, atol=0.0)
         assert np.all((s.x >= 0) & (s.x <= 1))
+
+    @pytest.mark.parametrize("n", [-1, 0, 1.5, True, "5", None, _N_BUDGET + 1, 10 ** 12])
+    def test_a_bad_sample_size_raises_before_any_draw(self, n):
+        def refuse(*args):
+            raise RuntimeError("a draw ran")
+
+        dgp = dataclasses.replace(make_dgp("uniform_linear"), sample_x=refuse)
+        with pytest.raises(SchemaError, match="n "):
+            simulate(dgp, n, 0)
+
+    def test_a_numpy_integer_sample_size_is_the_int_one(self):
+        d = make_dgp("uniform_linear", "gaussian", 0.5)
+        a, b = simulate(d, np.int64(30), 4), simulate(d, 30, 4)
+        assert a.x.tobytes() == b.x.tobytes() and a.y.tobytes() == b.y.tobytes()
+
+
+D_SEEDS = make_dgp("uniform_linear", "gaussian", 0.5)
+SPEC_SEEDS = UKernelSpec(builtin_member("product", 2), 0.3, (0.5, 0.5), get_kernel("uniform"))
+SEEDED = {
+    "simulate": lambda seed: simulate(D_SEEDS, 5, seed),
+    "incomplete_u": lambda seed: incomplete_u(SPEC_SEEDS, simulate(D_SEEDS, 20, 0), 10, seed),
+    "variance_bound_check": lambda seed: variance_bound_check(
+        lambda xs, ys: ys[..., 0], 1, D_SEEDS, 5, 500, seed),
+    "child_seed": lambda seed: child_seed(seed, 5, 0),
+}
+
+
+class TestSeeds:
+    """Every seeded entry point takes an integer >= 0 (an int or a NumPy
+    integer, not a bool) or a SeedSequence, and nothing else."""
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "7", None])
+    @pytest.mark.parametrize("caller", sorted(SEEDED))
+    def test_a_bad_seed_raises_schema_error(self, caller, seed):
+        with pytest.raises(SchemaError, match="seed"):
+            SEEDED[caller](seed)
+
+    @pytest.mark.parametrize("seed", [7, np.int64(7), np.random.SeedSequence(7)],
+                             ids=["int", "int64", "SeedSequence"])
+    def test_every_seed_spelling_gives_the_draws_of_the_int(self, seed):
+        rng = make_rng(7)
+        x = rng.uniform(0.0, 1.0, 50)
+        y = x + rng.normal(0.0, 0.5, 50)
+        s = simulate(D_SEEDS, 50, seed)
+        assert s.x.tobytes() == x.tobytes() and s.y.tobytes() == y.tobytes()
+        assert (incomplete_u(SPEC_SEEDS, s, 500, seed)
+                == incomplete_u(SPEC_SEEDS, s, 500, 7))
+        want = np.random.SeedSequence(7, spawn_key=(50, 3)).generate_state(4)
+        assert np.array_equal(child_seed(seed, 50, 3).generate_state(4), want)
+
+    def test_a_seed_sequence_master_extends_its_spawn_key(self):
+        parent = np.random.SeedSequence(7, spawn_key=(1,))
+        got = child_seed(parent, 50, 3).generate_state(4)
+        want = np.random.SeedSequence(7, spawn_key=(1, 50, 3)).generate_state(4)
+        assert np.array_equal(got, want)
 
 
 class TestGrids:
@@ -510,7 +567,8 @@ def frozen_remainder_diagnostic(cfg, ell, rep=0):
                for phi in cfg.fc.members]
     rng = np.random.Generator(np.random.Philox(child_seed(cfg.seed, n, rep, 2)))
     xs = np.asarray(cfg.dgp.sample_x(rng, mc_draws * m), dtype=float).reshape(mc_draws, m)
-    ys = cfg.dgp.simulate_y_given_x(xs.ravel(), rng).reshape(mc_draws, m)
+    ys = (cfg.dgp.regression(xs.ravel())
+          + cfg.dgp.noise.draw(rng, (mc_draws * m,))).reshape(mc_draws, m)
     gated = {g.id: np.asarray(g.eval(ys), dtype=float) for g in members}
     us = WindowGrid(s, hs, tgrid, cfg.kernel).u_stats(members)
     sup_val, sup_se, cells = 0.0, 0.0, []

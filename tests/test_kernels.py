@@ -166,6 +166,13 @@ class TestTableKernels:
     def test_nonmonotone_abscissae_rejected(self):
         with pytest.raises(SchemaError):
             table_kernel([0.0, -0.1, 0.2], [1.0, 1.0, 1.0])
+        # NaN compares false in the order and range checks
+        for us, ks in [([math.nan, 0.0, 0.5], [1.0, 1.0, 1.0]),
+                       ([-0.5, math.nan, 0.5], [1.0, 1.0, 1.0]),
+                       ([-0.5, 0.0, 0.5], [1.0, math.nan, 1.0]),
+                       ([-0.5, 0.0, 0.5], [1.0, math.inf, 1.0])]:
+            with pytest.raises(SchemaError, match="finite"):
+                table_kernel(us, ks)
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "k.csv"

@@ -66,6 +66,14 @@ def test_only_kernels_spells_the_csv_float_format():
     assert spelled == ["kernels.py"]
 
 
+def test_only_kernels_builds_a_random_generator():
+    """The package's random stream is built in one module, kernels.py, by
+    kernels.generator."""
+    spelled = sorted(path.name for path in (ROOT / "src" / "condu").glob("*.py")
+                     if re.search(r"Philox|np\.random\.Generator|default_rng", path.read_text()))
+    assert spelled == ["kernels.py"]
+
+
 def _optional_parameters(tree):
     """(function name, parameter, positional index or None) for every
     parameter with a default; a method's index counts from after self."""
