@@ -12,8 +12,8 @@ import json
 import os
 import sys
 
-from .config import _N_BUDGET, _REPS_BUDGET, load_config, within
-from .errors import ConduError, SchemaError
+from .config import _N_BUDGET, _REPS_BUDGET, load_config
+from .errors import ConduError, SchemaError, within
 from .estimator import estimate_grid
 from .harness import bandwidths, child_seed, make_t_grid, rate_experiment, simulate
 from .kernels import atomic_write, write_csv
@@ -131,7 +131,10 @@ def build_parser():
     common.add_argument("--out", required=True, help="output file or directory")
     common.add_argument("--seed", type=int, default=None)
     threaded = argparse.ArgumentParser(add_help=False)
-    threaded.add_argument("--threads", type=int, default=1)
+    threaded.add_argument(
+        "--threads", type=int, default=1,
+        help="workers over which each replication's m = 3 cells are split "
+        "(1 to 64); replications run one at a time, and m <= 2 runs on one thread")
 
     sp = sub.add_parser("simulate", parents=[common], help="draw a sample and write it as CSV")
     sp.add_argument("--n", type=int, default=None)

@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 
 from .bandwidth import RateRegime
-from .errors import InputFileError, SchemaError
+from .errors import InputFileError, SchemaError, within
 from .estimator import DgpSpec, make_dgp
 from .function_class import FunctionClass, as_integer, builtin_member, polynomial_member
 from .kernels import Kernel1D, get_kernel, load_table_kernel
@@ -28,9 +28,9 @@ _N_BUDGET = 10 ** 6
 _GRID_POINTS_BUDGET = 10 ** 5
 # most replications: rate_experiment holds each rep's rows until its final sort
 _REPS_BUDGET = 10 ** 5
-# most threads of one rate experiment: each of its threads - 1 workers is an
-# OS thread with its own stack and malloc arena, and more of them than cores
-# only add those
+# most threads of one rate experiment: each worker of its m = 3 cell pool is
+# an OS thread with its own stack, malloc arena and leaf buffers, and more of
+# them than cores only add those
 _THREADS_BUDGET = 64
 # most deviation rows of one rate experiment: each, some 200-256 bytes, is
 # held until the final sort, about 1 GB at the budget; the largest config
@@ -79,16 +79,6 @@ def _field(section, key, where, conv=float, default=_REQUIRED):
         return conv(value)
     except (TypeError, ValueError, OverflowError):
         raise SchemaError(f"config field {where}.{key} cannot hold {value!r}") from None
-
-
-def within(value, least, name, most=math.inf):
-    """value, the integer input `name`, if least <= value <= most; else
-    SchemaError, before anything is sized by it."""
-    if value < least:
-        raise SchemaError(f"{name} must be >= {least}, got {value}")
-    if value > most:
-        raise SchemaError(f"{name} {value} is over its budget of {most:,}")
-    return value
 
 
 def _count(section, key, where, default, least=1, most=math.inf):

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and `within`, its one check
+of an integer input."""
+
+import math
+import numbers
 
 
 class ConduError(Exception):
@@ -81,3 +85,16 @@ class OutputFileError(ConduError, OSError):
 class SchemaError(ConduError, ValueError):
     """Malformed input file or config; message carries the offending row
     or field."""
+
+
+def within(value, least, name, most=math.inf):
+    """value, the integer input `name` (an int or a NumPy integer, not a
+    bool), if least <= value <= most; else SchemaError, before anything is
+    sized by it."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise SchemaError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise SchemaError(f"{name} must be >= {least}, got {value}")
+    if value > most:
+        raise SchemaError(f"{name} {value} is over its budget of {most:,}")
+    return value

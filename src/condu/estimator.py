@@ -129,17 +129,18 @@ def ratio_status(den):
     return "nonpositive_denominator"
 
 
-def estimate_grid(members, hs, points, s, kernel):
+def estimate_grid(members, hs, points, s, kernel, pool=None):
     """Stute's estimator m^(t, h) = U_n(phi, h, t) / U_n(1, h, t) at every
     bandwidth h and point t for each of the (nonempty) members: per
     bandwidth, per point, one EstimateCell per member. One WindowGrid call
-    evaluates the denominator and every member over the sample's cells.
+    evaluates the denominator and every member over the sample's cells,
+    its m = 3 cells on `pool` when one is given (see WindowGrid.u_stats).
 
     A vanishing window or a signed-kernel denominator is a cell status, not
     an exception: small-h cells are legitimately empty at finite n.
     """
     hs, points = tuple(hs), [tuple(t) for t in points]
-    dens, *nums = WindowGrid(s, hs, points, kernel).u_stats([None, *members])
+    dens, *nums = WindowGrid(s, hs, points, kernel).u_stats([None, *members], pool)
     out = []
     for q, h in enumerate(hs):
         h_cells = []

@@ -6,8 +6,15 @@ the package's one CSV writer (kernels.write_csv), whose floats take 17
 significant digits, so two runs of the same config produce byte-identical
 files regardless of the --threads count, and of the BLAS thread count, which
 the package pins to one at import (kernels.pin_blas).
+
+Replications run one at a time on the calling thread. --threads splits the
+cells of each replication at m = 3 only: each m = 3 cell is one task on a
+thread pool built once per experiment, and is read back in cell order. The
+m = 1 and m = 2 cells are bound by the GIL, so at m <= 2, and at
+--threads 1, no thread is started.
 """
 
+import contextlib
 import functools
 import itertools
 import json
@@ -27,13 +34,13 @@ from .bandwidth import (
     normalizer,
     truncate_split,
 )
-from .config import _N_BUDGET, _ROWS_BUDGET, _THREADS_BUDGET, within
+from .config import _N_BUDGET, _ROWS_BUDGET, _THREADS_BUDGET
 from .errors import (
     BoundedClassHasNoRemainder,
     EmptyBandwidthRange,
     NonFiniteSum,
     OutputFileError,
-    SchemaError,
+    within,
 )
 from .estimator import centering_ratio, estimate_grid, expected_u_grid, true_regression
 from .function_class import FunctionSpec, envelope_tilde
@@ -51,8 +58,6 @@ from .ucore import u_stat_windowed  # noqa: F401
 def simulate(dgp, n, seed):
     """A sample of size n, an integer from 1 to config._N_BUDGET, drawn by dgp.draw
     from kernels.generator(seed); a bad n or seed raises SchemaError before any draw."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise SchemaError(f"n must be an integer, got {n!r}")
     within(n, 1, "n", _N_BUDGET)
     return Sample(*dgp.draw(generator(seed), n))
 
@@ -123,7 +128,7 @@ def expectation_cache(cfg, hs, tgrid):
     return truth, table
 
 
-def sweep_cells(cfg, s, n, rep, hs, tgrid, cache):
+def sweep_cells(cfg, s, n, rep, hs, tgrid, cache, pool=None):
     """One replication: every (h, t, phi) cell, three deviation statistics.
 
     "process" compares the raw kernel-weighted U-statistic to its expectation;
@@ -131,11 +136,12 @@ def sweep_cells(cfg, s, n, rep, hs, tgrid, cache):
     "est_truth" compares it to the closed-form regression function. The
     normalized column applies sqrt(n h^m / (|log h| v loglog n)) to the raw
     deviation for every statistic; consistency summaries use the raw column.
-    `cache` is an expectation_cache table over tgrid and at least hs.
+    `cache` is an expectation_cache table over tgrid and at least hs; the
+    m = 3 cells run on `pool` when one is given (see WindowGrid.u_stats).
     """
     truth, table = cache
     rows = []
-    cells = estimate_grid(cfg.fc.members, hs, tgrid, s, cfg.kernel)
+    cells = estimate_grid(cfg.fc.members, hs, tgrid, s, cfg.kernel, pool)
     for h, h_cells in zip(hs, cells):
         norm = normalizer(n, h, cfg.m)
         eu1, eu, cent = table[h]
@@ -274,13 +280,14 @@ def rate_experiment(cfg, out_dir=None, threads=1, include_remainder=False):
     """Full sweep over n_list x reps x bandwidths x grid x members.
 
     Returns a RateReport; when out_dir is given also writes deviations.csv,
-    report.json and config_echo.json atomically. Output bytes are independent
-    of `threads`, an int from 1 to _THREADS_BUDGET. `threads`, out_dir (its
+    report.json and config_echo.json atomically. The replications run in
+    order on the calling thread. `threads`, an int from 1 to
+    _THREADS_BUDGET, splits the cells of each replication at m = 3 over a
+    pool of that many workers; at m <= 2, or at 1, no thread is started.
+    Output bytes are independent of `threads`. `threads`, out_dir (its
     nearest existing ancestor must be a directory), every n's bandwidths, the
     row count and the population table (one for every n) are checked before
     any replication."""
-    if isinstance(threads, bool) or not isinstance(threads, int):
-        raise SchemaError(f"threads must be an integer, got {threads!r}")
     within(threads, 1, "threads", _THREADS_BUDGET)
     if out_dir is not None:
         near = os.path.abspath(out_dir)
@@ -288,7 +295,6 @@ def rate_experiment(cfg, out_dir=None, threads=1, include_remainder=False):
             near = os.path.dirname(near)
         if not os.path.isdir(near):
             raise OutputFileError(f"cannot write to {out_dir!r}: {near!r} is not a directory")
-    stride = min(threads, cfg.reps)
     tgrid = make_t_grid(cfg.t_interval, cfg.t_points, cfg.m)
     grids = {n: bandwidths(cfg, n) for n in cfg.n_list}
     per_cell = cfg.reps * len(tgrid) * (1 + 3 * len(cfg.fc.members))
@@ -298,54 +304,48 @@ def rate_experiment(cfg, out_dir=None, threads=1, include_remainder=False):
     cache = expectation_cache(cfg, [h for hs in grids.values() for h in hs], tgrid)
     all_rows = []
     per_n = {}
-    for n, hs in grids.items():
-        def _one_rep(rep):
-            s = simulate(cfg.dgp, n, child_seed(cfg.seed, n, rep))
-            return sweep_cells(cfg, s, n, rep, hs, tgrid, cache)
+    # m = 3 cells are the only work of a replication that holds enough
+    # GIL-free NumPy calls to keep a second core busy
+    threaded = cfg.m == 3 and threads > 1
+    with ThreadPoolExecutor(threads) if threaded else contextlib.nullcontext() as pool:
+        for n, hs in grids.items():
+            chunks = [sweep_cells(cfg, simulate(cfg.dgp, n, child_seed(cfg.seed, n, rep)),
+                                  n, rep, hs, tgrid, cache, pool)
+                      for rep in range(cfg.reps)]
+            n_rows = [row for chunk in chunks for row in chunk]
+            all_rows.extend(n_rows)
 
-        def _group(first):
-            return [_one_rep(rep) for rep in range(first, cfg.reps, stride)]
-
-        # replications strided over `stride` groups, none empty: group 0 runs on
-        # the calling thread, so `threads=1` starts no thread and no malloc arena
-        with ThreadPoolExecutor(max_workers=max(1, stride - 1)) as pool:
-            rest = pool.map(_group, range(1, stride))
-            groups = [_group(0), *rest]
-        chunks = [groups[rep % stride][rep // stride] for rep in range(cfg.reps)]
-        n_rows = [row for chunk in chunks for row in chunk]
-        all_rows.extend(n_rows)
-
-        entry = {
-            "anchor": lower_bandwidth(cfg.regime, n),
-            "cap": bandwidth_cap(cfg, n),
-            "bandwidths": list(hs),
-            "bias_sup": max(bias_from_cache(hs, cache), bias_at_cap(cfg, n, tgrid)),
-            "cells_total": len(n_rows),
-            "cells_ok": sum(1 for r in n_rows if r.status == "ok"),
-        }
-        summaries = {
-            "sup_normalized_process": ("process", "normalized"),
-            "sup_normalized_estimator": ("est_centering", "normalized"),
-            "sup_consistency": ("est_truth", "raw"),
-        }
-        for key, (stat, fieldname) in summaries.items():
-            # each replication's supremum over its own ok rows
-            sups = [max([getattr(r, fieldname) for r in chunk
-                         if r.stat == stat and r.status == "ok"], default=float("nan"))
-                    for chunk in chunks]
-            entry[f"{key}_per_rep"] = sups
-            finite = [v for v in sups if not math.isnan(v)]
-            entry[key] = max(finite) if finite else float("nan")
-            entry[f"{key}_mean"] = float(np.mean(finite)) if finite else float("nan")
-        if include_remainder and cfg.regime.kind != "bounded":
-            ell = max(2, math.ceil(math.log2(n)))
-            diag = remainder_diagnostic(cfg, ell)
-            entry["remainder_sup"] = diag["sup_normalized"]
-            entry["remainder"] = {
-                k: diag[k] for k in ("ell", "n", "threshold", "sup_normalized",
-                                     "mc_se_at_sup")
+            entry = {
+                "anchor": lower_bandwidth(cfg.regime, n),
+                "cap": bandwidth_cap(cfg, n),
+                "bandwidths": list(hs),
+                "bias_sup": max(bias_from_cache(hs, cache), bias_at_cap(cfg, n, tgrid)),
+                "cells_total": len(n_rows),
+                "cells_ok": sum(1 for r in n_rows if r.status == "ok"),
             }
-        per_n[n] = entry
+            summaries = {
+                "sup_normalized_process": ("process", "normalized"),
+                "sup_normalized_estimator": ("est_centering", "normalized"),
+                "sup_consistency": ("est_truth", "raw"),
+            }
+            for key, (stat, fieldname) in summaries.items():
+                # each replication's supremum over its own ok rows
+                sups = [max([getattr(r, fieldname) for r in chunk
+                             if r.stat == stat and r.status == "ok"], default=float("nan"))
+                        for chunk in chunks]
+                entry[f"{key}_per_rep"] = sups
+                finite = [v for v in sups if not math.isnan(v)]
+                entry[key] = max(finite) if finite else float("nan")
+                entry[f"{key}_mean"] = float(np.mean(finite)) if finite else float("nan")
+            if include_remainder and cfg.regime.kind != "bounded":
+                ell = max(2, math.ceil(math.log2(n)))
+                diag = remainder_diagnostic(cfg, ell)
+                entry["remainder_sup"] = diag["sup_normalized"]
+                entry["remainder"] = {
+                    k: diag[k] for k in ("ell", "n", "threshold", "sup_normalized",
+                                         "mc_se_at_sup")
+                }
+            per_n[n] = entry
 
     all_rows.sort(key=ROW_ORDER)
     report = RateReport(per_n=per_n, rows=tuple(all_rows), config=cfg.raw)

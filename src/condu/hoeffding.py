@@ -12,12 +12,14 @@ from typing import Callable
 
 import numpy as np
 
+from .config import _N_BUDGET, _REPS_BUDGET
 from .errors import (
     DegenerateSample,
     InvalidProjectionOrder,
     MeasureTooLarge,
     SchemaError,
     UnsupportedOrder,
+    within,
 )
 from .kernels import generator
 from .ucore import Sample, u_stat_brute
@@ -189,13 +191,14 @@ def _u_stat_vec(Lvec, s, m):
 def variance_bound_check(Lvec, m, dgp, n, reps, seed):
     """Empirical Var(U_n) against the classical bound (m/n) E L^2, the bound
     from 200,000 Monte Carlo draws; every draw is dgp.draw on
-    kernels.generator(seed), so a bad seed raises SchemaError. Lvec must be
-    vectorized: Lvec(xs, ys) with arrays of shape (N, m).
+    kernels.generator(seed), so a bad seed raises SchemaError, as do an n
+    or reps that is not an integer within its budget, before any draw. Lvec
+    must be vectorized: Lvec(xs, ys) with arrays of shape (N, m).
     Returns (emp_var, bound, mc_se).
     """
     mc_draws = 200_000
-    if reps < 500:
-        raise SchemaError("reps must be >= 500")
+    within(n, 1, "n", _N_BUDGET)
+    within(reps, 500, "reps", _REPS_BUDGET)
     if n < m:
         raise DegenerateSample("need n >= m")
     rng = generator(seed)

@@ -19,7 +19,8 @@ per band of window pairs, shared by every bandwidth, which also holds each
 cell's pair diagonal; m = 3 in chunks summed in np.sum's own pairwise order
 from leaves of at most _FILL_ELEMENTS = 2^15 values, with 0.0 for every
 tuple that repeats an index, in one walk of each chunk's tree for every
-member).
+member; given a thread pool, one m = 3 cell per task, from leaves of
+_POOL_FILL_ELEMENTS = 2^17 values, which leaves the bits unchanged).
 u_stat_windowed is its one-member, one-bandwidth, one-point call, so a cell
 gives the same bits alone as within a grid. A sample is an ``x,y`` CSV
 file, read and written through kernels' one CSV reader and one writer.
@@ -42,6 +43,7 @@ from .errors import (
     PopulationTooLarge,
     SchemaError,
     UnsupportedOrder,
+    within,
 )
 from .function_class import FunctionSpec
 from .kernels import Kernel1D, eval_scaled, generator, read_csv_columns, write_csv
@@ -62,6 +64,9 @@ _BAND_ELEMENTS = 2 ** 21
 # summed from leaves of at most this many values, so the evaluation planes,
 # masks and products stay small
 _FILL_ELEMENTS = 2 ** 15
+# the leaf size of an m=3 cell run on a pool worker: a worker's leaf buffers
+# come to about 6 MB, and fewer, longer NumPy calls hold the GIL less often
+_POOL_FILL_ELEMENTS = 2 ** 17
 
 
 @dataclass(frozen=True)
@@ -82,10 +87,15 @@ class Sample:
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
             bad = int(np.argmax(~(np.isfinite(x) & np.isfinite(y))))
             raise SchemaError(f"non-finite sample entry at row {bad + 1}")
-        # ties broken by original index: stable sort keeps enumeration
-        # reproducible
-        order = np.argsort(x, kind="stable")
-        for name, a in [("x", x), ("y", y), ("sort_index", order), ("x_sorted", x[order])]:
+        # ties broken by original index: the stable sort's permutation. Without
+        # equal neighbours (-0.0 == 0.0) the sort order is unique, so NumPy's
+        # faster default sort gives that permutation too
+        order = np.argsort(x)
+        xs = x[order]
+        if np.any(xs[1:] == xs[:-1]):
+            order = np.argsort(x, kind="stable")
+            xs = x[order]
+        for name, a in [("x", x), ("y", y), ("sort_index", order), ("x_sorted", xs)]:
             a.setflags(write=False)
             object.__setattr__(self, name, a)
 
@@ -253,7 +263,10 @@ class WindowGrid:
       values fills g's arguments, in lines of n_3 values, and finds the
       tuples that repeat an index once; then, member by member, it fills
       one buffer with (g * w_1) * w_2 w_3, with 0.0 in place of g at those
-      tuples, and sums it by np.sum.
+      tuples, and sums it by np.sum. Given a pool, each m = 3 cell is one
+      task on its workers, from leaves of _POOL_FILL_ELEMENTS values (about
+      6 MB of leaf buffers per worker); the tree's bits do not depend on
+      the leaf size, and the cells are read back in order.
 
     The constant 1 takes ones for the values of g, which is exact, so its
     bits and tuple counts are those of the member "one".
@@ -301,10 +314,14 @@ class WindowGrid:
     # a term or total that overflows ends in NonFiniteSum, so NumPy's
     # warnings on the way would only print ahead of that error
     @np.errstate(over="ignore", invalid="ignore")
-    def u_stats(self, members):
+    def u_stats(self, members, pool=None):
         """Per member, per bandwidth, one UStatResult per point, in the
         order of the members, the bandwidths and the points. A member None
-        is the constant 1, U_n(1, h, t)."""
+        is the constant 1, U_n(1, h, t). Given a pool (a concurrent.futures
+        executor), the m = 3 cells run on its workers, summed from leaves of
+        _POOL_FILL_ELEMENTS values, and are read back in cell order, so the
+        results, and the first cell without a finite sum, are a serial
+        call's; every other cell runs on the calling thread."""
         orders = {len(t) for t in self.points} | {g.m for g in members if g is not None}
         if len(orders) > 1:
             raise SchemaError(f"evaluation points and members must share one order m, "
@@ -315,31 +332,29 @@ class WindowGrid:
         total = math.perm(n, m)
         out = [[[None] * len(self.points) for _ in self.hs] for _ in members]
         gy = [_eval_rows(g, self.y_sorted[:, None]) for g in members] if m == 1 else None
-        banded = {}
+        # a worker's NumPy error state is its own, not this call's
+        work = np.errstate(over="ignore", invalid="ignore")(self._cell)
+        banded, pending = {}, {}
         for q, ranges in enumerate(self.ranges):
             for k, cell in enumerate(self.cells):
-                wins = [ranges[i] for i in cell]
-                tuples = math.prod(b - a for a, b in wins)
-                if tuples == 0:
-                    res = [UStatResult(0.0, 0, total, "windowed")] * len(members)
-                elif tuples <= EXACT_PATH_MAX:
-                    res = self._exact(members, q, k, gy, total)
-                elif m == 1:
-                    (a, b), w = wins[0], self.weights[q][cell[0]]
-                    res = [self._result(float(np.dot(v[a:b], w)), b - a, total, q, k)
-                           for v in gy]
-                elif m == 2:
-                    banded.setdefault(cell[0], []).append(((q, k), *wins))
+                if m == 2:
+                    wins = [ranges[i] for i in cell]
+                    if math.prod(b - a for a, b in wins) > EXACT_PATH_MAX:
+                        banded.setdefault(cell[0], []).append(((q, k), *wins))
+                        continue
+                if m == 3 and pool is not None:
+                    pending[q, k] = pool.submit(work, members, q, k, gy, total,
+                                                _POOL_FILL_ELEMENTS)
                     continue
-                elif m == 3:
-                    res = self._triples(members, q, k, total)
-                else:
-                    raise UnsupportedOrder(
-                        f"windowed vectorized path supports m <= 3; window has "
-                        f"{tuples} tuples for m={m}"
-                    )
-                for g_out, r in zip(out, res):
+                for g_out, r in zip(out, self._cell(members, q, k, gy, total, _FILL_ELEMENTS)):
                     g_out[q][k] = r
+        try:
+            for (q, k), future in pending.items():
+                for g_out, r in zip(out, future.result()):
+                    g_out[q][k] = r
+        finally:
+            for future in pending.values():
+                future.cancel()  # after a raise, the cells not yet started
         for row in banded.values():
             for r_lo, r_hi, c_lo, c_hi, run in _band_groups(row):
                 common = [_common_positions(r, c, self.s.sort_index) for _, r, c in run]
@@ -361,6 +376,23 @@ class WindowGrid:
                         out[gi][q][k] = self._result(acc, G.size - i1.size, total, q, k)
                     del band, G  # one band alive at a time: freed before the next fill
         return out
+
+    def _cell(self, members, q, k, gy, total, fill):
+        """Every member's result at the cell (q, k), off the m = 2 band
+        path; m = 3 sums from leaves of at most `fill` values."""
+        wins = [self.ranges[q][i] for i in self.cells[k]]
+        tuples = math.prod(b - a for a, b in wins)
+        if tuples == 0:
+            return [UStatResult(0.0, 0, total, "windowed")] * len(members)
+        if tuples <= EXACT_PATH_MAX:
+            return self._exact(members, q, k, gy, total)
+        if len(wins) == 1:
+            (a, b), w = wins[0], self.weights[q][self.cells[k][0]]
+            return [self._result(float(np.dot(v[a:b], w)), b - a, total, q, k) for v in gy]
+        if len(wins) == 3:
+            return self._triples(members, q, k, total, fill)
+        raise UnsupportedOrder(f"windowed vectorized path supports m <= 3; window has "
+                               f"{tuples} tuples for m={len(wins)}")
 
     def _result(self, acc, evaluated, total, q, k):
         """The result of a cell's total on any path; a non-finite one raises."""
@@ -423,18 +455,18 @@ class WindowGrid:
             band[r - lo:r - lo + part.shape[0]] = part
         return band
 
-    def _triples(self, members, q, k, total):
+    def _triples(self, members, q, k, total, fill):
         """One m = 3 cell, per member, as the flat (i_1, i_2, i_3) array of
         its values (g * w_1) * w_2 w_3 in lines of n_3 values, one line per
         (i_1, i_2). Its chunks of whole rows, at most _CHUNK_ELEMENTS values,
         are summed in np.sum's order by one _pairwise_sum walk for every
-        member. A leaf's geometry is shared: it fills coordinate 1 of the
-        lines it straddles, finds the rows and the (row, i_3) entries of the
-        tuples that repeat an index and slices w_1 and the w_2 w_3 tile once,
-        then evaluates each member into one buffer of those lines and sums
-        it. Each member's sums meet in the same additions as in a walk of
-        its own, so it keeps those bits; no chunk and no (n_2, n_3) plane is
-        ever built."""
+        member, from leaves of at most `fill` values. A leaf's geometry is
+        shared: it fills coordinate 1 of the lines it straddles, finds the
+        rows and the (row, i_3) entries of the tuples that repeat an index
+        and slices w_1 and the w_2 w_3 tile once, then evaluates each member
+        into one buffer of those lines and sums it. Each member's sums meet
+        in the same additions as in a walk of its own, so it keeps those
+        bits; no chunk and no (n_2, n_3) plane is ever built."""
         (a1, b1), (a2, b2), (a3, b3) = ranges = [self.ranges[q][i] for i in self.cells[k]]
         ys = [self.y_sorted[lo:hi] for lo, hi in ranges]
         w1, w2, w3 = [self.weights[q][i] for i in self.cells[k]]
@@ -449,7 +481,7 @@ class WindowGrid:
         # and 3 and of w_2 w_3 depend on i_2 only: a tile of them for `tile`
         # consecutive i_2 (mod n_2) serves leaf after leaf, and every leaf
         # once n_2 <= lines.
-        lines = min(n1 * n2, (max(_FILL_ELEMENTS, 128) - 1) // n3 + 2)
+        lines = min(n1 * n2, (max(fill, 128) - 1) // n3 + 2)
         tile = lines + min(n2, lines)
         planes, w23, block = np.empty((3, tile, n3)), np.empty((tile, n3)), np.empty((lines, n3))
         planes[2] = ys[2]
@@ -489,24 +521,24 @@ class WindowGrid:
 
         acc = np.zeros(len(members))
         for lo in range(0, n1 * n2 * n3, chunk):
-            acc += _pairwise_sum(lo, min(lo + chunk, n1 * n2 * n3), leaf)
+            acc += _pairwise_sum(lo, min(lo + chunk, n1 * n2 * n3), leaf, fill)
         return [self._result(v, evaluated, total, q, k) for v in acc.tolist()]
 
 
-def _pairwise_sum(lo, hi, leaf):
+def _pairwise_sum(lo, hi, leaf, size):
     """The float np.sum gives over the values [lo, hi) of a contiguous float64
     array, from leaf(a, b), np.sum of the values [a, b). NumPy sums a node of
     more than 128 values as the sum of its two halves' sums, split at n // 2
-    rounded down to a multiple of 8, so a node of up to _FILL_ELEMENTS
-    values (or 128) summed by np.sum is the same subtree, and the result
-    does not depend on where the values lie in memory. leaf may instead
-    return a float64 array of such sums, one per array summed; the halves
-    are then added elementwise, so each entry is that array's sum."""
+    rounded down to a multiple of 8, so a node of up to `size` values (or
+    128) summed by np.sum is the same subtree, and the result depends
+    neither on `size` nor on where the values lie in memory. leaf may
+    instead return a float64 array of such sums, one per array summed; the
+    halves are then added elementwise, so each entry is that array's sum."""
     n = hi - lo
-    if n <= max(_FILL_ELEMENTS, 128):
+    if n <= max(size, 128):
         return leaf(lo, hi)
     mid = lo + n // 2 - (n // 2) % 8
-    return _pairwise_sum(lo, mid, leaf) + _pairwise_sum(mid, hi, leaf)
+    return _pairwise_sum(lo, mid, leaf, size) + _pairwise_sum(mid, hi, leaf, size)
 
 
 def u_stat_windowed(spec, s):
@@ -561,15 +593,15 @@ def incomplete_u(spec, s, budget, seed):
     """Incomplete U-statistic over `budget` tuples sampled without replacement.
 
     The tuples come from kernels.generator(seed), a pure function of (seed, n,
-    m, budget); a bad seed raises SchemaError. As in the oracle, g is evaluated
+    m, budget); a bad seed, or a budget that is not an integer >= 1, raises
+    SchemaError before any draw. As in the oracle, g is evaluated
     only on the sampled tuples inside every closed window |t_j - x_j| <= h/2;
     the rest are zero terms. A non-finite mean raises NonFiniteSum.
     """
     m, n = spec.m, s.n
     if m > n:
         raise DegenerateSample(f"order m={m} exceeds sample size n={n}")
-    if budget < 1:
-        raise SchemaError("budget must be >= 1")
+    within(budget, 1, "budget")
     total = math.perm(n, m)
     if budget > total:
         raise BudgetExceedsPopulation(

@@ -3,6 +3,8 @@ import dataclasses
 import math
 import pickle
 import random
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -352,7 +354,9 @@ class TestSweepInvariants:
 
 
 # m = 2 cells on the band path and m = 3 cells streamed through the pairwise
-# tree: every cell of their first sample sums more than EXACT_PATH_MAX tuples
+# tree: every cell of their first sample sums more than EXACT_PATH_MAX tuples.
+# The one replication of m3-one-rep has cells of up to 140,608 tuples, more
+# than one leaf of a pool worker (2^17 values).
 THREADED_CFGS = {
     "m1": {},
     "m2-band": {"function_class__m": 2, "function_class__members": ["sum"],
@@ -360,12 +364,15 @@ THREADED_CFGS = {
     "m3-streamed": {"function_class__m": 3, "function_class__members": ["sum", "product"],
                     "regime__b0": 0.9, "grids__points_per_axis": 2, "grids__quad_order": 8,
                     "experiment__n_list": [40], "experiment__reps": 3},
+    "m3-one-rep": {"function_class__m": 3, "function_class__members": ["sum", "product"],
+                   "regime__b0": 0.9, "grids__points_per_axis": 2, "grids__quad_order": 8,
+                   "experiment__n_list": [80], "experiment__reps": 1},
 }
 
 
 class TestOutputDeterminism:
-    @pytest.mark.parametrize("name", list(THREADED_CFGS))
-    def test_byte_identical_across_runs_and_thread_counts(self, tmp_path, name):
+    @staticmethod
+    def assert_byte_identical_across_thread_counts(tmp_path, name):
         cfg = make_cfg(**THREADED_CFGS[name])
         if cfg.m > 1:
             n, tgrid = cfg.n_list[0], make_t_grid(cfg.t_interval, cfg.t_points, cfg.m)
@@ -384,6 +391,20 @@ class TestOutputDeterminism:
                 }
             )
         assert all(out == outs[0] for out in outs[1:])
+
+    @pytest.mark.parametrize("name", list(THREADED_CFGS))
+    def test_byte_identical_across_runs_and_thread_counts(self, tmp_path, name):
+        self.assert_byte_identical_across_thread_counts(tmp_path, name)
+
+    def test_one_rep_m3_is_byte_identical_under_frequent_thread_switches(self, tmp_path):
+        # the interpreter hands the GIL over every microsecond, so the pool's
+        # cells interleave far more finely than at the default 5 ms
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            self.assert_byte_identical_across_thread_counts(tmp_path, "m3-one-rep")
+        finally:
+            sys.setswitchinterval(interval)
 
     @staticmethod
     def frozen_deviations_csv_text(rows, m):
@@ -468,18 +489,25 @@ class TestThreadCount:
             rate_experiment(make_cfg(), out_dir=str(tmp_path / "out"), threads=threads)
         assert not (tmp_path / "out").exists()
 
-    def test_no_worker_gets_an_empty_group(self, monkeypatch):
-        # two reps at the most threads: rep 1 goes to the one worker
-        workers = []
+    @pytest.mark.parametrize("name, threads, pools", [
+        ("m1", 4, []), ("m2-band", 4, []), ("m3-one-rep", 1, []),
+        ("m3-streamed", 2, [2]), ("m3-streamed", _THREADS_BUDGET, [_THREADS_BUDGET])])
+    def test_only_m3_with_threads_builds_one_pool(self, monkeypatch, name, threads, pools):
+        # m <= 2 and threads = 1 start no thread; at m = 3 the experiment's
+        # replications share one pool of `threads` workers
+        built = []
 
         class Pool(condu.harness.ThreadPoolExecutor):
             def __init__(self, max_workers):
-                workers.append(max_workers)
+                built.append(max_workers)
                 super().__init__(max_workers)
 
         monkeypatch.setattr(condu.harness, "ThreadPoolExecutor", Pool)
-        rate_experiment(make_cfg(), threads=_THREADS_BUDGET)
-        assert workers == [1, 1]
+        before = threading.active_count()
+        rate_experiment(make_cfg(**THREADED_CFGS[name]), threads=threads)
+        assert built == pools
+        if not pools:
+            assert threading.active_count() == before
 
 
 class TestRemainderDiagnostic:

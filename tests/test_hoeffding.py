@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import condu.hoeffding
 from condu.errors import InvalidProjectionOrder, MeasureTooLarge, SchemaError
 from condu.estimator import make_dgp
 from condu.hoeffding import (
@@ -169,6 +170,19 @@ class TestProjectionVariance:
 
 
 class TestVarianceBound:
+    @pytest.mark.parametrize("n, reps, name", [
+        (5.5, 500, "n"), (True, 500, "n"), (0, 500, "n"), ("5", 500, "n"),
+        (5, 500.5, "reps"), (5, True, "reps"), (5, 499, "reps"), (5, None, "reps")])
+    def test_an_n_or_reps_that_is_no_integer_in_budget_raises_before_any_draw(
+            self, n, reps, name, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("drew a sample")
+
+        monkeypatch.setattr(condu.hoeffding, "generator", no_draw)
+        with pytest.raises(SchemaError, match=f"^{name} "):
+            variance_bound_check(lambda xs, ys: ys[..., 0], 1, make_dgp("uniform_linear"),
+                                 n, reps, seed=1)
+
     def test_constant_kernel_zero_variance(self):
         dgp = make_dgp("uniform_linear", "none")
         emp, bound, se = variance_bound_check(

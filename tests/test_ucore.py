@@ -3,6 +3,7 @@ import itertools
 import math
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -693,6 +694,23 @@ class TestIncompleteU:
         with pytest.raises(PopulationTooLarge):
             incomplete_u(spec, s, 10, seed=0)
 
+    @pytest.mark.parametrize("budget", [10.5, True, 0, "10", None, np.float64(10.0)])
+    def test_a_budget_that_is_no_integer_from_one_raises_before_any_draw(
+            self, budget, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("drew tuples")
+
+        monkeypatch.setattr(condu.ucore, "generator", no_draw)
+        s = random_sample(make_rng(17), 20)
+        spec = UKernelSpec(builtin_member("product", 2), 0.4, (0.5, 0.5), get_kernel("uniform"))
+        with pytest.raises(SchemaError, match="budget"):
+            incomplete_u(spec, s, budget, seed=0)
+
+    def test_a_numpy_integer_budget_is_the_int_one(self):
+        s = random_sample(make_rng(17), 20)
+        spec = UKernelSpec(builtin_member("product", 2), 0.4, (0.5, 0.5), get_kernel("uniform"))
+        assert incomplete_u(spec, s, np.int64(50), seed=0) == incomplete_u(spec, s, 50, seed=0)
+
     def test_budget_above_population_rejected(self):
         s = Sample(np.array([0.0, 0.1]), np.array([1.0, 2.0]))
         spec = UKernelSpec(builtin_member("one", 1), 1.0, (0.0,), get_kernel("uniform"))
@@ -711,6 +729,35 @@ class TestIncompleteU:
         )
         se = vals.std(ddof=1) / math.sqrt(len(vals))
         assert abs(vals.mean() - truth) <= 3 * se
+
+
+class TestSampleSort:
+    """Sample sorts by NumPy's default argsort and falls back to the stable
+    sort where the sorted x holds equal neighbours, -0.0 and 0.0 included:
+    either way its permutation is the stable sort's."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_sort_index_is_the_stable_argsort(self, data):
+        n = data.draw(st.integers(1, 300))
+        value = st.one_of(st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0]))
+        x = data.draw(st.one_of(
+            # few distinct values: ties, and signed zeros side by side
+            st.lists(value, min_size=1, max_size=4).flatmap(
+                lambda pool: st.lists(st.sampled_from(pool), min_size=n, max_size=n)),
+            st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n, unique=True),
+            value.map(lambda v: [v] * n)))
+        x = np.array(x)
+        s = Sample(x, np.zeros(x.size))
+        want = np.argsort(x, kind="stable")
+        assert np.array_equal(s.sort_index, want)
+        assert s.x_sorted.tobytes() == x[want].tobytes()
+
+    def test_signed_zeros_keep_their_original_order(self):
+        x = np.array([0.0, -0.0, 1.0, -0.0, 0.0, -1.0])
+        s = Sample(x, np.zeros(x.size))
+        assert s.sort_index.tolist() == [5, 0, 1, 3, 4, 2]
+        assert np.signbit(s.x_sorted).tolist() == [True, False, True, True, False, False]
 
 
 class TestSampleIo:
@@ -1008,7 +1055,7 @@ class TestPairwiseSum:
             st.sampled_from([1, 7, 8, 9, 127, 128, 129, 136, 137, 255, 257, fill - 1, fill,
                              fill + 1, fill + 8, fill + 9, 2 * fill + 9, 4_400_001]),
             st.integers(1, 3 * fill), st.integers(3 * fill, 4_400_000)))
-        leaf = data.draw(st.sampled_from([1, 30, fill]))
+        leaf = data.draw(st.sampled_from([1, 30, fill, condu.ucore._POOL_FILL_ELEMENTS]))
         rng = make_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
         # a huge dynamic range, with signed zeros, infinities and nan
         values = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
@@ -1016,10 +1063,8 @@ class TestPairwiseSum:
         for i, v in data.draw(st.lists(st.tuples(st.integers(0, n - 1), special),
                                        max_size=6)):
             values[i] = v
-        with pytest.MonkeyPatch.context() as patch, np.errstate(over="ignore",
-                                                                invalid="ignore"):
-            patch.setattr(condu.ucore, "_FILL_ELEMENTS", leaf)
-            got = _pairwise_sum(0, n, lambda a, b: float(np.sum(values[a:b])))
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = _pairwise_sum(0, n, lambda a, b: float(np.sum(values[a:b])), leaf)
             want = np.sum(values)
         # a nan's sign and payload follow the order of each addition's
         # operands, which the compiler may swap; any nan cell raises anyway
@@ -1069,6 +1114,49 @@ class TestWindowGrid:
                 assert_same_results(h_got, h_alone)
         for h_dens, h_ones in zip(dens, ones):
             assert_same_results(h_dens, h_ones)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_m3_cells_on_a_pool_are_the_serial_cells(self, data):
+        # pool workers sum from leaves of _POOL_FILL_ELEMENTS values, the
+        # calling thread from leaves of the (patched) _FILL_ELEMENTS
+        s, hs, points, phi, kernel = data.draw(grid_case(3))
+        members = [None, phi, builtin_member("product", 3)]
+        fill = data.draw(st.sampled_from([1, 30, 2 ** 15]))
+        chunk = data.draw(st.sampled_from([50, 700, 4_000_000]))
+        with pytest.MonkeyPatch.context() as patch, ThreadPoolExecutor(2) as pool:
+            patch.setattr(condu.ucore, "_FILL_ELEMENTS", fill)
+            patch.setattr(condu.ucore, "_CHUNK_ELEMENTS", chunk)
+            grid = WindowGrid(s, hs, points, kernel)
+            serial = grid.u_stats(members)
+            pooled = grid.u_stats(members, pool)
+        for g_serial, g_pooled in zip(serial, pooled):
+            for h_serial, h_pooled in zip(g_serial, g_pooled):
+                assert_same_results(h_pooled, h_serial)
+
+    def test_pool_raises_the_first_non_finite_cell_of_a_serial_call(self):
+        # y near 1e100 on x in [0.3, 0.6]: y_1^5 overflows in every cell
+        # whose window holds them; the window at 0.85 holds only y near 1
+        rng = make_rng(33)
+        x = np.concatenate((rng.uniform(0.3, 0.6, 14), rng.uniform(0.8, 0.9, 14)))
+        y = np.concatenate((1e100 * rng.uniform(1.0, 2.0, 14), rng.uniform(1.0, 2.0, 14)))
+        s = Sample(x, y)
+        up = polynomial_member("+y1^5", 3, [(1.0, (5, 0, 0))])
+        grid = WindowGrid(s, [0.3, 0.45], [(0.85,) * 3, (0.45,) * 3, (0.5,) * 3],
+                          get_kernel("uniform"))
+        assert min(math.prod(b - a for a, b in (ranges[i] for i in cell))
+                   for ranges in grid.ranges for cell in grid.cells) > EXACT_PATH_MAX
+
+        def message(pool=None):
+            with pytest.raises(NonFiniteSum) as err:
+                grid.u_stats([builtin_member("sum", 3), up], pool)
+            return str(err.value)
+
+        assert message().startswith("cell h=0.3, t=(0.45, 0.45, 0.45)")
+        with ThreadPoolExecutor(3) as pool:
+            assert message(pool) == message()
+            # the pool is left free of the failed call's cells
+            assert math.isfinite(grid.u_stats([builtin_member("sum", 3)], pool)[0][0][0].value)
 
     @pytest.mark.parametrize("m, n", [(1, 1500), (2, 300)])
     @pytest.mark.parametrize("band, fill", [(2 ** 19, 2 ** 15), (3000, 50)])
@@ -1124,6 +1212,16 @@ class TestWindowGrid:
         assert np.float64(got.value).tobytes() == np.float64(value).tobytes()
         assert got.tuples_evaluated == evaluated
         assert got == u_stat_windowed(spec, s)
+
+    def test_two_chunk_cell_on_a_pool_is_the_serial_cell(self, two_chunk_cell):
+        # leaves of 2^17 values on the worker, of 2^15 on the calling thread
+        s, spec = two_chunk_cell
+        members = [None, builtin_member("product", 3), builtin_member("sum", 3)]
+        grid = WindowGrid(s, [spec.h], [spec.t], spec.kernel)
+        with ThreadPoolExecutor(2) as pool:
+            pooled = grid.u_stats(members, pool)
+        for g_pooled, g_serial in zip(pooled, grid.u_stats(members)):
+            assert_same_results(g_pooled[0], g_serial[0])
 
     @pytest.mark.parametrize("member", ["product", "identity_j:2"])
     def test_two_chunk_cell_allocates_no_chunk_buffer(self, two_chunk_cell, member):
@@ -1223,12 +1321,13 @@ class TestWindowGrid:
         chunks = -(-n1 // max(1, condu.ucore._CHUNK_ELEMENTS // (n2 * n3)))
         walk = {"top": 0, "leaves": 0, "depth": 0}
 
-        def counted_walk(lo, hi, leaf):
+        def counted_walk(lo, hi, leaf, size):
+            assert size == condu.ucore._FILL_ELEMENTS
             walk["top"] += walk["depth"] == 0
-            walk["leaves"] += hi - lo <= max(condu.ucore._FILL_ELEMENTS, 128)
+            walk["leaves"] += hi - lo <= max(size, 128)
             walk["depth"] += 1
             try:
-                return _pairwise_sum(lo, hi, leaf)
+                return _pairwise_sum(lo, hi, leaf, size)
             finally:
                 walk["depth"] -= 1
 
