@@ -67,10 +67,14 @@ def lower_bandwidth(regime, n):
 
 def dyadic_bandwidths(a, m, limit):
     """h_0 = a, then h_j = (2^j a^m)^{1/m} while h_j <= limit; callers check
-    the anchor against their own cap."""
+    the anchor against their own cap. 2^j a^m is scaled exactly, by ldexp;
+    an anchor whose a^m underflows to 0 raises BandwidthOutOfRange."""
+    am = a ** m
+    if not am > 0:
+        raise BandwidthOutOfRange(f"anchor {a:.6g} is too small: its power a^{m} underflows")
     yield a
     for j in itertools.count(1):
-        hj = (2.0 ** j * a ** m) ** (1.0 / m)
+        hj = math.ldexp(am, j) ** (1.0 / m)
         if hj > limit:
             return
         yield hj
@@ -107,7 +111,7 @@ def normalizer(n, h, m):
     """sqrt(n h^m) / sqrt(|log h| v loglog n)."""
     if n < 3:
         raise SampleTooSmall(f"need n >= 3, got {n}")
-    if h <= 0:
+    if not h > 0:
         raise InvalidBandwidth(f"bandwidth must be positive, got {h}")
     if h >= 1:
         raise BandwidthOutOfRange(

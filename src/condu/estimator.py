@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import NoClosedFormConditional, SchemaError, ZeroDensityWindow
 from .function_class import builtin_member, member_kind
-from .kernels import composite_rule, gauss_legendre_panels, tensor_rule
+from .kernels import composite_rule, dot, gauss_legendre_panels, panel_sums, tensor_rule
 from .ucore import WindowGrid
 
 
@@ -178,9 +178,10 @@ def _max_uniform_expectation(rows, a):
     """Per row of centers c (shape (N, m)), E max_j (c_j + U_j) with U_j iid
     Uniform(-a, a); exact by piecewise Gauss-Legendre of order m + 2 (the
     CDF product is piecewise polynomial) over the panels between the row's
-    distinct cuts c_j -+ a. The rows' cuts are sorted together, but each
-    panel keeps its own np.dot and a row adds its panels in order, so each
-    row gets the bits of composite_integral over its cuts alone."""
+    distinct cuts c_j -+ a. The rows' cuts are sorted together, but
+    kernels.panel_sums gives each panel its own dot and adds a row's panels
+    in order, so each row gets the bits of composite_integral over its cuts
+    alone."""
     rows = np.asarray(rows, dtype=float)
     if a == 0.0:
         return np.max(rows, axis=1)
@@ -197,9 +198,7 @@ def _max_uniform_expectation(rows, a):
         x, half, weights = gauss_legendre_panels(flat[p], flat[p + 1], rows.shape[1] + 2)
         c = block[row[p], None, :]
         cdf = np.prod(np.clip((x[:, :, None] - c + a) / (2.0 * a), 0.0, 1.0), axis=2)
-        totals = [0.0] * len(block)
-        for i, hp, survival in zip(row[p].tolist(), half.tolist(), 1.0 - cdf):
-            totals[i] += hp * float(np.dot(weights, survival))
+        totals = panel_sums(row[p].tolist(), half, weights, 1.0 - cdf, len(block))
         out[start:start + len(block)] = cuts[:, 0] + totals
     return out
 
@@ -258,7 +257,7 @@ def convolve(phi, kernel, h, z):
     U, w, kw = _kernel_rule(kernel, 64, ((),) * z.size)
     pts = z[None, :] - h * U
     vals = np.asarray(phi(pts), dtype=float)
-    return float(np.dot(vals * kw, w))
+    return dot(vals * kw, w)
 
 
 @lru_cache(maxsize=16)
@@ -290,9 +289,9 @@ def expected_u_grid(dgp, members, kernel, h, points, quad_order):
     kernel, by the tensor rule split at t's cuts. The points that share
     their cuts share the rule, and are mapped to z - h*U in blocks of
     _BLOCK_POINTS; a block takes one density evaluation for the
-    denominator and every member, and each point keeps its own np.dot over
-    its own rule. Every operation is elementwise or that dot, so each value
-    has the bits of the point evaluated on its own.
+    denominator and every member, and each point keeps its own kernels.dot
+    over its own rule. Every operation is elementwise or that dot, so each
+    value has the bits of the point evaluated on its own.
     """
     points = np.asarray(points, dtype=float).reshape(len(points), -1)
     den, nums = np.empty(len(points)), np.empty((len(members), len(points)))
@@ -313,10 +312,10 @@ def expected_u_grid(dgp, members, kernel, h, points, quad_order):
             pts = points[rows][:, None, :] - h * U
             dens = product_density(dgp, pts)
             # the member "one" gives ones * density, the density's own bits
-            den[rows] = [np.dot(v, w) for v in dens * kw]
+            den[rows] = [dot(v, w) for v in dens * kw]
             for out, phi in zip(nums, members):
                 vals = np.asarray(true_regression(dgp, phi, pts), dtype=float)
-                out[rows] = [np.dot(v, w) for v in (vals * dens) * kw]
+                out[rows] = [dot(v, w) for v in (vals * dens) * kw]
             # one block's arrays alive at a time: freed before the next's
             pts = dens = vals = None
     return den, nums

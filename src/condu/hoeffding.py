@@ -39,6 +39,8 @@ class ReferenceMeasure:
         w = np.asarray(self.weights, dtype=float)
         if ax.size == 0 or ax.shape != ay.shape or ax.shape != w.shape:
             raise SchemaError("measure needs equal-length nonempty atom columns")
+        if not all(np.all(np.isfinite(v)) for v in (ax, ay, w)):
+            raise SchemaError("measure atoms and weights must be finite numbers")
         if np.any(w < 0) or abs(float(np.sum(w)) - 1.0) > 1e-12:
             raise SchemaError("weights must be nonnegative and sum to 1")
         object.__setattr__(self, "ax", ax)

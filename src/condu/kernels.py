@@ -1,8 +1,9 @@
 """Scalar smoothing kernels with compact support, their scaled weights, and
 the package's shared numerics: Gauss-Legendre and tensor rules, the CSV
-reader and the atomic writer, and the three decisions that make outputs
-deterministic: the BLAS pin, run at import (pin_blas), the 17-digit float
-format of the one CSV writer (write_csv) and the random stream (generator).
+reader and the atomic writer, and the four decisions that make outputs
+deterministic: the BLAS pin, run at import (pin_blas), the package's only
+BLAS reductions (dot, panel_sums, pair_sum), the 17-digit float format of
+the one CSV writer (write_csv) and the random stream (generator).
 
 All built-in kernels live on [-1/2, 1/2], integrate to one and are bounded.
 The support boundary is closed: K(+-1/2) counts as inside the window, so the
@@ -13,6 +14,7 @@ own support test.
 import ctypes
 import glob
 import itertools
+import math
 import os
 from dataclasses import dataclass
 from functools import lru_cache
@@ -40,6 +42,39 @@ def pin_blas():
 
 
 pin_blas()
+
+
+# The package's BLAS reductions: no other module calls BLAS, so the rule
+# that rounds a reduction on its way to an output byte is one function body.
+
+
+def dot(a, b):
+    """The BLAS dot product of two vectors, as a float."""
+    return float(np.dot(a, b))
+
+
+def panel_sums(rows, half, weights, values, size):
+    """Per row 0..size-1, the sum of hp * dot(weights, v) over its panels in
+    order; panel p belongs to row rows[p], with half-width hp = half[p] and
+    integrand v = values[p] at the rule's nodes."""
+    totals = [0.0] * size
+    for i, hp, v in zip(rows, half.tolist(), values):
+        totals[i] += hp * dot(weights, v)
+    return totals
+
+
+def pair_sum(G, w1, w2, i1, i2):
+    """sum w1[p] G[p, q] w2[q] over G but its entries (i1, i2): the BLAS form
+    w1 @ (G @ w2) less their terms, summed in i1's order. A total that is not
+    finite is summed again with those entries 0.0 (g may overflow on them
+    only), and that total kept if finite."""
+    acc = float(w1 @ (G @ w2)) - float(np.sum(G[i1, i2] * w1[i1] * w2[i2]))
+    if not math.isfinite(acc):
+        G = G.copy()
+        G[i1, i2] = 0.0
+        off = float(w1 @ (G @ w2))
+        acc = off if math.isfinite(off) else acc
+    return acc
 
 
 def child_seed(master, *key):
@@ -260,10 +295,7 @@ def gauss_legendre_panels(lo, hi, order):
 def composite_integral(f, cuts, order):
     """Integral of a vectorized f over [cuts[0], cuts[-1]], panel by panel."""
     x, half, weights = gauss_legendre_panels(cuts[:-1], cuts[1:], order)
-    total = 0.0
-    for xp, hp in zip(x, half.tolist()):
-        total += hp * float(np.dot(weights, f(xp)))
-    return total
+    return panel_sums(itertools.repeat(0), half, weights, map(f, x), 1)[0]
 
 
 def composite_rule(lo, hi, order, breaks):
@@ -325,7 +357,7 @@ def validate_kernel(k):
 
 def eval_scaled(k, h, z):
     """Scaled kernel h^{-1} K(z/h); zero outside the closed window |z| <= h/2."""
-    if h <= 0:
+    if not h > 0:
         raise InvalidBandwidth(f"bandwidth must be positive, got {h}")
     z = np.asarray(z, dtype=float)
     out = np.where(np.abs(z) <= h / 2.0, k(z / h) / h, 0.0)

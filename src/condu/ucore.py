@@ -46,7 +46,8 @@ from .errors import (
     within,
 )
 from .function_class import FunctionSpec
-from .kernels import Kernel1D, eval_scaled, generator, read_csv_columns, write_csv
+from .kernels import (Kernel1D, dot, eval_scaled, generator, pair_sum, read_csv_columns,
+                      write_csv)
 
 BRUTE_TUPLE_BUDGET = 10 ** 8
 # up to this window-tuple count the pruned path builds the brute path's terms
@@ -242,19 +243,17 @@ class WindowGrid:
     * exact, at most EXACT_PATH_MAX window tuples, any m: the brute
       oracle's terms from the stored weights and the distinct sorted
       positions, summed by math.fsum.
-    * m = 1: g once per sample on the sorted y; a cell is np.dot of a
-      slice and its weights.
+    * m = 1: g once per sample on the sorted y; a cell is kernels.dot of
+      a slice and its weights.
     * m = 2: the windows of a coordinate value nest in h, so the cells of
       every bandwidth whose points share t_1 share bands of g values,
       y[min lo, max hi) x y[c_lo, c_hi) over a run of overlapping t_2
       windows, of at most _BAND_ELEMENTS values, filled _FILL_ELEMENTS
       values at a time; one band is alive at a time. Each cell reads its
-      rows and columns of the band as a view G: w_1 @ (G @ w_2), less the
-      terms of the tuples (p, p) that repeat an index, found once per cell
-      and read from G, which holds g(y_p, y_p) wherever both windows hold
-      position p. When that total is not finite, the cell is summed once
-      more from a copy of G with those entries 0.0, since g may overflow
-      on them only.
+      rows and columns of the band as a view G, and kernels.pair_sum sums
+      it less the terms of the tuples (p, p) that repeat an index, found
+      once per cell; G holds g(y_p, y_p) wherever both windows hold
+      position p, and g may overflow on those entries only.
     * m = 3: the windows, the count of distinct triples and the leaf
       buffers once per cell. The tuples are split along the first axis
       into chunks of at most _CHUNK_ELEMENTS, each with the bits of one
@@ -364,15 +363,7 @@ class WindowGrid:
                         w1, w2 = (self.weights[q][i] for i in self.cells[k])
                         G = band[lo - r_lo:hi - r_lo, a - c_lo:b - c_lo]
                         # the tuples (p, p) at G[p - lo, p - a], in ascending index order
-                        acc = (float(w1 @ (G @ w2))
-                               - float(np.sum(G[i1, i2] * w1[i1] * w2[i2])))
-                        if not math.isfinite(acc):
-                            # g may overflow on those tuples only: sum again
-                            # with their entries 0.0
-                            G = G.copy()
-                            G[i1, i2] = 0.0
-                            off = float(w1 @ (G @ w2))
-                            acc = off if math.isfinite(off) else acc
+                        acc = pair_sum(G, w1, w2, i1, i2)
                         out[gi][q][k] = self._result(acc, G.size - i1.size, total, q, k)
                     del band, G  # one band alive at a time: freed before the next fill
         return out
@@ -388,7 +379,7 @@ class WindowGrid:
             return self._exact(members, q, k, gy, total)
         if len(wins) == 1:
             (a, b), w = wins[0], self.weights[q][self.cells[k][0]]
-            return [self._result(float(np.dot(v[a:b], w)), b - a, total, q, k) for v in gy]
+            return [self._result(dot(v[a:b], w), b - a, total, q, k) for v in gy]
         if len(wins) == 3:
             return self._triples(members, q, k, total, fill)
         raise UnsupportedOrder(f"windowed vectorized path supports m <= 3; window has "

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from condu.bandwidth import (
     RateRegime,
+    dyadic_bandwidths,
     dyadic_grid,
     gamma_threshold,
     lower_bandwidth,
@@ -101,6 +103,26 @@ class TestDyadicGrid:
         with pytest.raises(EmptyBandwidthRange):
             dyadic_grid(r, 8)
 
+    @pytest.mark.parametrize("c", [1e-200, 1e-320])
+    def test_anchor_whose_power_underflows_is_rejected(self, c):
+        # a^2 underflows to 0.0, so no h_j = (2^j a^2)^{1/2} can reach the cap
+        with pytest.raises(BandwidthOutOfRange, match="underflows"):
+            dyadic_grid(RateRegime("bounded", c=c, m=2, b0=0.4), 10)
+
+    def test_subnormal_power_scales_to_the_cap_without_overflow(self):
+        # a^2 is subnormal: 2^j a^2 reaches 2*b0 only past j = 1024, where
+        # 2.0 ** j overflows
+        g = dyadic_grid(RateRegime("bounded", c=1e-160, m=2, b0=0.4), 10)
+        assert g.L > 1024
+        assert g.anchors[-1] <= 0.8 < math.ldexp(g.anchors[0] ** 2, g.L + 1) ** 0.5
+
+    @settings(max_examples=200, deadline=None)
+    @given(a=st.floats(1e-105, 0.5), m=st.integers(1, 3))
+    def test_grid_is_the_power_of_two_formula_bit_for_bit(self, a, m):
+        want = [a] + [(2.0 ** j * a ** m) ** (1.0 / m) for j in range(1, 64)]
+        got = list(itertools.islice(dyadic_bandwidths(a, m, math.inf), 64))
+        assert got == want
+
 
 class TestGammaThreshold:
     def test_gamma_at_ell_10(self):
@@ -146,6 +168,10 @@ class TestNormalizer:
             normalizer(100, 1.0, 1)
         with pytest.raises(InvalidBandwidth):
             normalizer(100, 0.0, 1)
+
+    def test_nan_bandwidth_raises(self):
+        with pytest.raises(InvalidBandwidth):
+            normalizer(100, math.nan, 1)
 
     def test_small_n_loglog_is_clamped_positive(self):
         assert normalizer(4, 0.5, 1) > 0.0

@@ -398,6 +398,20 @@ class TestMemberIds:
         assert not out.exists()
 
 
+@pytest.mark.parametrize("c", [1e-200, 1e-320])
+def test_rates_with_an_anchor_whose_power_underflows_exits_one(tmp_path, capsys, c):
+    # at m = 2, a_n^2 underflows to 0.0: no h_j^2 = 2^j a_n^2 reaches the cap
+    doc = copy.deepcopy(BASE_DOC)
+    doc["function_class"] = {"m": 2, "members": ["sum"],
+                             "regime": {"kind": "unbounded", "p": 3.0}}
+    doc["regime"]["c"] = c
+    assert run_rates(doc, tmp_path) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "BandwidthOutOfRange"
+    assert "underflows" in err["message"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_rates_on_a_grid_outside_the_support_exits_one(tmp_path, capsys):
     doc = copy.deepcopy(BASE_DOC)  # uniform design on [0, 1]
     doc["grids"]["interval"] = [2.0, 3.0]

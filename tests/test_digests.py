@@ -10,7 +10,7 @@ were recorded with: Python 3.11.7, NumPy 2.4.6 and OpenBLAS 0.3.31, whose
 runtime core (`scipy_openblas_get_corename64_`) was SkylakeX. "Haswell" is
 only the build string `numpy.show_config` prints. BLAS reductions in another
 build or on another core may round differently: forcing the Haswell core
-changes the three rates digests (ROADMAP item 3).
+changes the three rates digests (ROADMAP item 4).
 """
 
 import hashlib

@@ -31,6 +31,17 @@ class TestReferenceMeasure:
         with pytest.raises(SchemaError):
             ReferenceMeasure(np.array([0.0]), np.array([0.0]), np.array([0.9]))
 
+    @pytest.mark.parametrize("ax, ay, w", [
+        ([0.0, 1.0], [0.0, 1.0], [math.nan, 1.0]),
+        ([0.0, 1.0], [0.0, 1.0], [math.inf, 1.0]),
+        ([0.0, math.inf], [0.0, 1.0], [0.5, 0.5]),
+        ([0.0, 1.0], [-math.inf, 1.0], [0.5, 0.5]),
+        ([0.0, 1.0], [math.nan, 1.0], [0.5, 0.5]),
+    ], ids=["nan-weight", "inf-weight", "inf-x", "-inf-y", "nan-y"])
+    def test_non_finite_atoms_and_weights_are_rejected(self, ax, ay, w):
+        with pytest.raises(SchemaError, match="finite"):
+            ReferenceMeasure(np.array(ax), np.array(ay), np.array(w))
+
     def test_empirical_measure_is_uniform(self):
         s = Sample(np.array([0.1, 0.2]), np.array([1.0, 2.0]))
         Q = empirical_measure(s)

@@ -118,6 +118,10 @@ class TestScaledEvaluation:
         with pytest.raises(InvalidBandwidth):
             eval_scaled(get_kernel("uniform"), 0.0, 0.1)
 
+    def test_nan_bandwidth_raises(self):
+        with pytest.raises(InvalidBandwidth):
+            eval_scaled(get_kernel("uniform"), math.nan, np.zeros(3))
+
     def test_product_two_dim_inside_window(self):
         assert product_kernel("uniform", 1.0, (0.0, 0.0), (0.1, -0.2)) == 1.0
 

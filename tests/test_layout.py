@@ -74,6 +74,54 @@ def test_only_kernels_builds_a_random_generator():
     assert spelled == ["kernels.py"]
 
 
+# NumPy's BLAS entry points, called by name or as an attribute; np.linalg is
+# one as a whole
+_BLAS_NAMES = {"dot", "matmul", "inner", "vdot", "tensordot", "einsum"}
+
+
+def _dotted(node):
+    """The names of an attribute chain such as np.linalg.norm, outermost
+    first; a chain on anything but a name, such as (a + b).dot, starts
+    with ""."""
+    names = []
+    while isinstance(node, ast.Attribute):
+        names.append(node.attr)
+        node = node.value
+    names.append(node.id if isinstance(node, ast.Name) else "")
+    return names[::-1]
+
+
+def test_only_kernels_calls_blas():
+    """The summation rule that rounds a reduction on its way to an output
+    byte is chosen in one module: kernels.dot, kernels.panel_sums and
+    kernels.pair_sum are the package's only BLAS reductions. No other module
+    of src/condu uses the @ operator, calls dot, matmul, inner, vdot,
+    tensordot or einsum, or reaches np.linalg. A name imported from kernels
+    is that module's own function."""
+    found = set()
+    for path in sorted((ROOT / "src" / "condu").glob("*.py")):
+        if path.name == "kernels.py":
+            continue
+        tree = ast.parse(path.read_text())
+        ours = {alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "kernels"
+                for alias in node.names}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                found.add(f"{path.name}:{node.lineno} @")
+            elif isinstance(node, ast.Call):
+                names = _dotted(node.func)
+                own = names[:-1] == ["kernels"] or names in [[name] for name in ours]
+                if "linalg" in names or (names[-1] in _BLAS_NAMES and not own):
+                    found.add(f"{path.name}:{node.lineno} {'.'.join(names)}")
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                modules = [node.module or ""] if isinstance(node, ast.ImportFrom) else []
+                modules += [alias.name for alias in node.names]
+                if any("linalg" in m.split(".") for m in modules):
+                    found.add(f"{path.name}:{node.lineno} import linalg")
+    assert not found, f"BLAS calls outside kernels.py: {sorted(found)}"
+
+
 def _optional_parameters(tree):
     """(function name, parameter, positional index or None) for every
     parameter with a default; a method's index counts from after self."""
